@@ -2,9 +2,11 @@
 
 Starting from an arbitrary sign-changing field, the pair projection
 finds the unique scalings (s, t) that place s*u+ + t*u- on the
-sign-changing set: first a bracketing box from the corner sign pattern,
-then damped Newton on the two residuals.  The fiber map (s, t) ->
-J(s*u+ + t*u-) is maximal exactly at (1, 1) on the projected field.
+sign-changing set.  The residual g1 vanishes along a closed-form curve
+t = t(s), so the search is one scalar root in log s: a bracketing box
+from the corner sign pattern, then safeguarded Newton inside it.  The
+fiber map (s, t) -> J(s*u+ + t*u-) is maximal exactly at (1, 1) on the
+projected field.
 """
 
 import numpy as np

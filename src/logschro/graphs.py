@@ -165,7 +165,7 @@ class WeightedGraph:
         self.potential_a.setflags(write=False)
         self.weights = weights
         self.weights.setflags(write=False)
-        # deg(x) = sum of incident weights; diagnostic only, no formula uses it.
+        # deg(x) = sum of incident weights, used by the Laplacian and by Gamma.
         self.deg = weights.sum(axis=1)
         self.deg.setflags(write=False)
         self.mu_min = float(mu_arr.min())

@@ -1,9 +1,11 @@
 """Projections onto the Nehari manifold and the sign-changing Nehari set.
 
 The ray projection has a closed form for the logarithmic nonlinearity.
-The pair projection solves the 2x2 system g1 = g2 = 0 in the scaling
-factors (s, t) of the positive and negative parts, by damped Newton with
-an intermediate-value bracketing box as safeguard.
+The pair projection finds the scaling factors (s, t) of the positive and
+negative parts with g1 = g2 = 0.  For the logarithmic nonlinearity g1 = 0
+gives t in closed form as a function of s, so the pair system is one
+scalar root in log s, found by a safeguarded Newton iteration inside the
+intermediate-value bracketing box.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
 
 _BRACKET_MIN = 2.0**-40
 _BRACKET_MAX = 2.0**40
+_EPS = 2.0**-52
+_MAX_STEPS = 200
 
 
 class DegenerateCoupling(RuntimeError):
@@ -141,24 +145,6 @@ def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
     return g1, g2
 
 
-def _g_jacobian(stats: _SplitStats, s: float, t: float) -> np.ndarray:
-    ls2 = math.log(s * s)
-    lt2 = math.log(t * t)
-    d11 = (
-        2.0 * s * (stats.a_pos - stats.l_pos - stats.b_pos)
-        - (2.0 * s * ls2 + 2.0 * s) * stats.b_pos
-        - 0.5 * t * stats.k
-    )
-    d12 = -0.5 * s * stats.k
-    d21 = -0.5 * t * stats.k
-    d22 = (
-        2.0 * t * (stats.a_neg - stats.l_neg - stats.b_neg)
-        - (2.0 * t * lt2 + 2.0 * t) * stats.b_neg
-        - 0.5 * s * stats.k
-    )
-    return np.array([[d11, d12], [d21, d22]])
-
-
 def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> tuple[float, float]:
     """Closed-form values of (g1, g2) at the scaling pair (s, t).
 
@@ -238,52 +224,55 @@ def fiber_energy(
     return FiberValue(s=s, t=t, value=value)
 
 
-def _bisect_g1(stats: _SplitStats, t: float, lo: float, hi: float) -> float:
-    # g1(lo, t) > 0 > g1(hi, t) inside the bracket box.
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if _g_pair(stats, mid, t)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return math.sqrt(lo * hi)
+def _t_on_g1(stats: _SplitStats, s: float) -> tuple[float, float]:
+    """The t solving g1(s, t) = 0, and dt/ds.
+
+    t is positive, and increasing in s, exactly when s is past the ray
+    root of u+.
+    """
+    c = stats.a_pos - stats.l_pos - stats.b_pos - stats.b_pos * math.log(s * s)
+    return 2.0 * s * c / stats.k, 2.0 * (c - 2.0 * stats.b_pos) / stats.k
 
 
-def _bisect_g2(stats: _SplitStats, s: float, lo: float, hi: float) -> float:
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if _g_pair(stats, s, mid)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return math.sqrt(lo * hi)
+def _reduced(stats: _SplitStats, x: float) -> tuple[float, float | None]:
+    """f(x) = g2(s, t(s)) / t(s) at s = e^x, and df/dx (None where t(s) <= 0).
+
+    Where t(s) <= 0 the value is the t -> 0+ limit -s*k/2 > 0.
+    """
+    s = math.exp(x)
+    t, dt = _t_on_g1(stats, s)
+    if t <= 0.0:
+        return -0.5 * s * stats.k, None
+    c = stats.a_neg - stats.l_neg - stats.b_neg - stats.b_neg * math.log(t * t)
+    return t * c - 0.5 * s * stats.k, s * ((c - 2.0 * stats.b_neg) * dt - 0.5 * stats.k)
 
 
 def project_pair(
     inst: ProblemInstance,
     u: np.ndarray,
     tol: float = 1e-10,
-    max_iter: int = 200,
     initial: tuple[float, float] | None = None,
 ) -> PairProjection:
     """Unique (s, t) with s*u+ + t*u- on the sign-changing Nehari set.
 
-    Damped Newton on (g1, g2) with the analytic Jacobian, clamped into the
-    bracketing box; alternating one-dimensional bisection is the fallback
-    when a Newton step fails to reduce the residual.  Zero coupling makes
-    the system decouple into two independent ray projections; the result
-    is then flagged ``degenerate``.
+    g1 = 0 is linear in t, so t = t(s) in closed form and the pair system
+    reduces to one scalar root of f(x) = g2(s, t(s)) / t(s) in x = log s.
+    The bracketing box gives f(log r) > 0 > f(log R); a Newton step is
+    taken when it stays inside the current bracket and at least halves the
+    previous step, otherwise the bracket is bisected.  The solve stops once
+    the bracket or the step is a few ulp of x wide, or f = 0, and the
+    result is accepted when max|g| <= tol * max(s^2 |u+|_H^2,
+    t^2 |u-|_H^2, 1), a test relative to the projected field and hence
+    scale-invariant.  ``initial[0]`` is the starting s, clamped into the
+    box; t follows from s.  Zero coupling makes the system decouple into
+    two independent ray projections; the result is then flagged
+    ``degenerate``.
     """
     u = inst.check_admissible(u)
     up, um = positive_part(u), negative_part(u)
     stats = _split_stats(inst, u)
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("pair projection needs both sign parts nontrivial")
-    scale = stats.scale
 
     if stats.k >= 0.0:
         s = project_ray(inst, up)
@@ -301,71 +290,47 @@ def project_pair(
         )
 
     lo, hi = _bracket_from_stats(stats)
-    if initial is not None:
-        s, t = (min(max(float(v), lo), hi) for v in initial)
-    else:
-        s = t = min(max(1.0, lo), hi)
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    s0 = 1.0 if initial is None else float(initial[0])
+    x = math.log(min(max(s0, lo), hi))
+    f, df = _reduced(stats, x)
+    prev_step = x_hi - x_lo
+    iterations = 0
+    while f != 0.0 and iterations < _MAX_STEPS:
+        iterations += 1
+        if f > 0.0:
+            x_lo = x
+        else:
+            x_hi = x
+        xtol = 4.0 * _EPS * max(1.0, abs(x))
+        if x_hi - x_lo <= xtol:
+            break
+        step = -f / df if df else None
+        if step is not None and abs(step) <= xtol:
+            x += step
+            break
+        if step is None or not x_lo < x + step < x_hi or abs(2.0 * step) > abs(prev_step):
+            step = 0.5 * (x_lo + x_hi) - x
+        prev_step = step
+        x += step
+        f, df = _reduced(stats, x)
 
-    def h(sv: float, tv: float) -> float:
-        g1, g2 = _g_pair(stats, sv, tv)
-        return g1 * g1 + g2 * g2
-
-    for it in range(1, max_iter + 1):
-        g1, g2 = _g_pair(stats, s, t)
-        if max(abs(g1), abs(g2)) <= tol * scale:
-            return PairProjection(
-                s=s,
-                t=t,
-                projected=s * up + t * um,
-                g1_residual=g1,
-                g2_residual=g2,
-                iterations=it - 1,
-                bracket=(lo, hi),
-            )
-        jac = _g_jacobian(stats, s, t)
-        step = None
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) > 1e-300:
-            step = np.linalg.solve(jac, -np.array([g1, g2]))
-        accepted = False
-        if step is not None:
-            h0 = g1 * g1 + g2 * g2
-            alpha = 1.0
-            # Demand a genuine decrease; otherwise hand over to the
-            # globally convergent alternating bisection below.
-            while alpha > 1e-4:
-                cand_s = min(max(s + alpha * step[0], lo), hi)
-                cand_t = min(max(t + alpha * step[1], lo), hi)
-                if h(cand_s, cand_t) <= 0.5 * h0:
-                    s, t = cand_s, cand_t
-                    accepted = True
-                    break
-                alpha *= 0.5
-        if not accepted:
-            # Alternating bisection: each g has a unique root in its own
-            # variable and both cross-derivatives are positive, so the
-            # sweep is monotone and converges on its own.  Run it to
-            # tolerance here; interleaving single sweeps with Newton can
-            # cycle (a norm-decreasing Newton step may jump back across
-            # the box).
-            for _ in range(max_iter):
-                s = _bisect_g1(stats, t, lo, hi)
-                t = _bisect_g2(stats, s, lo, hi)
-                g1, g2 = _g_pair(stats, s, t)
-                if max(abs(g1), abs(g2)) <= tol * scale:
-                    break
-
-    g1, g2 = _g_pair(stats, s, t)
-    if max(abs(g1), abs(g2)) <= tol * scale:
-        return PairProjection(
-            s=s,
-            t=t,
-            projected=s * up + t * um,
-            g1_residual=g1,
-            g2_residual=g2,
-            iterations=max_iter,
-            bracket=(lo, hi),
+    s = math.exp(x)
+    t = _t_on_g1(stats, s)[0]
+    g1, g2 = _g_pair(stats, s, t) if t > 0.0 else (math.inf, math.inf)
+    bound = tol * max(s * s * stats.a_pos, t * t * stats.a_neg, 1.0)
+    # Written so that a NaN anywhere fails the test.
+    if not (abs(g1) <= bound and abs(g2) <= bound):
+        raise NonConvergence(
+            f"pair projection stalled at |g|={max(abs(g1), abs(g2)):.3e} "
+            f"after {iterations} steps"
         )
-    raise NonConvergence(
-        f"pair projection stalled at |g|={max(abs(g1), abs(g2)):.3e} after {max_iter} iterations"
+    return PairProjection(
+        s=s,
+        t=t,
+        projected=s * up + t * um,
+        g1_residual=g1,
+        g2_residual=g2,
+        iterations=iterations,
+        bracket=(lo, hi),
     )

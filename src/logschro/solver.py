@@ -19,7 +19,7 @@ import scipy.optimize
 
 from .energy import ProblemInstance, dir_deriv, energy, field_to_dict, residual
 from .graphs import negative_part, positive_part
-from .nehari import DegenerateCoupling, NoBracket, NonConvergence, project_pair, project_ray
+from .nehari import NoBracket, NonConvergence, project_pair, project_ray
 
 __all__ = [
     "SolveOptions",
@@ -194,7 +194,7 @@ def _project_nodal(inst: ProblemInstance, u: np.ndarray):
         raise _Collapse
     try:
         proj = project_pair(inst, u)
-    except (ValueError, NonConvergence, NoBracket, DegenerateCoupling):
+    except (ValueError, NonConvergence, NoBracket, OverflowError):
         raise _Collapse from None
     if not np.all(np.isfinite(proj.projected)):
         raise _Collapse
@@ -204,7 +204,11 @@ def _project_nodal(inst: ProblemInstance, u: np.ndarray):
 def _project_ground(inst: ProblemInstance, u: np.ndarray):
     if float(np.max(np.abs(u))) < _COLLAPSE_TOL:
         raise _Collapse
-    s = project_ray(inst, u)
+    try:
+        s = project_ray(inst, u)
+    except OverflowError:
+        # The scaling exceeds the float range (large lam * a).
+        raise _Collapse from None
     if not math.isfinite(s) or s == 0.0:
         raise _Collapse
     return s * u, False

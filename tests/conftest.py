@@ -41,6 +41,17 @@ def p3():
 
 
 @pytest.fixture
+def p3_no_well():
+    """Path on three vertices with unit potential everywhere."""
+    return WeightedGraph(
+        ["v1", "v2", "v3"],
+        [1.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0],
+        [("v1", "v2", 1.0), ("v2", "v3", 1.0)],
+    )
+
+
+@pytest.fixture
 def p6():
     """Six-vertex path with a two-vertex potential well in the middle."""
     return WeightedGraph.from_dict(generate_graph("path", 6, "3..4"))

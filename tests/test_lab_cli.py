@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from logschro import (
     sweep,
     sweep_csv,
 )
+from logschro.cli import build_parser
 from logschro.cli import main as cli_main
 
 E = math.e
@@ -188,6 +191,25 @@ class TestCli:
         cli_main(["generate", "--topology", "path", "--n", "2", "--well", "1..2",
                   "--out", str(gpath)])
         assert cli_main(["solve", "--graph", str(gpath), "--mode", "full", "--nodal"]) == 3
+
+    def test_scaling_overflow_exits_2(self, tmp_path, p3_no_well, capsys):
+        gpath = tmp_path / "p3.json"
+        p3_no_well.save(gpath)
+        for kind in ("--ground", "--nodal"):
+            code = cli_main(["solve", "--graph", str(gpath), "--lambda", "5000", kind,
+                             "--starts", "4"])
+            assert code == 2
+        assert "no ground start" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        commands = [
+            line.strip() for line in readme.splitlines() if line.strip().startswith("logschro ")
+        ]
+        assert len(commands) >= 5
+        parser = build_parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command)[1:])
 
     def test_byte_identical_outputs(self, tmp_path):
         gpath = tmp_path / "p6.json"

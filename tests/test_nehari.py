@@ -191,6 +191,28 @@ class TestProjectPair:
             assert again.s == pytest.approx(base.s, rel=1e-8)
             assert again.t == pytest.approx(base.t, rel=1e-8)
 
+    def test_large_scale_root_converges(self, p6):
+        # The root sits at s ~ 5.5e4, where |g| ~ s^2 |u+|_H^2 ~ 1e10: the
+        # stopping test must be relative to the projected field.
+        inst = ProblemInstance.full(p6, 100.0)
+        u = np.array(
+            [0.23071841, -0.21534711, 0.65980497, -1.09593231, 0.20239761, 0.07128713]
+        )
+        proj = project_pair(inst, u)
+        assert proj.s == pytest.approx(5.5e4, rel=0.01)
+        scale = max(
+            proj.s**2 * inst.norm_h_sq(np.maximum(u, 0.0)),
+            proj.t**2 * inst.norm_h_sq(np.minimum(u, 0.0)),
+            1.0,
+        )
+        assert abs(proj.g1_residual) <= 1e-10 * scale
+        assert abs(proj.g2_residual) <= 1e-10 * scale
+        # c*u spans the same fiber {s*u+ + t*u-}, which meets the
+        # sign-changing Nehari set once, so both project to one field.
+        for c in (1e-3, 1e3):
+            again = project_pair(inst, c * u)
+            np.testing.assert_allclose(again.projected, proj.projected, rtol=1e-12, atol=0.0)
+
 
 class TestFiberEnergy:
     def test_unit_pair_recovers_energy(self, k2_inst):

@@ -6,6 +6,7 @@ import pytest
 from logschro import (
     DofLimitExceeded,
     InfeasibleWell,
+    NonConvergence,
     ProblemInstance,
     SolveOptions,
     WeightedGraph,
@@ -17,6 +18,7 @@ from logschro import (
     solve_nodal,
     verify,
 )
+from logschro.solver import _Collapse, _project_nodal
 
 E = math.e
 OPTS = SolveOptions(starts=16, seed=0)
@@ -98,6 +100,23 @@ class TestSolveNodal:
             for part in (np.maximum(rep.minimizer, 0.0), np.minimum(rep.minimizer, 0.0)):
                 floor = min(floor, math.sqrt(p6.norms(part, 0.0).h1_sq))
         assert floor > 1e-3
+
+
+class TestScalingOverflow:
+    """At large lam * a the Nehari scaling leaves the float range."""
+
+    def test_ground_raises_nonconvergence(self, p3_no_well):
+        inst = ProblemInstance.full(p3_no_well, 5000.0)
+        with pytest.raises(NonConvergence):
+            solve_ground(inst, SolveOptions(starts=4, seed=0))
+
+    def test_nodal_raises_nonconvergence(self, p3_no_well):
+        inst = ProblemInstance.full(p3_no_well, 5000.0)
+        # Separated sign supports take the decoupled ray-projection branch.
+        with pytest.raises(_Collapse):
+            _project_nodal(inst, np.array([1.0, 0.0, -1.0]))
+        with pytest.raises(NonConvergence):
+            solve_nodal(inst, SolveOptions(starts=4, seed=0))
 
 
 class TestVerify:
