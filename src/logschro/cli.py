@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: generate, solve, project, check, sweep.  Exit codes: 0 on
-success, 1 on usage errors, 2 when a solve fails to converge, 3 on
-validation failures (bad graph/field files or hypotheses).
+success, 1 on usage errors, 2 when a solve or a pair projection fails to
+converge, 3 on validation failures (bad graph/field files or hypotheses).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from .energy import NotAdmissible, ProblemInstance, load_field
 from .graphs import GraphValidationError, WeightedGraph
 from .lab import generate_graph, sweep, sweep_csv
-from .nehari import NonConvergence, project_pair
+from .nehari import NoBracket, NonConvergence, project_pair
 from .solver import InfeasibleWell, SolveOptions, solve_ground, solve_nodal, verify
 
 EXIT_USAGE = 1
@@ -124,7 +124,10 @@ def main(argv=None) -> int:
             with open(args.state, "r", encoding="utf-8") as fh:
                 u = load_field(graph, fh.read())
             inst = ProblemInstance.full(graph, args.lam)
-            proj = project_pair(inst, u)
+            try:
+                proj = project_pair(inst, u)
+            except (NoBracket, OverflowError) as exc:
+                raise NonConvergence(f"pair projection failed: {exc}") from None
             _dump(proj.to_dict(), None)
             return 0
 

@@ -281,11 +281,15 @@ def identity_suite(inst: ProblemInstance, u: np.ndarray) -> IdentityReport:
 
 
 def load_field(graph: WeightedGraph, data: Mapping | str) -> np.ndarray:
-    """Field from JSON ``{"values": {id: number, ...}}``; missing ids are 0."""
+    """Field from JSON ``{"values": {id: number, ...}}``; missing ids are 0.
+
+    A solve report, which nests that mapping under ``minimizer``, is read
+    too.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        values = data["values"]
+        values = data["values"] if "values" in data else data["minimizer"]["values"]
     except (KeyError, TypeError):
         raise ValueError("field JSON needs a 'values' mapping") from None
     return graph.check_field(graph.field(values))

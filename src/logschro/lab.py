@@ -16,7 +16,7 @@ import numpy as np
 
 from .energy import ProblemInstance, energy
 from .graphs import WeightedGraph
-from .solver import SolveOptions, solve_ground, solve_nodal
+from .solver import InfeasibleWell, NonConvergence, SolveOptions, solve_ground, solve_nodal
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -201,6 +201,8 @@ def sweep(
     the nodal and ground solves on the full problem, flips the nodal
     minimizer to align with the limit before measuring distance, and
     records the gap, leaked potential mass, tail mass and H1 distance.
+    A coupling whose solve raises ``NonConvergence`` or ``InfeasibleWell``
+    becomes a failed row; any other exception propagates.
     """
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be strictly increasing")
@@ -230,7 +232,7 @@ def sweep(
         try:
             rn = solve_nodal(inst, opts)
             rg = solve_ground(inst, opts)
-        except Exception:
+        except (NonConvergence, InfeasibleWell):
             rows.append(SweepRow(lam, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, math.nan, failed=True))
             continue

@@ -2,9 +2,11 @@
 
 Each start draws a random field, projects it onto the relevant Nehari
 set, and alternates descent steps along the negative residual with
-re-projection; a damped Newton polish on the pointwise residual system
-finishes every start.  A brute-force grid oracle on instances with at
-most a few free vertices provides independent reference levels.
+re-projection.  A damped Newton polish on the pointwise residual system
+ends a start early once it succeeds; descent tries it when the residual
+is small, every 25 iterations, when the line search cannot move, and at
+tolerance.  A brute-force grid oracle on instances with at most a few
+free vertices provides independent reference levels.
 """
 
 from __future__ import annotations
@@ -224,6 +226,14 @@ def _sign_ok(u: np.ndarray, free: np.ndarray, nodal: bool) -> bool:
 def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal: bool):
     """Projected descent from one initial field.
 
+    A Newton polish is tried at tolerance, when the line search cannot
+    move, every 25th iteration, and when the sup residual is at most
+    1e-2 of the field's scale.  After a polish fails, the small-residual
+    trigger waits until the residual has halved since that failure: a
+    start drifting along a flat part of the Nehari set would otherwise
+    rerun the same failing polish on every iteration.  A polish counts
+    only if it keeps the sign pattern and does not raise the energy.
+
     Returns (field, converged, degenerate) or raises _Collapse when a sign
     part dies and the start must be re-randomized.
     """
@@ -235,10 +245,12 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
         cand = _newton_polish(inst, cur, tol=0.1 * opts.tol_residual)
         if cand is None or not _sign_ok(cand, inst.free, nodal):
             return None
-        if energy(inst, cand) > energy(inst, cur) + 1e-9 * max(1.0, abs(energy(inst, cur))):
+        j_cur = energy(inst, cur)
+        if energy(inst, cand) > j_cur + 1e-9 * max(1.0, abs(j_cur)):
             return None
         return cand
 
+    failed_at = math.inf  # rinf at the last failed polish in the loop
     for it in range(opts.max_outer_iters):
         r = residual(inst, u)
         rinf = float(np.max(np.abs(r)))
@@ -246,10 +258,11 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
         if rinf <= opts.tol_residual * scale:
             cand = polished(u)
             return (cand if cand is not None else u), True, degen
-        if rinf <= 1e-2 * scale or it % 25 == 24:
+        if (rinf <= 1e-2 * scale and rinf <= 0.5 * failed_at) or it % 25 == 24:
             cand = polished(u)
             if cand is not None:
                 return cand, True, degen
+            failed_at = rinf
         d = -r * precond
         slope = inst.graph.integrate(r * d)
         j0 = energy(inst, u)

@@ -8,6 +8,7 @@ import pytest
 
 from logschro import (
     SWEEP_CSV_HEADER,
+    NonConvergence,
     ProblemInstance,
     SolveOptions,
     WeightedGraph,
@@ -17,6 +18,7 @@ from logschro import (
     sweep,
     sweep_csv,
 )
+from logschro import lab
 from logschro.cli import build_parser
 from logschro.cli import main as cli_main
 
@@ -112,6 +114,30 @@ class TestSweep:
         # Full round-trip decimal formatting.
         assert first[1] == repr(rows[0].m_lambda)
 
+    def test_programming_errors_propagate(self, p6, monkeypatch):
+        real = lab.solve_nodal
+
+        def broken(inst, opts=None):
+            if inst.mode == "full":
+                raise TypeError("bug")
+            return real(inst, opts)
+
+        monkeypatch.setattr(lab, "solve_nodal", broken)
+        with pytest.raises(TypeError):
+            sweep(p6, [1.0], OPTS)
+
+    def test_nonconvergence_is_a_failed_row(self, p6, monkeypatch):
+        real = lab.solve_nodal
+
+        def failing(inst, opts=None):
+            if inst.mode == "full":
+                raise NonConvergence("no start")
+            return real(inst, opts)
+
+        monkeypatch.setattr(lab, "solve_nodal", failing)
+        rows, _ = sweep(p6, [1.0], OPTS)
+        assert [r.failed for r in rows] == [True]
+
     def test_determinism(self, p6):
         rows_a, _ = sweep(p6, [1.0, 10.0], OPTS)
         rows_b, _ = sweep(p6, [1.0, 10.0], OPTS)
@@ -161,6 +187,32 @@ class TestCli:
         assert out["s"] == pytest.approx(E / 2.0, rel=1e-8)
         assert out["t"] == pytest.approx(E, rel=1e-8)
         assert not out["degenerate"]
+
+    @pytest.mark.parametrize("values", [{"v1": 1, "v2": -1}, {"v1": 1, "v3": -1}],
+                             ids=["no_bracket", "overflow"])
+    def test_project_failure_exits_2(self, tmp_path, p3_no_well, capsys, values):
+        gpath = tmp_path / "p3.json"
+        p3_no_well.save(gpath)
+        fpath = tmp_path / "u.json"
+        fpath.write_text(json.dumps({"values": values}))
+        code = cli_main(["project", "--graph", str(gpath), "--state", str(fpath),
+                         "--lambda", "5000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: pair projection failed")
+
+    def test_check_reads_solve_report(self, tmp_path, capsys):
+        gpath = tmp_path / "p6.json"
+        cli_main(["generate", "--topology", "path", "--n", "6", "--well", "3..4",
+                  "--out", str(gpath)])
+        upath = tmp_path / "u.json"
+        code = cli_main(["solve", "--graph", str(gpath), "--nodal", "--lambda", "10",
+                         "--starts", "8", "--out", str(upath)])
+        assert code == 0
+        code = cli_main(["check", "--graph", str(gpath), "--state", str(upath),
+                         "--lambda", "10"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["level"] == pytest.approx(json.loads(upath.read_text())["level"], rel=1e-12)
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         gpath = tmp_path / "p6.json"

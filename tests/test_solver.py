@@ -18,6 +18,7 @@ from logschro import (
     solve_nodal,
     verify,
 )
+from logschro import solver
 from logschro.solver import _Collapse, _project_nodal
 
 E = math.e
@@ -100,6 +101,26 @@ class TestSolveNodal:
             for part in (np.maximum(rep.minimizer, 0.0), np.minimum(rep.minimizer, 0.0)):
                 floor = min(floor, math.sqrt(p6.norms(part, 0.0).h1_sq))
         assert floor > 1e-3
+
+
+class TestPolishRetry:
+    """A failed Newton polish is not rerun until the residual has halved."""
+
+    def test_grid5_ground_polish_count(self, monkeypatch):
+        g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
+        calls = []
+        polish = solver._newton_polish
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton_polish", counted)
+        rep = solve_ground(ProblemInstance.full(g, 10.0), SolveOptions(starts=8, seed=0))
+        # Retrying at every small-residual iterate made 1,054 calls here.
+        assert len(calls) <= 120
+        assert rep.starts_converged == 8
+        assert rep.level == pytest.approx(13.134618343915474, rel=1e-10)
 
 
 class TestScalingOverflow:
