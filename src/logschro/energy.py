@@ -4,6 +4,15 @@ Two problem modes share one code path: the full problem on all vertices
 with potential coupling ``lam * a(x)``, and the Dirichlet problem on the
 potential well, where admissible fields vanish identically outside the
 well interior.  The convention ``0 * log 0 = 0`` is applied everywhere.
+
+Public functions validate their field arguments once (shape, finiteness
+and, in Dirichlet mode, support in the well) and then call a private
+kernel (``_norm_h_sq``, ``_energy``, ``_residual``, ``_dir_deriv``,
+``_coupling_k``) that trusts its arrays.  The kernels compute the
+gradient terms from the graph's stiffness matrix ``S``, using
+``integral of Gamma(u, v) dmu = v^T S u`` and ``-mu Laplacian(u) = S u``.
+Callers inside the package that build their own fields call the kernels
+directly.
 """
 
 from __future__ import annotations
@@ -80,8 +89,23 @@ class ProblemInstance:
             for vid in omega.interior:
                 self.free[graph.index(vid)] = True
             self.lam_a = np.zeros(graph.n)
-        self.free.setflags(write=False)
-        self.lam_a.setflags(write=False)
+        # Built once for the kernels.  On a field vanishing off the free set
+        # the residual there is free_stiffness @ u_f + lam_a_free * u_f -
+        # u_f log u_f^2, with free_stiffness the free block of S / mu.
+        self.mass = graph.mu * (self.lam_a + 1.0)
+        self.free_index = np.flatnonzero(self.free)
+        block = np.ix_(self.free_index, self.free_index)
+        self.free_stiffness = graph.stiffness[block] / graph.mu[self.free_index, None]
+        self.lam_a_free = self.lam_a[self.free_index]
+        for arr in (
+            self.free,
+            self.lam_a,
+            self.mass,
+            self.free_index,
+            self.free_stiffness,
+            self.lam_a_free,
+        ):
+            arr.setflags(write=False)
 
     @classmethod
     def full(cls, graph: WeightedGraph, lam: float) -> "ProblemInstance":
@@ -118,16 +142,44 @@ class ProblemInstance:
         zero-extension H1 norm (the two agree on admissible fields when the
         potential vanishes on the well).
         """
-        u = self.check_admissible(u)
-        g = self.graph
-        grad_sq = g.integrate(g.gamma(u))
-        return grad_sq + g.integrate((self.lam_a + 1.0) * u * u)
+        return _norm_h_sq(self, self.check_admissible(u))
+
+
+# -- trusted kernels: admissible, finite fields of the right shape --------
+
+
+def _norm_h_sq(inst: ProblemInstance, u: np.ndarray) -> float:
+    return float(u @ (inst.graph.stiffness @ u) + inst.mass @ (u * u))
+
+
+def _energy(inst: ProblemInstance, u: np.ndarray) -> float:
+    return 0.5 * _norm_h_sq(inst, u) - 0.5 * float(inst.graph.mu @ sq_log_sq(u))
+
+
+def _residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
+    g = inst.graph
+    r = (g.stiffness @ u) / g.mu + inst.lam_a * u - u_log_sq(u)
+    if inst.mode == "dirichlet":
+        r = np.where(inst.free, r, 0.0)
+    return r
+
+
+def _dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:
+    return float(inst.graph.mu @ (_residual(inst, u) * v))
+
+
+def _coupling_k(inst: ProblemInstance, u: np.ndarray) -> float:
+    # An admissible field vanishes off the free set, so in Dirichlet mode
+    # the sum over the well's closure is the sum over all vertices.
+    return 2.0 * float(positive_part(u) @ (inst.graph.weights @ negative_part(u)))
+
+
+# -- public API: validate once, then call a kernel -------------------------
 
 
 def energy(inst: ProblemInstance, u: np.ndarray) -> float:
     """Value of the variational functional at ``u``."""
-    u = inst.check_admissible(u)
-    return 0.5 * inst.norm_h_sq(u) - 0.5 * inst.graph.integrate(sq_log_sq(u))
+    return _energy(inst, inst.check_admissible(u))
 
 
 def dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:
@@ -136,11 +188,7 @@ def dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:
     Matches the one-sided difference quotient wherever the field is
     bounded away from zero on its support.
     """
-    u = inst.check_admissible(u)
-    v = inst.check_admissible(v)
-    g = inst.graph
-    linear = g.integrate(g.gamma(u, v)) + g.integrate(inst.lam_a * u * v)
-    return linear - g.integrate(v * u_log_sq(u))
+    return _dir_deriv(inst, inst.check_admissible(u), inst.check_admissible(v))
 
 
 def residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -150,12 +198,7 @@ def residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     every admissible direction ``v``; a zero residual certifies a
     pointwise solution.
     """
-    u = inst.check_admissible(u)
-    g = inst.graph
-    r = -g.laplacian(u) + inst.lam_a * u - u_log_sq(u)
-    if inst.mode == "dirichlet":
-        r = np.where(inst.free, r, 0.0)
-    return r
+    return _residual(inst, inst.check_admissible(u))
 
 
 def coupling_k(inst: ProblemInstance, u: np.ndarray) -> float:
@@ -164,15 +207,7 @@ def coupling_k(inst: ProblemInstance, u: np.ndarray) -> float:
     Always nonpositive; zero exactly when no edge joins the supports of
     the two parts.
     """
-    u = inst.check_admissible(u)
-    up, um = positive_part(u), negative_part(u)
-    w = inst.graph.weights
-    if inst.mode == "dirichlet":
-        rows = np.zeros(inst.graph.n, dtype=bool)
-        for vid in inst.omega.closure:
-            rows[inst.graph.index(vid)] = True
-        return float(np.sum(rows * (up * (w @ um) + um * (w @ up))))
-    return float(up @ (w @ um) + um @ (w @ up))
+    return _coupling_k(inst, inst.check_admissible(u))
 
 
 @dataclass(frozen=True)
@@ -230,7 +265,7 @@ def identity_suite(inst: ProblemInstance, u: np.ndarray) -> IdentityReport:
     u = inst.check_admissible(u)
     g = inst.graph
     up, um = positive_part(u), negative_part(u)
-    k = coupling_k(inst, u)
+    k = _coupling_k(inst, u)
 
     checks = [
         IdentityCheck(
@@ -240,22 +275,22 @@ def identity_suite(inst: ProblemInstance, u: np.ndarray) -> IdentityReport:
         ),
         IdentityCheck(
             "energy_split",
-            energy(inst, u),
-            energy(inst, up) + energy(inst, um) - 0.5 * k,
+            _energy(inst, u),
+            _energy(inst, up) + _energy(inst, um) - 0.5 * k,
         ),
         IdentityCheck(
             "deriv_split_pos",
-            dir_deriv(inst, u, up),
-            dir_deriv(inst, up, up) - 0.5 * k,
+            _dir_deriv(inst, u, up),
+            _dir_deriv(inst, up, up) - 0.5 * k,
         ),
         IdentityCheck(
             "deriv_split_neg",
-            dir_deriv(inst, u, um),
-            dir_deriv(inst, um, um) - 0.5 * k,
+            _dir_deriv(inst, u, um),
+            _dir_deriv(inst, um, um) - 0.5 * k,
         ),
         IdentityCheck(
             "nehari_quadratic",
-            energy(inst, u) - 0.5 * dir_deriv(inst, u, u),
+            _energy(inst, u) - 0.5 * _dir_deriv(inst, u, u),
             0.5 * g.integrate(u * u),
         ),
     ]

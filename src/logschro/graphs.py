@@ -4,6 +4,10 @@ A graph carries a positive per-vertex measure ``mu``, a nonnegative
 per-vertex potential ``a`` and symmetric positive edge weights.  Vertex
 functions ("fields") are plain numpy vectors ordered like ``vertex_ids``;
 all file IO is keyed by vertex id, so the ordering is an internal detail.
+
+Each graph also holds its stiffness matrix ``S = diag(deg) - W``, built
+once at construction: the Laplacian is ``-(S u) / mu`` and the gradient
+energy is the quadratic form ``integral of Gamma(u) dmu = u^T S u``.
 """
 
 from __future__ import annotations
@@ -165,9 +169,12 @@ class WeightedGraph:
         self.potential_a.setflags(write=False)
         self.weights = weights
         self.weights.setflags(write=False)
-        # deg(x) = sum of incident weights, used by the Laplacian and by Gamma.
+        # deg(x) = sum of incident weights, used by Gamma and by the
+        # stiffness matrix S = diag(deg) - W behind the Laplacian.
         self.deg = weights.sum(axis=1)
         self.deg.setflags(write=False)
+        self.stiffness = np.diag(self.deg) - weights
+        self.stiffness.setflags(write=False)
         self.mu_min = float(mu_arr.min())
         self.n = n
         self._neighbors = [np.nonzero(weights[i])[0] for i in range(n)]
@@ -208,7 +215,7 @@ class WeightedGraph:
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Graph Laplacian: (1/mu(x)) sum_y w_xy (u(y) - u(x))."""
         u = self.check_field(u)
-        return (self.weights @ u - self.deg * u) / self.mu
+        return -(self.stiffness @ u) / self.mu
 
     def gamma(self, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
         """Gradient form: (1/(2 mu(x))) sum_y w_xy (u(y)-u(x))(v(y)-v(x))."""

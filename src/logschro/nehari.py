@@ -6,6 +6,10 @@ negative parts with g1 = g2 = 0.  For the logarithmic nonlinearity g1 = 0
 gives t in closed form as a function of s, so the pair system is one
 scalar root in log s, found by a safeguarded Newton iteration inside the
 intermediate-value bracketing box.
+
+Each public function validates its field argument once; the projections
+then run on the sign-part statistics (``_split_stats``), which call the
+trusted kernels of :mod:`logschro.energy` on the already-checked array.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemInstance, energy, sq_log_sq
+from .energy import ProblemInstance, _coupling_k, _energy, _norm_h_sq, sq_log_sq
 from .graphs import negative_part, positive_part
 
 __all__ = [
@@ -99,20 +103,23 @@ class _SplitStats:
 
 
 def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
-    from .energy import coupling_k
-
-    u = inst.check_admissible(u)
-    g = inst.graph
+    """Statistics of a field the caller has already validated."""
+    mu = inst.graph.mu
     up, um = positive_part(u), negative_part(u)
     return _SplitStats(
-        a_pos=inst.norm_h_sq(up),
-        l_pos=g.integrate(sq_log_sq(up)),
-        b_pos=g.integrate(up * up),
-        a_neg=inst.norm_h_sq(um),
-        l_neg=g.integrate(sq_log_sq(um)),
-        b_neg=g.integrate(um * um),
-        k=coupling_k(inst, u),
+        a_pos=_norm_h_sq(inst, up),
+        l_pos=float(mu @ sq_log_sq(up)),
+        b_pos=float(mu @ (up * up)),
+        a_neg=_norm_h_sq(inst, um),
+        l_neg=float(mu @ sq_log_sq(um)),
+        b_neg=float(mu @ (um * um)),
+        k=_coupling_k(inst, u),
     )
+
+
+def _ray_scale(a: float, b: float, l: float) -> float:
+    """Ray root from |w|_H^2 = a, |w|_2^2 = b > 0, int w^2 log w^2 = l."""
+    return math.exp(0.5 * (a - b - l) / b)
 
 
 def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
@@ -121,12 +128,11 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     Closed form: log s^2 = (|w|_H^2 - |w|_2^2 - int w^2 log w^2) / |w|_2^2.
     """
     w = inst.check_admissible(w)
-    b = inst.graph.integrate(w * w)
+    mu = inst.graph.mu
+    b = float(mu @ (w * w))
     if b == 0.0:
         raise ValueError("cannot ray-project the zero field")
-    a = inst.norm_h_sq(w)
-    l = inst.graph.integrate(sq_log_sq(w))
-    return math.exp(0.5 * (a - b - l) / b)
+    return _ray_scale(_norm_h_sq(inst, w), b, float(mu @ sq_log_sq(w)))
 
 
 def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
@@ -153,7 +159,7 @@ def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> 
     """
     if s <= 0 or t <= 0:
         raise ValueError("s and t must be positive")
-    stats = _split_stats(inst, u)
+    stats = _split_stats(inst, inst.check_admissible(u))
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("pair residuals need both sign parts nontrivial")
     return _g_pair(stats, s, t)
@@ -166,7 +172,7 @@ def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]
     so the face conditions reduce to the diagonal corner signs; the scan is
     geometric with factor 2 from 1 outward.
     """
-    stats = _split_stats(inst, u)
+    stats = _split_stats(inst, inst.check_admissible(u))
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("bracket needs both sign parts nontrivial")
     if stats.k >= 0.0:
@@ -203,6 +209,7 @@ def fiber_energy(
     """
     if s < 0 or t < 0:
         raise ValueError("s and t must be nonnegative")
+    u = inst.check_admissible(u)
     stats = _split_stats(inst, u)
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("fiber energy needs both sign parts nontrivial")
@@ -216,7 +223,7 @@ def fiber_energy(
         return tau * tau - tau * tau * math.log(tau * tau) - 1.0
 
     value = (
-        energy(inst, u)
+        _energy(inst, u)
         + 0.5 * f(s) * stats.b_pos
         + 0.5 * f(t) * stats.b_neg
         + 0.25 * (s - t) ** 2 * stats.k
@@ -275,8 +282,8 @@ def project_pair(
         raise ValueError("pair projection needs both sign parts nontrivial")
 
     if stats.k >= 0.0:
-        s = project_ray(inst, up)
-        t = project_ray(inst, um)
+        s = _ray_scale(stats.a_pos, stats.b_pos, stats.l_pos)
+        t = _ray_scale(stats.a_neg, stats.b_neg, stats.l_neg)
         g1, g2 = _g_pair(stats, s, t)
         return PairProjection(
             s=s,

@@ -19,8 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .energy import ProblemInstance, dir_deriv, energy, field_to_dict, residual
-from .graphs import negative_part, positive_part
+from .energy import (
+    ProblemInstance,
+    _energy,
+    _residual,
+    dir_deriv,
+    energy,
+    field_to_dict,
+    residual,
+    u_log_sq,
+)
+from .graphs import WeightedGraph, negative_part, positive_part
 from .nehari import NoBracket, NonConvergence, project_pair, project_ray
 
 __all__ = [
@@ -68,6 +77,16 @@ class SolveOptions:
             raise ValueError("starts must be >= 1")
         if self.tol_residual <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
+        if not self.step_init > 0:
+            raise ValueError("step_init must be positive")
+        # Written so that NaN fails too; shrink = 1 would never end a
+        # failing line search.
+        if not 0 < self.armijo < 1:
+            raise ValueError("armijo must lie in (0, 1)")
+        if not 0 < self.shrink < 1:
+            raise ValueError("shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -132,66 +151,69 @@ class VerificationReport:
 
 
 def _residual_free(inst: ProblemInstance, u_free: np.ndarray) -> np.ndarray:
+    """Residual on the free set of the field equal to u_free there, 0 elsewhere."""
     if not np.all(np.isfinite(u_free)):
         # Keep root finders that wander off the chart moving back.
         return np.full(len(u_free), 1e300)
-    u = np.zeros(inst.graph.n)
-    u[inst.free] = u_free
-    return residual(inst, u)[inst.free]
+    return inst.free_stiffness @ u_free + inst.lam_a_free * u_free - u_log_sq(u_free)
 
 
-def _residual_jacobian(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
-    """Jacobian of the pointwise residual on the free vertex set."""
-    g = inst.graph
-    free = np.nonzero(inst.free)[0]
-    jac = -g.weights[np.ix_(free, free)] / g.mu[free][:, None]
-    diag = g.deg[free] / g.mu[free] + inst.lam_a[free]
-    uf = u[free]
+def _residual_jacobian(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_residual_free`` at the free values ``uf``."""
+    jac = inst.free_stiffness.copy()
     with np.errstate(divide="ignore"):
         log_term = np.where(np.abs(uf) > 1e-150, np.log(uf * uf), np.log(1e-300))
-    np.fill_diagonal(jac, np.diag(jac) + diag - log_term - 2.0)
+    np.fill_diagonal(jac, np.diag(jac) + inst.lam_a_free - log_term - 2.0)
     return jac
+
+
+def _scatter(inst: ProblemInstance, u_free: np.ndarray) -> np.ndarray:
+    u = np.zeros(inst.graph.n)
+    u[inst.free_index] = u_free
+    return u
 
 
 def _newton_polish(inst: ProblemInstance, u: np.ndarray, tol: float, max_iter: int = 60):
     """Damped Newton on the residual system; None when it fails to settle."""
-    free = inst.free
-    uf = u[free].copy()
-    rnorm = float(np.max(np.abs(_residual_free(inst, uf))))
+    uf = u[inst.free_index]
+    r = _residual_free(inst, uf)
+    rnorm = float(np.max(np.abs(r)))
     for _ in range(max_iter):
-        full = np.zeros(inst.graph.n)
-        full[free] = uf
         if rnorm <= tol:
-            return full
-        jac = _residual_jacobian(inst, full)
+            return _scatter(inst, uf)
         try:
-            step = np.linalg.solve(jac, -_residual_free(inst, uf))
+            step = np.linalg.solve(_residual_jacobian(inst, uf), -r)
         except np.linalg.LinAlgError:
             return None
         alpha, accepted = 1.0, False
         while alpha > 1e-10:
             cand = uf + alpha * step
-            cnorm = float(np.max(np.abs(_residual_free(inst, cand))))
+            cr = _residual_free(inst, cand)
+            cnorm = float(np.max(np.abs(cr)))
             if cnorm < rnorm:
-                uf, rnorm, accepted = cand, cnorm, True
+                uf, r, rnorm, accepted = cand, cr, cnorm, True
                 break
             alpha *= 0.5
         if not accepted:
             return None
-    full = np.zeros(inst.graph.n)
-    full[free] = uf
-    return full if rnorm <= tol else None
+    return _scatter(inst, uf) if rnorm <= tol else None
 
 
 # -- per-start descent -----------------------------------------------------
 
 
+def _h1_norm(g: WeightedGraph, u: np.ndarray) -> float:
+    """sqrt(|u|_H1^2) of a finite field: gradient form plus L2 mass."""
+    return math.sqrt(max(float(u @ (g.stiffness @ u) + g.mu @ (u * u)), 0.0))
+
+
 def _project_nodal(inst: ProblemInstance, u: np.ndarray):
+    if not np.all(np.isfinite(u)):
+        raise _Collapse
     g = inst.graph
-    up, um = positive_part(u), negative_part(u)
     if (
-        math.sqrt(max(g.norms(up, 0.0).h1_sq, 0.0)) < _COLLAPSE_TOL
-        or math.sqrt(max(g.norms(um, 0.0).h1_sq, 0.0)) < _COLLAPSE_TOL
+        _h1_norm(g, positive_part(u)) < _COLLAPSE_TOL
+        or _h1_norm(g, negative_part(u)) < _COLLAPSE_TOL
     ):
         raise _Collapse
     try:
@@ -204,7 +226,7 @@ def _project_nodal(inst: ProblemInstance, u: np.ndarray):
 
 
 def _project_ground(inst: ProblemInstance, u: np.ndarray):
-    if float(np.max(np.abs(u))) < _COLLAPSE_TOL:
+    if not np.all(np.isfinite(u)) or float(np.max(np.abs(u))) < _COLLAPSE_TOL:
         raise _Collapse
     try:
         s = project_ray(inst, u)
@@ -245,14 +267,14 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
         cand = _newton_polish(inst, cur, tol=0.1 * opts.tol_residual)
         if cand is None or not _sign_ok(cand, inst.free, nodal):
             return None
-        j_cur = energy(inst, cur)
-        if energy(inst, cand) > j_cur + 1e-9 * max(1.0, abs(j_cur)):
+        j_cur = _energy(inst, cur)
+        if _energy(inst, cand) > j_cur + 1e-9 * max(1.0, abs(j_cur)):
             return None
         return cand
 
     failed_at = math.inf  # rinf at the last failed polish in the loop
     for it in range(opts.max_outer_iters):
-        r = residual(inst, u)
+        r = _residual(inst, u)
         rinf = float(np.max(np.abs(r)))
         scale = max(1.0, float(np.max(np.abs(u))))
         if rinf <= opts.tol_residual * scale:
@@ -264,8 +286,8 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
                 return cand, True, degen
             failed_at = rinf
         d = -r * precond
-        slope = inst.graph.integrate(r * d)
-        j0 = energy(inst, u)
+        slope = float(inst.graph.mu @ (r * d))
+        j0 = _energy(inst, u)
         alpha, moved = opts.step_init, False
         while alpha > 1e-16:
             try:
@@ -273,7 +295,7 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
             except _Collapse:
                 alpha *= opts.shrink
                 continue
-            if energy(inst, cand) <= j0 + opts.armijo * alpha * slope:
+            if _energy(inst, cand) <= j0 + opts.armijo * alpha * slope:
                 u, degen, moved = cand, cand_degen, True
                 break
             alpha *= opts.shrink
@@ -282,7 +304,7 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
             if cand is not None:
                 return cand, True, degen
             return u, False, degen
-    r = residual(inst, u)
+    r = _residual(inst, u)
     ok = float(np.max(np.abs(r))) <= opts.tol_residual * max(1.0, float(np.max(np.abs(u))))
     return u, ok, degen
 
@@ -395,7 +417,7 @@ def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveRepor
                 u0 = _random_seed_field(inst, rng, nodal)
                 continue
             if ok:
-                results.append((energy(inst, u), _normalize_sign(u), degen))
+                results.append((_energy(inst, u), _normalize_sign(u), degen))
             break
     if not results:
         mode = "nodal" if nodal else "ground"
@@ -440,13 +462,14 @@ def verify(
     the nodal level over twice the ground level.
     """
     u = inst.check_admissible(u)
-    r = residual(inst, u)
+    mu = inst.graph.mu
+    r = _residual(inst, u)
     up, um = positive_part(u), negative_part(u)
-    level = energy(inst, u)
+    level = _energy(inst, u)
     return VerificationReport(
         residual_inf=float(np.max(np.abs(r))),
-        membership_residuals=(dir_deriv(inst, u, up), dir_deriv(inst, u, um)),
-        nehari_gap=level - 0.5 * inst.graph.integrate(u * u),
+        membership_residuals=(float(mu @ (r * up)), float(mu @ (r * um))),
+        nehari_gap=level - 0.5 * float(mu @ (u * u)),
         level=level,
         companion_ground=companion_ground,
     )
@@ -502,11 +525,6 @@ def oracle_enumerate(
     res = (-lap + inst.lam_a * full - nonlin)[:, free]
     res_grid = res.reshape((grid + 1,) * d + (d,))
 
-    def jac(uf):
-        u = np.zeros(g.n)
-        u[free] = uf
-        return _residual_jacobian(inst, u)
-
     candidates = []
     for cell in itertools.product(*([range(grid)] * d)):
         ok = True
@@ -527,7 +545,11 @@ def oracle_enumerate(
     roots: list[np.ndarray] = []
     for x0 in candidates:
         sol = scipy.optimize.root(
-            lambda uf: _residual_free(inst, uf), x0, jac=jac, method="hybr", tol=1e-12
+            lambda uf: _residual_free(inst, uf),
+            x0,
+            jac=lambda uf: _residual_jacobian(inst, uf),
+            method="hybr",
+            tol=1e-12,
         )
         if not sol.success:
             continue

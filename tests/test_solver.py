@@ -123,6 +123,40 @@ class TestPolishRetry:
         assert rep.level == pytest.approx(13.134618343915474, rel=1e-10)
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shrink", 1.0),
+            ("shrink", 0.0),
+            ("shrink", 1.5),
+            ("shrink", math.nan),
+            ("step_init", 0.0),
+            ("step_init", -0.5),
+            ("armijo", 0.0),
+            ("armijo", 1.0),
+            ("max_outer_iters", 0),
+        ],
+    )
+    def test_rejects_bad_line_search_settings(self, field, value):
+        # shrink = 1 used to make a failing line search loop forever.
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: value})
+
+    def test_defaults_accepted(self):
+        SolveOptions(shrink=0.9, step_init=2.0, armijo=0.5, max_outer_iters=1)
+
+
+class TestCollapseGuards:
+    def test_non_finite_trial_field_collapses(self, p6):
+        inst = ProblemInstance.full(p6, 10.0)
+        u = p6.field({"v3": 1.0, "v4": -1.0})
+        u[0] = math.nan
+        for project in (solver._project_ground, _project_nodal):
+            with pytest.raises(_Collapse):
+                project(inst, u)
+
+
 class TestScalingOverflow:
     """At large lam * a the Nehari scaling leaves the float range."""
 
