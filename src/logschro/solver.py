@@ -5,7 +5,10 @@ set, and alternates descent steps along the negative residual with
 re-projection.  A damped Newton polish on the pointwise residual system
 ends a start early once it succeeds; descent tries it when the residual
 is small, every 25 iterations, when the line search cannot move, and at
-tolerance.  A brute-force grid oracle on instances with at most a few
+tolerance.  The polish aims at a tenth of the descent stopping test,
+relative to the field's sup norm, and gives up once a Newton step has
+been halved five times without lowering the residual, leaving the start
+to descent.  A brute-force grid oracle on instances with at most a few
 free vertices provides independent reference levels.
 """
 
@@ -48,6 +51,9 @@ __all__ = [
 
 _COLLAPSE_TOL = 1e-14
 _SIGN_EPS = 1e-8
+# Newton polish budget: steps per polish, and step halvings per step.
+_POLISH_MAX_ITER = 60
+_POLISH_HALVINGS = 5
 
 
 class InfeasibleWell(ValueError):
@@ -161,8 +167,9 @@ def _residual_free(inst: ProblemInstance, u_free: np.ndarray) -> np.ndarray:
 def _residual_jacobian(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
     """Jacobian of ``_residual_free`` at the free values ``uf``."""
     jac = inst.free_stiffness.copy()
-    with np.errstate(divide="ignore"):
-        log_term = np.where(np.abs(uf) > 1e-150, np.log(uf * uf), np.log(1e-300))
+    # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so it
+    # stays finite for |u| beyond 1e154; tiny |u| keep the floor log 1e-300.
+    log_term = 2.0 * np.log(np.maximum(np.abs(uf), 1e-150))
     np.fill_diagonal(jac, np.diag(jac) + inst.lam_a_free - log_term - 2.0)
     return jac
 
@@ -173,30 +180,39 @@ def _scatter(inst: ProblemInstance, u_free: np.ndarray) -> np.ndarray:
     return u
 
 
-def _newton_polish(inst: ProblemInstance, u: np.ndarray, tol: float, max_iter: int = 60):
-    """Damped Newton on the residual system; None when it fails to settle."""
+def _newton_polish(inst: ProblemInstance, u: np.ndarray, rtol: float):
+    """Damped Newton on the free residual system; None when it fails to settle.
+
+    It settles once the sup residual is at most ``rtol * max(1, max|u|)``
+    at the current iterate, the scale of the descent stopping test.  Each
+    Newton step tries ``alpha = 1, 1/2, ..., 2**-_POLISH_HALVINGS`` and
+    takes the first trial that lowers the sup residual.  When none does,
+    or after ``_POLISH_MAX_ITER`` steps, the polish gives up: descent is
+    the fallback, and a polish that needs tinier steps than these is
+    stalled on an ill-conditioned Jacobian, not converging.  At most
+    ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1`` residual evaluations.
+    """
     uf = u[inst.free_index]
     r = _residual_free(inst, uf)
     rnorm = float(np.max(np.abs(r)))
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for it in range(_POLISH_MAX_ITER + 1):
+        if rnorm <= rtol * max(1.0, float(np.max(np.abs(uf)))):
             return _scatter(inst, uf)
+        if it == _POLISH_MAX_ITER:
+            return None
         try:
             step = np.linalg.solve(_residual_jacobian(inst, uf), -r)
         except np.linalg.LinAlgError:
             return None
-        alpha, accepted = 1.0, False
-        while alpha > 1e-10:
-            cand = uf + alpha * step
+        for k in range(_POLISH_HALVINGS + 1):
+            cand = uf + 0.5**k * step
             cr = _residual_free(inst, cand)
             cnorm = float(np.max(np.abs(cr)))
             if cnorm < rnorm:
-                uf, r, rnorm, accepted = cand, cr, cnorm, True
+                uf, r, rnorm = cand, cr, cnorm
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             return None
-    return _scatter(inst, uf) if rnorm <= tol else None
 
 
 # -- per-start descent -----------------------------------------------------
@@ -255,6 +271,11 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     start drifting along a flat part of the Nehari set would otherwise
     rerun the same failing polish on every iteration.  A polish counts
     only if it keeps the sign pattern and does not raise the energy.
+    Both the stopping test and the polish tolerance scale with
+    ``max(1, max|u|)`` of the field they judge: descent stops at
+    ``tol_residual`` times that and the polish aims at a tenth of it, so a
+    field far above 1 is held to the digits a double carries, not to an
+    absolute bound.
 
     Returns (field, converged, degenerate) or raises _Collapse when a sign
     part dies and the start must be re-randomized.
@@ -264,11 +285,12 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     u, degen = project(inst, inst.project(u0))
 
     def polished(cur: np.ndarray):
-        cand = _newton_polish(inst, cur, tol=0.1 * opts.tol_residual)
+        cand = _newton_polish(inst, cur, rtol=0.1 * opts.tol_residual)
         if cand is None or not _sign_ok(cand, inst.free, nodal):
             return None
         j_cur = _energy(inst, cur)
-        if _energy(inst, cand) > j_cur + 1e-9 * max(1.0, abs(j_cur)):
+        # Written so that a NaN energy (|u| beyond 1e154) rejects the polish.
+        if not _energy(inst, cand) <= j_cur + 1e-9 * max(1.0, abs(j_cur)):
             return None
         return cand
 

@@ -129,6 +129,28 @@ class TestKernelsMatchReference:
                 full, inst.graph.deg * u / inst.graph.mu, u_log_sq(u)
             )
 
+    def test_polish_jacobian_matches_differences(self, inst):
+        u, _ = _fields(inst, 0)
+        uf = u[inst.free]
+        jac = solver._residual_jacobian(inst, uf)
+        h = 1e-6
+        for j in range(len(uf)):
+            e = np.zeros(len(uf))
+            e[j] = h
+            diff = (solver._residual_free(inst, uf + e) - solver._residual_free(inst, uf - e)) / (2 * h)
+            assert np.max(np.abs(jac[:, j] - diff)) <= 1e-6 * _scale(jac)
+
+
+def test_polish_jacobian_finite_beyond_square_range(p6):
+    # u * u overflows for |u| > 1e154; log u^2 = 2 log|u| does not.
+    inst = ProblemInstance.full(p6, 10.0)
+    uf = np.full(p6.n, 1e200)
+    uf[1] = -1e-200
+    with np.errstate(all="raise"):
+        jac = solver._residual_jacobian(inst, uf)
+    want = inst.lam_a - 2.0 * np.log(np.array([1e200, 1e-150] + [1e200] * (p6.n - 2))) - 2.0
+    assert np.allclose(np.diag(jac) - np.diag(inst.free_stiffness), want, rtol=1e-14)
+
 
 def test_stiffness_is_read_only(k2):
     assert np.array_equal(k2.stiffness, [[1.0, -1.0], [-1.0, 1.0]])

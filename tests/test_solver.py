@@ -21,6 +21,8 @@ from logschro import (
 from logschro import solver
 from logschro.solver import _Collapse, _project_nodal
 
+from conftest import random_graph
+
 E = math.e
 OPTS = SolveOptions(starts=16, seed=0)
 
@@ -123,6 +125,85 @@ class TestPolishRetry:
         assert rep.level == pytest.approx(13.134618343915474, rel=1e-10)
 
 
+POLISH_EVAL_BOUND = solver._POLISH_MAX_ITER * (solver._POLISH_HALVINGS + 1) + 1
+
+
+def _count_residuals(mp):
+    """Count the ``solver._residual_free`` calls made while ``mp`` is active."""
+    evals = [0]
+    residual_free = solver._residual_free
+
+    def counted(*args):
+        evals[0] += 1
+        return residual_free(*args)
+
+    mp.setattr(solver, "_residual_free", counted)
+    return evals
+
+
+@pytest.fixture(scope="module")
+def grid5_polishes():
+    """grid5 ground at lambda = 10 with every polish and residual counted.
+
+    Returns the report, the total ``_residual_free`` calls, and one
+    ``(rtol, result, evaluations)`` entry per polish.
+    """
+    g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
+    inst = ProblemInstance.full(g, 10.0)
+    polishes = []
+    polish = solver._newton_polish
+
+    def recorded_polish(inst, u, rtol):
+        before = evals[0]
+        out = polish(inst, u, rtol)
+        polishes.append((rtol, out, evals[0] - before))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        evals = _count_residuals(mp)
+        mp.setattr(solver, "_newton_polish", recorded_polish)
+        rep = solve_ground(inst, SolveOptions(starts=8, seed=0))
+    return inst, rep, evals[0], polishes
+
+
+def _settled(inst, u, rtol):
+    res = solver._residual_free(inst, u[inst.free_index])
+    return float(np.max(np.abs(res))) <= rtol * max(1.0, float(np.max(np.abs(u))))
+
+
+class TestNewtonPolish:
+    """Each Newton step tries at most a few halvings before the polish gives up."""
+
+    def test_grid5_ground_residual_evaluations(self, grid5_polishes):
+        _, rep, evals, _ = grid5_polishes
+        # Halving each step down to 1e-10 made about 31k evaluations here.
+        assert evals <= 3000
+        assert rep.starts_converged == 8
+        assert rep.level == pytest.approx(13.134618343915474, rel=1e-10)
+
+    def test_every_polish_settles_or_gives_up_in_budget(self, grid5_polishes):
+        inst, _, _, polishes = grid5_polishes
+        assert any(out is None for _, out, _ in polishes)
+        for rtol, out, evals in polishes:
+            assert evals <= POLISH_EVAL_BOUND
+            assert out is None or _settled(inst, out, rtol)
+
+    def test_settles_from_perturbed_minimizer(self, grid5_polishes):
+        inst, rep, _, _ = grid5_polishes
+        rng = np.random.default_rng(3)
+        u = rep.minimizer + np.where(inst.free, 1e-4 * rng.standard_normal(inst.graph.n), 0.0)
+        out = solver._newton_polish(inst, u, 1e-11)
+        assert out is not None and _settled(inst, out, 1e-11)
+        assert np.max(np.abs(out - rep.minimizer)) <= 1e-8
+
+    def test_gives_up_on_unreachable_tolerance(self, grid5_polishes, monkeypatch):
+        # A zero residual is below rounding, so no polish can reach it.
+        inst, rep, _, _ = grid5_polishes
+        evals = _count_residuals(monkeypatch)
+        assert solver._newton_polish(inst, rep.minimizer, 0.0) is None
+        assert 1 <= evals[0] <= POLISH_EVAL_BOUND
+
+
 class TestSolveOptions:
     @pytest.mark.parametrize(
         "field, value",
@@ -172,6 +253,37 @@ class TestScalingOverflow:
             _project_nodal(inst, np.array([1.0, 0.0, -1.0]))
         with pytest.raises(NonConvergence):
             solve_nodal(inst, SolveOptions(starts=4, seed=0))
+
+
+class TestLargeField:
+    """Stopping tests scale with the field when |u| is far above 1."""
+
+    @staticmethod
+    def _random_mix_instance(k):
+        """Instance r<k> of the seed-0 random mix, drawn in generator order."""
+        rng = np.random.default_rng(0)
+        for _ in range(k + 1):
+            g = random_graph(rng)
+            lam = float(10.0 ** rng.uniform(-1.0, 5.0))
+        return ProblemInstance.full(g, lam)
+
+    def test_random_mix_r100_ground_converges(self):
+        # n = 11, lam ~ 379.9, |u| ~ 2.2e8: an absolute polish tolerance
+        # could not be met here.
+        inst = self._random_mix_instance(100)
+        assert inst.graph.n == 11 and inst.lam == pytest.approx(379.88, rel=1e-4)
+        opts = SolveOptions(starts=4, seed=0)
+        rep = solve_ground(inst, opts)
+        scale = max(1.0, float(np.max(np.abs(rep.minimizer))))
+        assert scale > 1e8
+        assert verify(inst, rep.minimizer).residual_inf <= opts.tol_residual * scale
+
+    def test_random_mix_r151_ground_fails_typed(self):
+        # lam * a reaches 4e4, so every start runs off past |u| ~ 1e180,
+        # where the energy is NaN; no polish there may count as converged.
+        inst = self._random_mix_instance(151)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence):
+            solve_ground(inst, SolveOptions(starts=4, seed=0))
 
 
 class TestVerify:
