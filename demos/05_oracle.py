@@ -1,10 +1,17 @@
 """Brute-force enumeration of every pointwise solution on tiny instances.
 
-With at most three free vertices, a dense grid scan plus root polish
-enumerates the entire critical set of the equation.  All nontrivial
-roots lie on the Nehari manifold; the least level over them is the
-ground level c, and the least over sign-changing roots is the nodal
-level m.  This is the oracle that pins the solver's reference numbers.
+With at most three free vertices, one array pass evaluates the residual
+system on a dense grid, and the solver's damped Newton polishes a root
+from every cell whose corners change sign.  Together with the trivial
+root and the negation of every root found, this enumerates the entire
+critical set of the equation.  All nontrivial roots lie on the Nehari
+manifold; the least level over them is the ground level c, and the least
+over sign-changing roots is the nodal level m.  This is the oracle that
+pins the solver's reference numbers.
+
+On the two-vertex graph the Jacobian at +-(1, 1) is singular, so Newton
+approaches those roots only linearly along its kernel (1, -1) and the
+printed copies sit about 1e-6 off; the catalog still lists each once.
 """
 
 import numpy as np

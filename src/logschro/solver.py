@@ -8,8 +8,10 @@ is small, every 25 iterations, when the line search cannot move, and at
 tolerance.  The polish aims at a tenth of the descent stopping test,
 relative to the field's sup norm, and gives up once a Newton step has
 been halved five times without lowering the residual, leaving the start
-to descent.  A brute-force grid oracle on instances with at most a few
-free vertices provides independent reference levels.
+to descent.  A brute-force oracle on instances with at most a few free
+vertices provides independent reference levels: a vectorized grid scan
+of the residual system, whose sign-change cells it polishes with the
+same damped Newton.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .energy import (
     ProblemInstance,
@@ -81,14 +82,15 @@ class SolveOptions:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.tol_residual <= 0:
-            raise ValueError("tolerance must be positive")
+        # The float checks are written so that NaN fails them too.  An
+        # infinite tolerance would pass every start at once; shrink = 1
+        # would never end a failing line search.
+        if not 0 < self.tol_residual < math.inf:
+            raise ValueError("tol_residual must be positive and finite")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if not self.step_init > 0:
             raise ValueError("step_init must be positive")
-        # Written so that NaN fails too; shrink = 1 would never end a
-        # failing line search.
         if not 0 < self.armijo < 1:
             raise ValueError("armijo must lie in (0, 1)")
         if not 0 < self.shrink < 1:
@@ -180,24 +182,22 @@ def _scatter(inst: ProblemInstance, u_free: np.ndarray) -> np.ndarray:
     return u
 
 
-def _newton_polish(inst: ProblemInstance, u: np.ndarray, rtol: float):
+def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
     """Damped Newton on the free residual system; None when it fails to settle.
 
-    It settles once the sup residual is at most ``rtol * max(1, max|u|)``
-    at the current iterate, the scale of the descent stopping test.  Each
-    Newton step tries ``alpha = 1, 1/2, ..., 2**-_POLISH_HALVINGS`` and
-    takes the first trial that lowers the sup residual.  When none does,
-    or after ``_POLISH_MAX_ITER`` steps, the polish gives up: descent is
-    the fallback, and a polish that needs tinier steps than these is
-    stalled on an ill-conditioned Jacobian, not converging.  At most
+    It settles once the sup residual is at most ``rtol * max(1, max|uf|)``
+    at the current iterate.  Each Newton step tries ``alpha = 1, 1/2, ...,
+    2**-_POLISH_HALVINGS`` and takes the first trial that lowers the sup
+    residual.  When none does, or after ``_POLISH_MAX_ITER`` steps, it
+    gives up: a root that needs tinier steps than these is stalled on an
+    ill-conditioned Jacobian, not converging.  At most
     ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1`` residual evaluations.
     """
-    uf = u[inst.free_index]
     r = _residual_free(inst, uf)
     rnorm = float(np.max(np.abs(r)))
     for it in range(_POLISH_MAX_ITER + 1):
         if rnorm <= rtol * max(1.0, float(np.max(np.abs(uf)))):
-            return _scatter(inst, uf)
+            return uf
         if it == _POLISH_MAX_ITER:
             return None
         try:
@@ -213,6 +213,12 @@ def _newton_polish(inst: ProblemInstance, u: np.ndarray, rtol: float):
                 break
         else:
             return None
+
+
+def _newton_polish(inst: ProblemInstance, u: np.ndarray, rtol: float):
+    """``_newton_root`` on the free values of ``u``, scattered to a full field."""
+    uf = _newton_root(inst, u[inst.free_index], rtol)
+    return None if uf is None else _scatter(inst, uf)
 
 
 # -- per-start descent -----------------------------------------------------
@@ -515,18 +521,35 @@ class OracleResult:
         ]
 
 
+def _sign_change_cells(res_grid: np.ndarray) -> np.ndarray:
+    """Index (K, d) of the cells of a (grid + 1,)^d lattice of d-component
+    residuals where, in every component, the least of the cell's 2^d corner
+    values is <= 0 and the greatest >= 0."""
+    d, grid = res_grid.ndim - 1, res_grid.shape[0] - 1
+    corners = [
+        res_grid[tuple(slice(o, o + grid) for o in offs)]
+        for offs in itertools.product((0, 1), repeat=d)
+    ]
+    lo, hi = np.min(corners, axis=0), np.max(corners, axis=0)
+    return np.argwhere(np.all((lo <= 0.0) & (hi >= 0.0), axis=-1))
+
+
 def oracle_enumerate(
     inst: ProblemInstance, dof_limit: int = 3, grid: int = 32
 ) -> OracleResult:
     """Brute-force enumeration of pointwise solutions on tiny instances.
 
-    Dense grid scan of the residual system over the free vertices, with a
-    root polish started from every cell whose corners change sign in each
-    component, plus seeded random polish starts for safety.  Distinct
-    roots are deduplicated and classified: any nontrivial root lies on the
-    Nehari manifold; sign-changing roots lie on the sign-changing set.
+    The residual system over the free vertices is evaluated on a dense
+    lattice in one array pass, and every cell whose corners change sign in
+    each component seeds a root polish, as do seeded random points for
+    safety.  The polish is the damped Newton of the descent solver; the
+    grid scan keeps the oracle independent of descent.  The catalog holds
+    the trivial root and is closed under ``u -> -u``, a symmetry of the
+    residual.  Distinct roots are deduplicated and classified: any
+    nontrivial root lies on the Nehari manifold; sign-changing roots lie on
+    the sign-changing set.
     """
-    free = np.nonzero(inst.free)[0]
+    free = inst.free_index
     d = len(free)
     if d > dof_limit:
         raise DofLimitExceeded(f"{d} free vertices exceed the oracle budget {dof_limit}")
@@ -537,65 +560,36 @@ def oracle_enumerate(
     bound = 2.0 * math.e * max(1.0, deg_scale)
     pts = np.linspace(-bound, bound, grid + 1)
 
-    # Residuals on the whole lattice at once.
-    mesh = np.meshgrid(*([pts] * d), indexing="ij")
-    lattice = np.stack([m.reshape(-1) for m in mesh], axis=-1)  # (N, d)
-    full = np.zeros((lattice.shape[0], g.n))
-    full[:, free] = lattice
-    lap = (full @ g.weights.T - full * g.deg) / g.mu
-    nonlin = np.where(full != 0.0, full * np.log(np.where(full != 0.0, full * full, 1.0)), 0.0)
-    res = (-lap + inst.lam_a * full - nonlin)[:, free]
-    res_grid = res.reshape((grid + 1,) * d + (d,))
-
-    candidates = []
-    for cell in itertools.product(*([range(grid)] * d)):
-        ok = True
-        for comp in range(d):
-            vals = []
-            for offs in itertools.product(*([(0, 1)] * d)):
-                idx = tuple(c + o for c, o in zip(cell, offs))
-                vals.append(res_grid[idx + (comp,)])
-            if not (min(vals) <= 0.0 <= max(vals)):
-                ok = False
-                break
-        if ok:
-            candidates.append(np.array([pts[c] + 0.5 * (pts[1] - pts[0]) for c in cell]))
+    lattice = np.stack(np.meshgrid(*([pts] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    res = lattice @ inst.free_stiffness.T + inst.lam_a_free * lattice - u_log_sq(lattice)
+    cells = _sign_change_cells(res.reshape((grid + 1,) * d + (d,)))
+    candidates = list(pts[cells] + 0.5 * (pts[1] - pts[0]))
     rng = np.random.default_rng(12345)
-    for _ in range(200):
-        candidates.append(rng.uniform(-bound, bound, size=d))
+    candidates.extend(rng.uniform(-bound, bound, size=(200, d)))
 
-    roots: list[np.ndarray] = []
+    # Along the kernel of a singular Jacobian Newton converges only
+    # linearly and the residual falls like the error squared.  So the
+    # polish aims near rounding (about 1e-15 of the field's scale), and
+    # copies of such a root that pass the 1e-9 test may still lie about
+    # its square root apart: merge at that distance.
+    roots: list[np.ndarray] = [np.zeros(d)]
     for x0 in candidates:
-        sol = scipy.optimize.root(
-            lambda uf: _residual_free(inst, uf),
-            x0,
-            jac=lambda uf: _residual_jacobian(inst, uf),
-            method="hybr",
-            tol=1e-12,
-        )
-        if not sol.success:
+        uf = _newton_root(inst, x0, rtol=1e-14)
+        if uf is None or float(np.max(np.abs(_residual_free(inst, uf)))) > 1e-9:
             continue
-        uf = sol.x
-        if float(np.max(np.abs(_residual_free(inst, uf)))) > 1e-9:
-            continue
-        if not any(np.max(np.abs(uf - r)) <= 1e-8 * max(1.0, np.max(np.abs(r))) for r in roots):
-            roots.append(uf)
+        if not any(np.max(np.abs(uf - r)) <= 1e-4 * max(1.0, np.max(np.abs(r))) for r in roots):
+            roots.extend((uf, -uf))
 
     points, levels = [], []
     for uf in roots:
-        u = np.zeros(g.n)
-        u[free] = uf
+        u = _scatter(inst, uf)
         # Snap near-zero entries so sign classification is exact.
         u[np.abs(u) < 1e-12] = 0.0
         points.append(u)
         levels.append(energy(inst, u))
 
-    nehari = [lvl for u, lvl in zip(points, levels) if float(np.max(np.abs(u))) > _SIGN_EPS]
-    nodal = [
-        lvl
-        for u, lvl in zip(points, levels)
-        if float(u.max()) > _SIGN_EPS and float(u.min()) < -_SIGN_EPS
-    ]
+    nehari = [lvl for u, lvl in zip(points, levels) if _sign_ok(u, free, nodal=False)]
+    nodal = [lvl for u, lvl in zip(points, levels) if _sign_ok(u, free, nodal=True)]
     return OracleResult(
         points=tuple(points),
         levels=tuple(levels),

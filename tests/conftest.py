@@ -63,6 +63,12 @@ def p6_dirichlet(p6):
 
 
 @pytest.fixture
+def p5_dirichlet():
+    """Dirichlet problem on the three-vertex well of a five-vertex path."""
+    return ProblemInstance.dirichlet(WeightedGraph.from_dict(generate_graph("path", 5, "2..4")))
+
+
+@pytest.fixture
 def grid4():
     """4x4 grid with the central 2x2 block as the potential well."""
     return WeightedGraph.from_dict(

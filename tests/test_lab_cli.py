@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +247,15 @@ class TestCli:
                   "--out", str(gpath)])
         assert cli_main(["solve", "--graph", str(gpath), "--mode", "full", "--nodal"]) == 3
 
+    def test_infinite_tolerance_exits_3(self, tmp_path, p6, capsys):
+        # An infinite tolerance used to report the first projected start
+        # as converged and exit 0.
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        assert cli_main(["solve", "--graph", str(gpath), "--lambda", "10", "--nodal",
+                         "--starts", "2", "--tol", "inf"]) == 3
+        assert "tol_residual" in capsys.readouterr().err
+
     def test_scaling_overflow_exits_2(self, tmp_path, p3_no_well, capsys):
         gpath = tmp_path / "p3.json"
         p3_no_well.save(gpath)
@@ -276,3 +288,11 @@ class TestCli:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, logschro, logschro.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -227,6 +228,12 @@ class TestSolveOptions:
     def test_defaults_accepted(self):
         SolveOptions(shrink=0.9, step_init=2.0, armijo=0.5, max_outer_iters=1)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # An infinite tolerance used to pass every start at once.
+        with pytest.raises(ValueError, match="tol_residual"):
+            SolveOptions(tol_residual=tol)
+
 
 class TestCollapseGuards:
     def test_non_finite_trial_field_collapses(self, p6):
@@ -346,13 +353,48 @@ class TestOracle:
         nz = np.sort(best[best != 0.0])
         assert np.allclose(np.abs(nz), alpha, atol=1e-6)
 
-    def test_all_roots_are_solutions(self, k2_inst):
-        res = oracle_enumerate(k2_inst)
-        for u, lvl in zip(res.points, res.levels):
-            assert verify(k2_inst, u).residual_inf <= 1e-9
-            assert lvl == pytest.approx(energy(k2_inst, u), rel=1e-12)
-            if float(np.abs(u).max()) > 1e-8:
-                assert dir_deriv(k2_inst, u, u) == pytest.approx(0.0, abs=1e-8)
+    def test_k2_roots_deduplicated(self, k2_inst):
+        # The Jacobian at +-(1, 1) is singular; its polished copies differ
+        # by about 1e-6 and must still merge into one root each.
+        assert len(oracle_enumerate(k2_inst).points) == 5
+
+    def test_all_roots_are_solutions(self, k2_inst, p6_dirichlet, p5_dirichlet):
+        for inst in (k2_inst, p6_dirichlet, p5_dirichlet):
+            res = oracle_enumerate(inst)
+            for u, lvl in zip(res.points, res.levels):
+                assert verify(inst, u).residual_inf <= 1e-9
+                assert lvl == pytest.approx(energy(inst, u), rel=1e-12)
+                if float(np.abs(u).max()) > 1e-8:
+                    assert dir_deriv(inst, u, u) == pytest.approx(0.0, abs=1e-8)
+
+    def test_catalog_has_trivial_root_and_negations(self):
+        # u = 0 always solves the system and the residual is odd in u.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            g = random_graph(rng, n_max=3)
+            lam = float(np.exp(rng.uniform(np.log(0.1), np.log(50.0))))
+            points = oracle_enumerate(ProblemInstance.full(g, lam)).points
+            assert any(not p.any() for p in points)
+            for p in points:
+                assert any(np.max(np.abs(q + p)) <= 1e-12 for q in points)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cell_scan_matches_loop(self, d):
+        # Reference: the per-cell loop the array scan replaced.
+        rng = np.random.default_rng(d)
+        grid = 6
+        res_grid = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=(grid + 1,) * d + (d,))
+        expect = []
+        for cell in itertools.product(range(grid), repeat=d):
+            vals = [
+                res_grid[tuple(c + o for c, o in zip(cell, offs))]
+                for offs in itertools.product((0, 1), repeat=d)
+            ]
+            if all(min(v[k] for v in vals) <= 0.0 <= max(v[k] for v in vals) for k in range(d)):
+                expect.append(cell)
+        got = solver._sign_change_cells(res_grid)
+        assert [tuple(c) for c in got] == expect
+        assert 0 < len(expect) < grid**d
 
     def test_dof_limit(self, p6):
         with pytest.raises(DofLimitExceeded):
