@@ -3,8 +3,9 @@
 Starting from an arbitrary sign-changing field, the pair projection
 finds the unique scalings (s, t) that place s*u+ + t*u- on the
 sign-changing set.  The residual g1 vanishes along a closed-form curve
-t = t(s), so the search is one scalar root in log s: a bracketing box
-from the corner sign pattern, then safeguarded Newton inside it.  The
+t = t(s), so the search is one scalar root in log s: a closed-form
+bracketing box whose corners carry the sign pattern, then safeguarded
+Newton inside it.  The
 fiber map (s, t) -> J(s*u+ + t*u-) is maximal exactly at (1, 1) on the
 projected field.
 """

@@ -18,6 +18,7 @@ directly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -75,8 +76,9 @@ class ProblemInstance:
         self.lam = lam
         self.omega = omega
         if lam is not None:
-            if lam <= 0:
-                raise ValueError("lambda must be positive")
+            # Written so that NaN fails it too; inf * 0 would be NaN in lam_a.
+            if not 0 < lam < math.inf:
+                raise ValueError(f"lambda must be positive and finite, got {lam!r}")
             self.free = np.ones(graph.n, dtype=bool)
             self.lam_a = lam * graph.potential_a
         else:

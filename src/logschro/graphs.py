@@ -302,15 +302,14 @@ class WeightedGraph:
                     queue.append(m)
         return seen == idx
 
-    def validate_potential(self, m_threshold: float | None = None) -> ValidationReport:
+    def validate_potential(self) -> ValidationReport:
         """Check the potential-well hypotheses and locate the well.
 
         The well is the zero set of the potential.  It must be non-empty
-        and connected.  ``m_threshold`` defaults to ``max(a) + 1`` so the
-        reported sublevel set is the whole graph.
+        and connected.  The reported ``m_threshold`` is ``max(a) + 1``, so
+        the reported sublevel set is the whole graph.
         """
-        if m_threshold is None:
-            m_threshold = float(self.potential_a.max()) + 1.0
+        m_threshold = float(self.potential_a.max()) + 1.0
         interior = [self._ids[i] for i in np.nonzero(self.potential_a == 0.0)[0]]
         omega = self.boundary(interior)
         nonempty = len(interior) > 0
@@ -322,7 +321,7 @@ class WeightedGraph:
             omega_connected=connected,
             passes=nonempty and connected,
             small_well_warning=len(interior) < 2,
-            m_threshold=float(m_threshold),
+            m_threshold=m_threshold,
             vol_d_m=vol,
         )
 

@@ -206,8 +206,9 @@ def sweep(
     """
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be strictly increasing")
-    if any(lam <= 0 for lam in lambdas):
-        raise ValueError("lambdas must be positive")
+    # Checked before any solve; written so that NaN fails it too.
+    if not all(0 < lam < math.inf for lam in lambdas):
+        raise ValueError("lambdas must be positive and finite")
     opts = opts or SolveOptions()
 
     report = graph.validate_potential()

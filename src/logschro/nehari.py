@@ -5,7 +5,8 @@ The pair projection finds the scaling factors (s, t) of the positive and
 negative parts with g1 = g2 = 0.  For the logarithmic nonlinearity g1 = 0
 gives t in closed form as a function of s, so the pair system is one
 scalar root in log s, found by a safeguarded Newton iteration inside the
-intermediate-value bracketing box.
+intermediate-value bracketing box.  That box is in closed form too, and
+only a box beyond float range raises ``NoBracket``.
 
 Each public function validates its field argument once; the projections
 then run on the sign-part statistics (``_split_stats``), which call the
@@ -15,6 +16,7 @@ trusted kernels of :mod:`logschro.energy` on the already-checked array.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,12 @@ __all__ = [
     "project_pair",
 ]
 
-_BRACKET_MIN = 2.0**-40
-_BRACKET_MAX = 2.0**40
 _EPS = 2.0**-52
 _MAX_STEPS = 200
+# Box ends 2^(+-e) whose squares are normal doubles, so log(s * s) is finite.
+_MAX_BOX_EXP = min(sys.float_info.max_exp - 1, 1 - sys.float_info.min_exp) // 2
+_PAIR_TOL = 1e-10  # pair residuals, relative to the projected field
+_MEMBERSHIP_TOL = 1e-8  # fiber formula's sign-changing Nehari membership
 
 
 class DegenerateCoupling(RuntimeError):
@@ -46,7 +50,7 @@ class DegenerateCoupling(RuntimeError):
 
 
 class NoBracket(RuntimeError):
-    """No sign-change box found; one part is numerically null."""
+    """No sign-change box within float range."""
 
 
 class NonConvergence(RuntimeError):
@@ -169,8 +173,8 @@ def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]
     """Box [r, R]^2 whose faces carry the sign pattern bracketing a root.
 
     Uses that g1 is increasing in t and g2 in s (the coupling is negative),
-    so the face conditions reduce to the diagonal corner signs; the scan is
-    geometric with factor 2 from 1 outward.
+    so the face conditions reduce to the diagonal corner signs.  Both ends
+    are powers of two with r <= 1 <= R, computed in closed form.
     """
     stats = _split_stats(inst, inst.check_admissible(u))
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
@@ -181,26 +185,26 @@ def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]
 
 
 def _bracket_from_stats(stats: _SplitStats) -> tuple[float, float]:
-    r = 1.0
-    while not all(g > 0.0 for g in _g_pair(stats, r, r)):
-        r *= 0.5
-        if r < _BRACKET_MIN:
-            raise NoBracket("no lower corner with positive signs; a part is numerically null")
-    big = max(r, 1.0)
-    while not all(g < 0.0 for g in _g_pair(stats, big, big)):
-        big *= 2.0
-        if big > _BRACKET_MAX:
-            raise NoBracket("no upper corner with negative signs")
-    return r, big
+    """Least r = 2^-i <= 1 <= R = 2^j with both g > 0 at (r, r), g < 0 at (R, R).
+
+    On the diagonal each g = r^2 (a - l - b - k/2 - b log r^2) is positive
+    exactly when log r^2 is below its level (a - l - b - k/2) / b.
+    """
+    levels = [
+        (stats.a_pos - stats.l_pos - stats.b_pos - 0.5 * stats.k) / stats.b_pos,
+        (stats.a_neg - stats.l_neg - stats.b_neg - 0.5 * stats.k) / stats.b_neg,
+    ]
+    if not all(math.isfinite(lv) for lv in levels):
+        raise NoBracket("sign-change level of a pair residual is not finite")
+    ln4 = 2.0 * math.log(2.0)
+    i = max(0, math.floor(-min(levels) / ln4) + 1)
+    j = max(0, math.floor(max(levels) / ln4) + 1)
+    if max(i, j) > _MAX_BOX_EXP:
+        raise NoBracket(f"bracketing box [2^{-i}, 2^{j}] is beyond float range")
+    return 2.0**-i, 2.0**j
 
 
-def fiber_energy(
-    inst: ProblemInstance,
-    u: np.ndarray,
-    s: float,
-    t: float,
-    membership_tol: float = 1e-8,
-) -> FiberValue:
+def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> FiberValue:
     """Energy of s*u+ + t*u- via the closed fiber formula.
 
     Requires ``u`` to sit on the sign-changing Nehari set (both pair
@@ -214,7 +218,7 @@ def fiber_energy(
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("fiber energy needs both sign parts nontrivial")
     g1, g2 = _g_pair(stats, 1.0, 1.0)
-    if max(abs(g1), abs(g2)) > membership_tol * stats.scale:
+    if max(abs(g1), abs(g2)) > _MEMBERSHIP_TOL * stats.scale:
         raise ValueError("field is not on the sign-changing Nehari set")
 
     def f(tau: float) -> float:
@@ -255,10 +259,7 @@ def _reduced(stats: _SplitStats, x: float) -> tuple[float, float | None]:
 
 
 def project_pair(
-    inst: ProblemInstance,
-    u: np.ndarray,
-    tol: float = 1e-10,
-    initial: tuple[float, float] | None = None,
+    inst: ProblemInstance, u: np.ndarray, initial: tuple[float, float] | None = None
 ) -> PairProjection:
     """Unique (s, t) with s*u+ + t*u- on the sign-changing Nehari set.
 
@@ -268,12 +269,12 @@ def project_pair(
     taken when it stays inside the current bracket and at least halves the
     previous step, otherwise the bracket is bisected.  The solve stops once
     the bracket or the step is a few ulp of x wide, or f = 0, and the
-    result is accepted when max|g| <= tol * max(s^2 |u+|_H^2,
+    result is accepted when max|g| <= 1e-10 * max(s^2 |u+|_H^2,
     t^2 |u-|_H^2, 1), a test relative to the projected field and hence
     scale-invariant.  ``initial[0]`` is the starting s, clamped into the
     box; t follows from s.  Zero coupling makes the system decouple into
-    two independent ray projections; the result is then flagged
-    ``degenerate``.
+    two independent ray projections, held to the same test; the result is
+    then flagged ``degenerate``.
     """
     u = inst.check_admissible(u)
     up, um = positive_part(u), negative_part(u)
@@ -281,55 +282,46 @@ def project_pair(
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("pair projection needs both sign parts nontrivial")
 
-    if stats.k >= 0.0:
+    degenerate = stats.k >= 0.0
+    iterations = 0
+    if degenerate:
         s = _ray_scale(stats.a_pos, stats.b_pos, stats.l_pos)
         t = _ray_scale(stats.a_neg, stats.b_neg, stats.l_neg)
-        g1, g2 = _g_pair(stats, s, t)
-        return PairProjection(
-            s=s,
-            t=t,
-            projected=s * up + t * um,
-            g1_residual=g1,
-            g2_residual=g2,
-            iterations=0,
-            bracket=(min(s, t), max(s, t)),
-            degenerate=True,
-        )
-
-    lo, hi = _bracket_from_stats(stats)
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    s0 = 1.0 if initial is None else float(initial[0])
-    x = math.log(min(max(s0, lo), hi))
-    f, df = _reduced(stats, x)
-    prev_step = x_hi - x_lo
-    iterations = 0
-    while f != 0.0 and iterations < _MAX_STEPS:
-        iterations += 1
-        if f > 0.0:
-            x_lo = x
-        else:
-            x_hi = x
-        xtol = 4.0 * _EPS * max(1.0, abs(x))
-        if x_hi - x_lo <= xtol:
-            break
-        step = -f / df if df else None
-        if step is not None and abs(step) <= xtol:
-            x += step
-            break
-        if step is None or not x_lo < x + step < x_hi or abs(2.0 * step) > abs(prev_step):
-            step = 0.5 * (x_lo + x_hi) - x
-        prev_step = step
-        x += step
+        bracket = (min(s, t), max(s, t))
+    else:
+        bracket = lo, hi = _bracket_from_stats(stats)
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        s0 = 1.0 if initial is None else float(initial[0])
+        x = math.log(min(max(s0, lo), hi))
         f, df = _reduced(stats, x)
+        prev_step = x_hi - x_lo
+        while f != 0.0 and iterations < _MAX_STEPS:
+            iterations += 1
+            if f > 0.0:
+                x_lo = x
+            else:
+                x_hi = x
+            xtol = 4.0 * _EPS * max(1.0, abs(x))
+            if x_hi - x_lo <= xtol:
+                break
+            step = -f / df if df else None
+            if step is not None and abs(step) <= xtol:
+                x += step
+                break
+            if step is None or not x_lo < x + step < x_hi or abs(2.0 * step) > abs(prev_step):
+                step = 0.5 * (x_lo + x_hi) - x
+            prev_step = step
+            x += step
+            f, df = _reduced(stats, x)
+        s = math.exp(x)
+        t = _t_on_g1(stats, s)[0]
 
-    s = math.exp(x)
-    t = _t_on_g1(stats, s)[0]
     g1, g2 = _g_pair(stats, s, t) if t > 0.0 else (math.inf, math.inf)
-    bound = tol * max(s * s * stats.a_pos, t * t * stats.a_neg, 1.0)
+    bound = _PAIR_TOL * max(s * s * stats.a_pos, t * t * stats.a_neg, 1.0)
     # Written so that a NaN anywhere fails the test.
     if not (abs(g1) <= bound and abs(g2) <= bound):
         raise NonConvergence(
-            f"pair projection stalled at |g|={max(abs(g1), abs(g2)):.3e} "
+            f"pair projection stalled at (g1, g2) = ({g1:.3e}, {g2:.3e}) "
             f"after {iterations} steps"
         )
     return PairProjection(
@@ -339,5 +331,6 @@ def project_pair(
         g1_residual=g1,
         g2_residual=g2,
         iterations=iterations,
-        bracket=(lo, hi),
+        bracket=bracket,
+        degenerate=degenerate,
     )

@@ -55,6 +55,14 @@ _SIGN_EPS = 1e-8
 # Newton polish budget: steps per polish, and step halvings per step.
 _POLISH_MAX_ITER = 60
 _POLISH_HALVINGS = 5
+# Descent budget per start and Armijo backtracking line search.
+_MAX_OUTER_ITERS = 5000
+_STEP_INIT = 0.5
+_ARMIJO = 1e-4
+_SHRINK = 0.5
+# Oracle budget: free vertices, and lattice cells per axis.
+_ORACLE_DOF_LIMIT = 3
+_ORACLE_GRID = 32
 
 
 class InfeasibleWell(ValueError):
@@ -74,27 +82,14 @@ class SolveOptions:
     starts: int = 64
     seed: int = 0
     tol_residual: float = 1e-10
-    max_outer_iters: int = 5000
-    step_init: float = 0.5
-    armijo: float = 1e-4
-    shrink: float = 0.5
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        # The float checks are written so that NaN fails them too.  An
-        # infinite tolerance would pass every start at once; shrink = 1
-        # would never end a failing line search.
+        # Written so that NaN fails it too.  An infinite tolerance would
+        # pass every start at once.
         if not 0 < self.tol_residual < math.inf:
             raise ValueError("tol_residual must be positive and finite")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
-        if not 0 < self.armijo < 1:
-            raise ValueError("armijo must lie in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -301,7 +296,7 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
         return cand
 
     failed_at = math.inf  # rinf at the last failed polish in the loop
-    for it in range(opts.max_outer_iters):
+    for it in range(_MAX_OUTER_ITERS):
         r = _residual(inst, u)
         rinf = float(np.max(np.abs(r)))
         scale = max(1.0, float(np.max(np.abs(u))))
@@ -316,17 +311,17 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
         d = -r * precond
         slope = float(inst.graph.mu @ (r * d))
         j0 = _energy(inst, u)
-        alpha, moved = opts.step_init, False
+        alpha, moved = _STEP_INIT, False
         while alpha > 1e-16:
             try:
                 cand, cand_degen = project(inst, u + alpha * d)
             except _Collapse:
-                alpha *= opts.shrink
+                alpha *= _SHRINK
                 continue
-            if _energy(inst, cand) <= j0 + opts.armijo * alpha * slope:
+            if _energy(inst, cand) <= j0 + _ARMIJO * alpha * slope:
                 u, degen, moved = cand, cand_degen, True
                 break
-            alpha *= opts.shrink
+            alpha *= _SHRINK
         if not moved:
             cand = polished(u)
             if cand is not None:
@@ -534,9 +529,7 @@ def _sign_change_cells(res_grid: np.ndarray) -> np.ndarray:
     return np.argwhere(np.all((lo <= 0.0) & (hi >= 0.0), axis=-1))
 
 
-def oracle_enumerate(
-    inst: ProblemInstance, dof_limit: int = 3, grid: int = 32
-) -> OracleResult:
+def oracle_enumerate(inst: ProblemInstance) -> OracleResult:
     """Brute-force enumeration of pointwise solutions on tiny instances.
 
     The residual system over the free vertices is evaluated on a dense
@@ -551,18 +544,18 @@ def oracle_enumerate(
     """
     free = inst.free_index
     d = len(free)
-    if d > dof_limit:
-        raise DofLimitExceeded(f"{d} free vertices exceed the oracle budget {dof_limit}")
-    if grid < 1:
-        raise ValueError("empty grid resolution")
+    if d > _ORACLE_DOF_LIMIT:
+        raise DofLimitExceeded(
+            f"{d} free vertices exceed the oracle budget {_ORACLE_DOF_LIMIT}"
+        )
     g = inst.graph
     deg_scale = float(np.max(g.deg / g.mu))
     bound = 2.0 * math.e * max(1.0, deg_scale)
-    pts = np.linspace(-bound, bound, grid + 1)
+    pts = np.linspace(-bound, bound, _ORACLE_GRID + 1)
 
     lattice = np.stack(np.meshgrid(*([pts] * d), indexing="ij"), axis=-1).reshape(-1, d)
     res = lattice @ inst.free_stiffness.T + inst.lam_a_free * lattice - u_log_sq(lattice)
-    cells = _sign_change_cells(res.reshape((grid + 1,) * d + (d,)))
+    cells = _sign_change_cells(res.reshape((_ORACLE_GRID + 1,) * d + (d,)))
     candidates = list(pts[cells] + 0.5 * (pts[1] - pts[0]))
     rng = np.random.default_rng(12345)
     candidates.extend(rng.uniform(-bound, bound, size=(200, d)))

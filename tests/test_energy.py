@@ -52,6 +52,13 @@ class TestEnergy:
                 )
 
 
+class TestProblemInstance:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_lambda(self, p6, lam):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            ProblemInstance.full(p6, lam)
+
+
 class TestDirDeriv:
     def test_critical_point(self, k2_inst):
         u = np.array([E, -E])

@@ -141,6 +141,20 @@ class TestSweep:
         rows, _ = sweep(p6, [1.0], OPTS)
         assert [r.failed for r in rows] == [True]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected_before_any_solve(self, p6, monkeypatch, bad):
+        calls = []
+
+        def record(inst, opts=None):
+            calls.append(inst.mode)
+            raise AssertionError("solve reached")
+
+        monkeypatch.setattr(lab, "solve_nodal", record)
+        monkeypatch.setattr(lab, "solve_ground", record)
+        with pytest.raises(ValueError, match="lambda"):
+            sweep(p6, [1.0, bad], OPTS)
+        assert calls == []
+
     def test_determinism(self, p6):
         rows_a, _ = sweep(p6, [1.0, 10.0], OPTS)
         rows_b, _ = sweep(p6, [1.0, 10.0], OPTS)
@@ -255,6 +269,28 @@ class TestCli:
         assert cli_main(["solve", "--graph", str(gpath), "--lambda", "10", "--nodal",
                          "--starts", "2", "--tol", "inf"]) == 3
         assert "tol_residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_3(self, tmp_path, p6, capsys, lam):
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        assert cli_main(["solve", "--graph", str(gpath), "--lambda", lam, "--nodal",
+                         "--starts", "2"]) == 3
+        assert "lambda must be positive and finite" in capsys.readouterr().err
+
+    def test_decoupled_projection_failure_exits_2(self, tmp_path, p6, capsys):
+        # Separated supports at lambda = 1000: t^2 overflows, and the report
+        # used to print "g2_residual": NaN with exit 0.
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        fpath = tmp_path / "u.json"
+        fpath.write_text(json.dumps({"values": {"v3": 1, "v6": -1}}))
+        code = cli_main(["project", "--graph", str(gpath), "--state", str(fpath),
+                         "--lambda", "1000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pair projection stalled")
 
     def test_scaling_overflow_exits_2(self, tmp_path, p3_no_well, capsys):
         gpath = tmp_path / "p3.json"

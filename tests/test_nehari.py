@@ -5,6 +5,8 @@ import pytest
 
 from logschro import (
     DegenerateCoupling,
+    NoBracket,
+    NonConvergence,
     ProblemInstance,
     coupling_k,
     dir_deriv,
@@ -15,6 +17,7 @@ from logschro import (
     project_pair,
     project_ray,
 )
+from logschro import nehari
 
 from conftest import random_field, random_graph
 
@@ -135,6 +138,83 @@ class TestMirandaBracket:
             miranda_bracket(inst, np.array([1.0, 0.0, -1.0]))
 
 
+def scanned_bracket(stats):
+    """Reference: the power-of-two corner scan, capped at 2^+-40, that the
+    closed-form box replaced.  None where the scan gave up."""
+    r = 1.0
+    while not all(g > 0.0 for g in nehari._g_pair(stats, r, r)):
+        r *= 0.5
+        if r < 2.0**-40:
+            return None
+    big = max(r, 1.0)
+    while not all(g < 0.0 for g in nehari._g_pair(stats, big, big)):
+        big *= 2.0
+        if big > 2.0**40:
+            return None
+    return r, big
+
+
+class TestClosedFormBracket:
+    def test_matches_scan(self):
+        rng = np.random.default_rng(2026)
+        matched = beyond_scan = 0
+        for _ in range(2000):
+            g = random_graph(rng)
+            inst = ProblemInstance.full(g, 10.0 ** rng.uniform(-1.0, 4.0))
+            u = random_field(rng, g.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if not u.max() > 0.0 > u.min():
+                continue
+            stats = nehari._split_stats(inst, u)
+            expect = scanned_bracket(stats)
+            try:
+                got = nehari._bracket_from_stats(stats)
+            except NoBracket:
+                assert expect is None
+                continue
+            if expect is not None:
+                assert got == expect
+                matched += 1
+                continue
+            # Beyond the old cap: the corners still carry the sign pattern,
+            # and halving r or R (when it is not 1) loses it.
+            beyond_scan += 1
+            r, big = got
+            assert r <= 1.0 <= big
+            assert all(v > 0.0 for v in nehari._g_pair(stats, r, r))
+            assert all(v < 0.0 for v in nehari._g_pair(stats, big, big))
+            if r < 1.0:
+                assert not all(v > 0.0 for v in nehari._g_pair(stats, 2.0 * r, 2.0 * r))
+            if big > 1.0:
+                assert not all(v < 0.0 for v in nehari._g_pair(stats, 0.5 * big, 0.5 * big))
+        assert matched >= 500 and beyond_scan >= 50
+
+    def test_root_beyond_old_cap_converges(self, p6):
+        # The two sign parts need scalings ~1.6e20 and ~1.4e22, past 2^40.
+        inst = ProblemInstance.full(p6, 100.0)
+        u = p6.field({"v3": 1.0, "v2": -1.0})
+        assert coupling_k(inst, u) == -2.0
+        proj = project_pair(inst, u)
+        assert proj.iterations <= 20
+        r, big = proj.bracket
+        assert big > 2.0**40
+        assert r <= proj.s <= big and r <= proj.t <= big
+        scale = max(
+            proj.s**2 * inst.norm_h_sq(np.maximum(u, 0.0)),
+            proj.t**2 * inst.norm_h_sq(np.minimum(u, 0.0)),
+            1.0,
+        )
+        assert abs(proj.g1_residual) <= 1e-10 * scale
+        assert abs(proj.g2_residual) <= 1e-10 * scale
+
+    def test_beyond_float_range_is_typed(self, p6):
+        inst = ProblemInstance.full(p6, 1000.0)
+        u = p6.field({"v3": 1.0, "v2": -1.0})
+        with pytest.raises(NoBracket, match="float range"):
+            project_pair(inst, u)
+        with pytest.raises(NoBracket, match="float range"):
+            miranda_bracket(inst, u)
+
+
 class TestProjectPair:
     def test_member_returns_unit_pair(self, k2_inst):
         proj = project_pair(k2_inst, np.array([E, -E]))
@@ -177,6 +257,14 @@ class TestProjectPair:
         assert proj.t == pytest.approx(project_ray(inst, np.array([0.0, 0.0, -1.0])), rel=1e-12)
         g1, g2 = pair_residuals(inst, u, proj.s, proj.t)
         assert abs(g1) <= 1e-10 and abs(g2) <= 1e-10
+
+    def test_decoupled_overflow_fails_acceptance(self, p6):
+        # Separated supports; t ~ 2.3e217, so t^2 overflows and g2 is NaN.
+        inst = ProblemInstance.full(p6, 1000.0)
+        u = p6.field({"v3": 1.0, "v6": -1.0})
+        assert coupling_k(inst, u) == 0.0
+        with pytest.raises(NonConvergence):
+            project_pair(inst, u)
 
     def test_restart_uniqueness(self):
         rng = np.random.default_rng(909)
