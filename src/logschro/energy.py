@@ -5,14 +5,20 @@ with potential coupling ``lam * a(x)``, and the Dirichlet problem on the
 potential well, where admissible fields vanish identically outside the
 well interior.  The convention ``0 * log 0 = 0`` is applied everywhere.
 
-Public functions validate their field arguments once (shape, finiteness
-and, in Dirichlet mode, support in the well) and then call a private
-kernel (``_norm_h_sq``, ``_energy``, ``_residual``, ``_dir_deriv``,
-``_coupling_k``) that trusts its arrays.  The kernels compute the
-gradient terms from the graph's stiffness matrix ``S``, using
-``integral of Gamma(u, v) dmu = v^T S u`` and ``-mu Laplacian(u) = S u``.
-Callers inside the package that build their own fields call the kernels
-directly.
+A :class:`ProblemInstance` fixes the free vertex set ``F``: all of ``V``
+in full mode, the well interior in Dirichlet mode.  It stores the free
+block of every coefficient (``mu``, ``lam * a`` and the stiffness block
+``S[F, F]``), and the private kernels (``_norm_h_sq``, ``_energy``,
+``_residual``, ``_dir_deriv``, ``_coupling_k``) run on the free values of
+a field alone.  ``S[F, F]`` is the Dirichlet operator: its diagonal still
+counts every edge to the boundary, so ``u_F^T S[F, F] u_F`` is the
+gradient energy of the zero extension and ``(S[F, F] u_F) / mu_F`` its
+``-Laplacian`` on ``F``.  The kernels use ``integral of Gamma(u, v) dmu =
+v^T S u`` and trust their arrays.
+
+Full-length fields appear only at the public API: a public function
+validates and gathers its field arguments once (``free_values``) and
+scatters a field it returns once (``extend``).
 """
 
 from __future__ import annotations
@@ -69,6 +75,11 @@ class ProblemInstance:
 
     Build with :meth:`full` (coupling strength ``lam`` against the stored
     potential) or :meth:`dirichlet` (zero-extension problem on the well).
+
+    ``free`` is the full-length mask of the free vertex set ``F``.  The
+    read-only arrays ``free_index``, ``stiffness`` (``S[F, F]``), ``mu``,
+    ``lam_a`` and ``mass`` (``mu * (lam_a + 1)``) live on ``F``; in full
+    mode ``F = V`` and ``stiffness`` and ``mu`` equal the graph's own.
     """
 
     def __init__(self, graph: WeightedGraph, lam: float | None, omega: SubDomain | None):
@@ -80,7 +91,7 @@ class ProblemInstance:
             if not 0 < lam < math.inf:
                 raise ValueError(f"lambda must be positive and finite, got {lam!r}")
             self.free = np.ones(graph.n, dtype=bool)
-            self.lam_a = lam * graph.potential_a
+            lam_a = lam * graph.potential_a
         else:
             assert omega is not None
             if not omega.interior:
@@ -90,23 +101,13 @@ class ProblemInstance:
             self.free = np.zeros(graph.n, dtype=bool)
             for vid in omega.interior:
                 self.free[graph.index(vid)] = True
-            self.lam_a = np.zeros(graph.n)
-        # Built once for the kernels.  On a field vanishing off the free set
-        # the residual there is free_stiffness @ u_f + lam_a_free * u_f -
-        # u_f log u_f^2, with free_stiffness the free block of S / mu.
-        self.mass = graph.mu * (self.lam_a + 1.0)
-        self.free_index = np.flatnonzero(self.free)
-        block = np.ix_(self.free_index, self.free_index)
-        self.free_stiffness = graph.stiffness[block] / graph.mu[self.free_index, None]
-        self.lam_a_free = self.lam_a[self.free_index]
-        for arr in (
-            self.free,
-            self.lam_a,
-            self.mass,
-            self.free_index,
-            self.free_stiffness,
-            self.lam_a_free,
-        ):
+            lam_a = np.zeros(graph.n)
+        f = self.free_index = np.flatnonzero(self.free)
+        self.stiffness = graph.stiffness[np.ix_(f, f)]
+        self.mu = graph.mu[f]
+        self.lam_a = lam_a[f]
+        self.mass = self.mu * (self.lam_a + 1.0)
+        for arr in (self.free, f, self.stiffness, self.mu, self.lam_a, self.mass):
             arr.setflags(write=False)
 
     @classmethod
@@ -132,10 +133,15 @@ class ProblemInstance:
             raise NotAdmissible("field is nonzero outside the Dirichlet domain")
         return u
 
-    def project(self, u: np.ndarray) -> np.ndarray:
-        """Zero the field outside the free vertex set (no-op in full mode)."""
-        u = self.graph.check_field(u)
-        return np.where(self.free, u, 0.0)
+    def free_values(self, u: np.ndarray) -> np.ndarray:
+        """Values on ``F`` of a full-length field, after checking it."""
+        return self.check_admissible(u)[self.free_index]
+
+    def extend(self, u_free: np.ndarray) -> np.ndarray:
+        """Full-length field equal to ``u_free`` on ``F`` and zero elsewhere."""
+        u = np.zeros(self.graph.n)
+        u[self.free_index] = u_free
+        return u
 
     def norm_h_sq(self, u: np.ndarray) -> float:
         """Squared energy-space norm: gradient + weighted mass term.
@@ -144,36 +150,33 @@ class ProblemInstance:
         zero-extension H1 norm (the two agree on admissible fields when the
         potential vanishes on the well).
         """
-        return _norm_h_sq(self, self.check_admissible(u))
+        return _norm_h_sq(self, self.free_values(u))
 
 
-# -- trusted kernels: admissible, finite fields of the right shape --------
+# -- trusted kernels: finite free values of an admissible field -------------
 
 
 def _norm_h_sq(inst: ProblemInstance, u: np.ndarray) -> float:
-    return float(u @ (inst.graph.stiffness @ u) + inst.mass @ (u * u))
+    return float(u @ (inst.stiffness @ u) + inst.mass @ (u * u))
 
 
 def _energy(inst: ProblemInstance, u: np.ndarray) -> float:
-    return 0.5 * _norm_h_sq(inst, u) - 0.5 * float(inst.graph.mu @ sq_log_sq(u))
+    return 0.5 * _norm_h_sq(inst, u) - 0.5 * float(inst.mu @ sq_log_sq(u))
 
 
 def _residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
-    g = inst.graph
-    r = (g.stiffness @ u) / g.mu + inst.lam_a * u - u_log_sq(u)
-    if inst.mode == "dirichlet":
-        r = np.where(inst.free, r, 0.0)
-    return r
+    # The transposes let a stack of fields come in as rows; one field is
+    # a 1-d array, which they leave as it is.
+    return (inst.stiffness @ u.T).T / inst.mu + inst.lam_a * u - u_log_sq(u)
 
 
 def _dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:
-    return float(inst.graph.mu @ (_residual(inst, u) * v))
+    return float(inst.mu @ (_residual(inst, u) * v))
 
 
 def _coupling_k(inst: ProblemInstance, u: np.ndarray) -> float:
-    # An admissible field vanishes off the free set, so in Dirichlet mode
-    # the sum over the well's closure is the sum over all vertices.
-    return 2.0 * float(positive_part(u) @ (inst.graph.weights @ negative_part(u)))
+    # The supports of u+ and u- are disjoint, so u+ . (S u-) = -u+ . (W u-).
+    return -2.0 * float(positive_part(u) @ (inst.stiffness @ negative_part(u)))
 
 
 # -- public API: validate once, then call a kernel -------------------------
@@ -181,7 +184,7 @@ def _coupling_k(inst: ProblemInstance, u: np.ndarray) -> float:
 
 def energy(inst: ProblemInstance, u: np.ndarray) -> float:
     """Value of the variational functional at ``u``."""
-    return _energy(inst, inst.check_admissible(u))
+    return _energy(inst, inst.free_values(u))
 
 
 def dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:
@@ -190,7 +193,7 @@ def dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:
     Matches the one-sided difference quotient wherever the field is
     bounded away from zero on its support.
     """
-    return _dir_deriv(inst, inst.check_admissible(u), inst.check_admissible(v))
+    return _dir_deriv(inst, inst.free_values(u), inst.free_values(v))
 
 
 def residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -198,9 +201,9 @@ def residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
 
     Satisfies the duality ``dir_deriv(inst, u, v) == integrate(r * v)`` for
     every admissible direction ``v``; a zero residual certifies a
-    pointwise solution.
+    pointwise solution.  It vanishes off the free vertex set.
     """
-    return _residual(inst, inst.check_admissible(u))
+    return inst.extend(_residual(inst, inst.free_values(u)))
 
 
 def coupling_k(inst: ProblemInstance, u: np.ndarray) -> float:
@@ -209,7 +212,7 @@ def coupling_k(inst: ProblemInstance, u: np.ndarray) -> float:
     Always nonpositive; zero exactly when no edge joins the supports of
     the two parts.
     """
-    return _coupling_k(inst, inst.check_admissible(u))
+    return _coupling_k(inst, inst.free_values(u))
 
 
 @dataclass(frozen=True)
@@ -264,17 +267,16 @@ def identity_suite(inst: ProblemInstance, u: np.ndarray) -> IdentityReport:
     quadratic identity J(u) - J'(u).u/2 = |u|_2^2/2, and integration by
     parts over the full indicator basis (worst offender reported).
     """
-    u = inst.check_admissible(u)
+    u = inst.free_values(u)
     g = inst.graph
     up, um = positive_part(u), negative_part(u)
     k = _coupling_k(inst, u)
 
+    def grad_sq(w: np.ndarray) -> float:
+        return g.integrate(g.gamma(inst.extend(w)))
+
     checks = [
-        IdentityCheck(
-            "gamma_split",
-            g.integrate(g.gamma(u)),
-            g.integrate(g.gamma(up)) + g.integrate(g.gamma(um)) - k,
-        ),
+        IdentityCheck("gamma_split", grad_sq(u), grad_sq(up) + grad_sq(um) - k),
         IdentityCheck(
             "energy_split",
             _energy(inst, u),
@@ -293,11 +295,12 @@ def identity_suite(inst: ProblemInstance, u: np.ndarray) -> IdentityReport:
         IdentityCheck(
             "nehari_quadratic",
             _energy(inst, u) - 0.5 * _dir_deriv(inst, u, u),
-            0.5 * g.integrate(u * u),
+            0.5 * float(inst.mu @ (u * u)),
         ),
     ]
 
     # Integration by parts on every vertex indicator; keep the worst pair.
+    u = inst.extend(u)
     lap = g.laplacian(u)
     worst = IdentityCheck("integration_by_parts", 0.0, 0.0)
     for i in range(g.n):

@@ -204,6 +204,8 @@ def sweep(
     A coupling whose solve raises ``NonConvergence`` or ``InfeasibleWell``
     becomes a failed row; any other exception propagates.
     """
+    if not lambdas:
+        raise ValueError("lambdas must not be empty")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be strictly increasing")
     # Checked before any solve; written so that NaN fails it too.

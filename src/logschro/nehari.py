@@ -8,16 +8,19 @@ scalar root in log s, found by a safeguarded Newton iteration inside the
 intermediate-value bracketing box.  That box is in closed form too, and
 only a box beyond float range raises ``NoBracket``.
 
-Each public function validates its field argument once; the projections
-then run on the sign-part statistics (``_split_stats``), which call the
-trusted kernels of :mod:`logschro.energy` on the already-checked array.
+Each public function validates its field argument once and gathers its
+values on the instance's free vertex set.  The private projections
+``_project_ray`` and ``_project_pair``, which the solver calls directly,
+run on those free values through the sign-part statistics
+(``_split_stats``) and the trusted kernels of :mod:`logschro.energy`;
+``project_pair`` scatters the projected field back to full length.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,8 +110,8 @@ class _SplitStats:
 
 
 def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
-    """Statistics of a field the caller has already validated."""
-    mu = inst.graph.mu
+    """Statistics of the free values of a field the caller has validated."""
+    mu = inst.mu
     up, um = positive_part(u), negative_part(u)
     return _SplitStats(
         a_pos=_norm_h_sq(inst, up),
@@ -131,8 +134,12 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
 
     Closed form: log s^2 = (|w|_H^2 - |w|_2^2 - int w^2 log w^2) / |w|_2^2.
     """
-    w = inst.check_admissible(w)
-    mu = inst.graph.mu
+    return _project_ray(inst, inst.free_values(w))
+
+
+def _project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
+    """``project_ray`` on the free values ``w``."""
+    mu = inst.mu
     b = float(mu @ (w * w))
     if b == 0.0:
         raise ValueError("cannot ray-project the zero field")
@@ -163,7 +170,7 @@ def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> 
     """
     if s <= 0 or t <= 0:
         raise ValueError("s and t must be positive")
-    stats = _split_stats(inst, inst.check_admissible(u))
+    stats = _split_stats(inst, inst.free_values(u))
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("pair residuals need both sign parts nontrivial")
     return _g_pair(stats, s, t)
@@ -176,7 +183,7 @@ def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]
     so the face conditions reduce to the diagonal corner signs.  Both ends
     are powers of two with r <= 1 <= R, computed in closed form.
     """
-    stats = _split_stats(inst, inst.check_admissible(u))
+    stats = _split_stats(inst, inst.free_values(u))
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("bracket needs both sign parts nontrivial")
     if stats.k >= 0.0:
@@ -213,7 +220,7 @@ def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> Fi
     """
     if s < 0 or t < 0:
         raise ValueError("s and t must be nonnegative")
-    u = inst.check_admissible(u)
+    u = inst.free_values(u)
     stats = _split_stats(inst, u)
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("fiber energy needs both sign parts nontrivial")
@@ -276,7 +283,14 @@ def project_pair(
     two independent ray projections, held to the same test; the result is
     then flagged ``degenerate``.
     """
-    u = inst.check_admissible(u)
+    proj = _project_pair(inst, inst.free_values(u), initial)
+    return replace(proj, projected=inst.extend(proj.projected))
+
+
+def _project_pair(
+    inst: ProblemInstance, u: np.ndarray, initial: tuple[float, float] | None = None
+) -> PairProjection:
+    """``project_pair`` on the free values ``u``; ``projected`` is free values too."""
     up, um = positive_part(u), negative_part(u)
     stats = _split_stats(inst, u)
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:

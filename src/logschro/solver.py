@@ -12,29 +12,26 @@ to descent.  A brute-force oracle on instances with at most a few free
 vertices provides independent reference levels: a vectorized grid scan
 of the residual system, whose sign-change cells it polishes with the
 same damped Newton.
+
+Seeds, descent, projections, polish and oracle all work on the free
+values of a field (see :class:`~logschro.energy.ProblemInstance`) and
+share one residual kernel; ``solve_*`` and ``oracle_enumerate`` extend
+the fields they return to full length, and ``verify`` checks a
+full-length field once before it gathers its free values.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    ProblemInstance,
-    _energy,
-    _residual,
-    dir_deriv,
-    energy,
-    field_to_dict,
-    residual,
-    u_log_sq,
-)
-from .graphs import WeightedGraph, negative_part, positive_part
-from .nehari import NoBracket, NonConvergence, project_pair, project_ray
+from .energy import ProblemInstance, _energy, _residual, field_to_dict
+from .graphs import negative_part, positive_part
+from .nehari import NoBracket, NonConvergence, _project_pair, _project_ray
 
 __all__ = [
     "SolveOptions",
@@ -51,6 +48,9 @@ __all__ = [
 ]
 
 _COLLAPSE_TOL = 1e-14
+# Projected fields beyond this sup norm collapse: below it their squares,
+# energy and residual stay finite.
+_FIELD_MAX = 1e150
 _SIGN_EPS = 1e-8
 # Newton polish budget: steps per polish, and step halvings per step.
 _POLISH_MAX_ITER = 60
@@ -84,8 +84,10 @@ class SolveOptions:
     tol_residual: float = 1e-10
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
+        if not (isinstance(self.starts, numbers.Integral) and self.starts >= 1):
+            raise ValueError(f"starts must be an integer >= 1, got {self.starts!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # Written so that NaN fails it too.  An infinite tolerance would
         # pass every start at once.
         if not 0 < self.tol_residual < math.inf:
@@ -114,9 +116,6 @@ class SolveReport:
             "sign_pattern": self.sign_pattern,
             "degenerate_coupling": self.degenerate_coupling,
         }
-
-    def to_json(self, inst: ProblemInstance) -> str:
-        return json.dumps(self.to_dict(inst), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -153,28 +152,14 @@ class VerificationReport:
 # -- residual Newton polish ----------------------------------------------
 
 
-def _residual_free(inst: ProblemInstance, u_free: np.ndarray) -> np.ndarray:
-    """Residual on the free set of the field equal to u_free there, 0 elsewhere."""
-    if not np.all(np.isfinite(u_free)):
-        # Keep root finders that wander off the chart moving back.
-        return np.full(len(u_free), 1e300)
-    return inst.free_stiffness @ u_free + inst.lam_a_free * u_free - u_log_sq(u_free)
-
-
 def _residual_jacobian(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_residual_free`` at the free values ``uf``."""
-    jac = inst.free_stiffness.copy()
+    """Jacobian of ``_residual`` at the free values ``uf``."""
+    jac = inst.stiffness / inst.mu[:, None]
     # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so it
     # stays finite for |u| beyond 1e154; tiny |u| keep the floor log 1e-300.
     log_term = 2.0 * np.log(np.maximum(np.abs(uf), 1e-150))
-    np.fill_diagonal(jac, np.diag(jac) + inst.lam_a_free - log_term - 2.0)
+    np.fill_diagonal(jac, np.diag(jac) + inst.lam_a - log_term - 2.0)
     return jac
-
-
-def _scatter(inst: ProblemInstance, u_free: np.ndarray) -> np.ndarray:
-    u = np.zeros(inst.graph.n)
-    u[inst.free_index] = u_free
-    return u
 
 
 def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
@@ -182,13 +167,14 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
 
     It settles once the sup residual is at most ``rtol * max(1, max|uf|)``
     at the current iterate.  Each Newton step tries ``alpha = 1, 1/2, ...,
-    2**-_POLISH_HALVINGS`` and takes the first trial that lowers the sup
-    residual.  When none does, or after ``_POLISH_MAX_ITER`` steps, it
-    gives up: a root that needs tinier steps than these is stalled on an
-    ill-conditioned Jacobian, not converging.  At most
-    ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1`` residual evaluations.
+    2**-_POLISH_HALVINGS`` and takes the first trial that is finite and
+    lowers the sup residual.  When none does, or after
+    ``_POLISH_MAX_ITER`` steps, it gives up: a root that needs tinier steps
+    than these is stalled on an ill-conditioned Jacobian, not converging.
+    At most ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1`` residual
+    evaluations.
     """
-    r = _residual_free(inst, uf)
+    r = _residual(inst, uf)
     rnorm = float(np.max(np.abs(r)))
     for it in range(_POLISH_MAX_ITER + 1):
         if rnorm <= rtol * max(1.0, float(np.max(np.abs(uf)))):
@@ -201,7 +187,9 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
             return None
         for k in range(_POLISH_HALVINGS + 1):
             cand = uf + 0.5**k * step
-            cr = _residual_free(inst, cand)
+            if not np.all(np.isfinite(cand)):
+                continue
+            cr = _residual(inst, cand)
             cnorm = float(np.max(np.abs(cr)))
             if cnorm < rnorm:
                 uf, r, rnorm = cand, cr, cnorm
@@ -210,56 +198,54 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
             return None
 
 
-def _newton_polish(inst: ProblemInstance, u: np.ndarray, rtol: float):
-    """``_newton_root`` on the free values of ``u``, scattered to a full field."""
-    uf = _newton_root(inst, u[inst.free_index], rtol)
-    return None if uf is None else _scatter(inst, uf)
+# -- per-start descent on the free values of a field ----------------------
 
 
-# -- per-start descent -----------------------------------------------------
+def _h1_norm(inst: ProblemInstance, u: np.ndarray) -> float:
+    """sqrt(|u|_H1^2) of finite free values: gradient form plus L2 mass."""
+    return math.sqrt(max(float(u @ (inst.stiffness @ u) + inst.mu @ (u * u)), 0.0))
 
 
-def _h1_norm(g: WeightedGraph, u: np.ndarray) -> float:
-    """sqrt(|u|_H1^2) of a finite field: gradient form plus L2 mass."""
-    return math.sqrt(max(float(u @ (g.stiffness @ u) + g.mu @ (u * u)), 0.0))
+def _in_range(u: np.ndarray) -> np.ndarray:
+    """``u``, or _Collapse when its sup norm exceeds ``_FIELD_MAX``."""
+    # Written so that a NaN fails it too.
+    if not float(np.max(np.abs(u))) <= _FIELD_MAX:
+        raise _Collapse
+    return u
 
 
 def _project_nodal(inst: ProblemInstance, u: np.ndarray):
     if not np.all(np.isfinite(u)):
         raise _Collapse
-    g = inst.graph
     if (
-        _h1_norm(g, positive_part(u)) < _COLLAPSE_TOL
-        or _h1_norm(g, negative_part(u)) < _COLLAPSE_TOL
+        _h1_norm(inst, positive_part(u)) < _COLLAPSE_TOL
+        or _h1_norm(inst, negative_part(u)) < _COLLAPSE_TOL
     ):
         raise _Collapse
     try:
-        proj = project_pair(inst, u)
+        proj = _project_pair(inst, u)
     except (ValueError, NonConvergence, NoBracket, OverflowError):
         raise _Collapse from None
-    if not np.all(np.isfinite(proj.projected)):
-        raise _Collapse
-    return proj.projected, proj.degenerate
+    return _in_range(proj.projected), proj.degenerate
 
 
 def _project_ground(inst: ProblemInstance, u: np.ndarray):
     if not np.all(np.isfinite(u)) or float(np.max(np.abs(u))) < _COLLAPSE_TOL:
         raise _Collapse
     try:
-        s = project_ray(inst, u)
+        s = _project_ray(inst, u)
     except OverflowError:
         # The scaling exceeds the float range (large lam * a).
         raise _Collapse from None
-    if not math.isfinite(s) or s == 0.0:
+    if not 0.0 < s < math.inf:
         raise _Collapse
-    return s * u, False
+    return _in_range(s * u), False
 
 
-def _sign_ok(u: np.ndarray, free: np.ndarray, nodal: bool) -> bool:
-    uf = u[free]
+def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
     if nodal:
-        return float(uf.max()) > _SIGN_EPS and float(uf.min()) < -_SIGN_EPS
-    return float(np.max(np.abs(uf))) > _SIGN_EPS
+        return float(u.max()) > _SIGN_EPS and float(u.min()) < -_SIGN_EPS
+    return float(np.max(np.abs(u))) > _SIGN_EPS
 
 
 def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal: bool):
@@ -283,11 +269,11 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     """
     project = _project_nodal if nodal else _project_ground
     precond = 1.0 / (inst.lam_a + 1.0)
-    u, degen = project(inst, inst.project(u0))
+    u, degen = project(inst, u0)
 
     def polished(cur: np.ndarray):
-        cand = _newton_polish(inst, cur, rtol=0.1 * opts.tol_residual)
-        if cand is None or not _sign_ok(cand, inst.free, nodal):
+        cand = _newton_root(inst, cur, rtol=0.1 * opts.tol_residual)
+        if cand is None or not _sign_ok(cand, nodal):
             return None
         j_cur = _energy(inst, cur)
         # Written so that a NaN energy (|u| beyond 1e154) rejects the polish.
@@ -309,7 +295,7 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
                 return cand, True, degen
             failed_at = rinf
         d = -r * precond
-        slope = float(inst.graph.mu @ (r * d))
+        slope = float(inst.mu @ (r * d))
         j0 = _energy(inst, u)
         alpha, moved = _STEP_INIT, False
         while alpha > 1e-16:
@@ -332,22 +318,17 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     return u, ok, degen
 
 
-# -- initialization ---------------------------------------------------------
+# -- initialization: seeds are free values ---------------------------------
 
 
 def _max_coupling_signs(inst: ProblemInstance) -> np.ndarray:
-    """Sign pattern cutting many edges: top eigenvector of the free Laplacian."""
-    g = inst.graph
-    free = np.nonzero(inst.free)[0]
-    lap = np.diag(g.deg[free]) - g.weights[np.ix_(free, free)]
-    _, vecs = np.linalg.eigh(lap)
+    """Sign pattern cutting many edges: top eigenvector of the free block of S."""
+    _, vecs = np.linalg.eigh(inst.stiffness)
     signs = np.sign(vecs[:, -1])
     signs[signs == 0] = 1.0
     if np.all(signs > 0) or np.all(signs < 0):
-        signs = np.where(np.arange(len(free)) % 2 == 0, 1.0, -1.0)
-    out = np.zeros(g.n)
-    out[free] = signs
-    return out
+        signs = np.where(np.arange(len(signs)) % 2 == 0, 1.0, -1.0)
+    return signs
 
 
 def _seed_taper(inst: ProblemInstance) -> np.ndarray:
@@ -362,36 +343,32 @@ def _spike_order(inst: ProblemInstance) -> np.ndarray:
     The scaled indicator at x lands on the Nehari manifold at level
     (mu/2) exp((deg + lam a mu)/mu); low scores mark vertices where a
     localized state is cheap, which delocalized seeds tend to miss.
+    The diagonal of the free block of S is ``deg``.
     """
-    g = inst.graph
-    free = np.nonzero(inst.free)[0]
-    score = (g.deg[free] + inst.lam_a[free] * g.mu[free]) / g.mu[free] + np.log(g.mu[free])
+    mu = inst.mu
+    score = (np.diag(inst.stiffness) + inst.lam_a * mu) / mu + np.log(mu)
     # Spikes at heavily penalized vertices are never competitive and their
     # ray projection overflows; drop them.
-    keep = score <= 100.0
-    return free[keep][np.argsort(score[keep], kind="stable")]
+    keep = np.flatnonzero(score <= 100.0)
+    return keep[np.argsort(score[keep], kind="stable")]
 
 
 def _deterministic_seeds(inst: ProblemInstance, nodal: bool) -> list[np.ndarray]:
-    n = inst.graph.n
-    free = np.nonzero(inst.free)[0]
     taper = _seed_taper(inst)
+    m = len(taper)
     spikes = _spike_order(inst)
     if not nodal:
-        u = np.zeros(n)
-        u[free] = 1.0
-        seeds = [u * taper]
+        seeds = [taper]
         for idx in spikes[:4]:
-            spike = np.zeros(n)
+            spike = np.zeros(m)
             spike[idx] = 1.0
             seeds.append(spike)
         return seeds
-    half = np.zeros(n)
-    half[free[: len(free) // 2]] = 1.5
-    half[free[len(free) // 2 :]] = -1.5
+    half = np.full(m, 1.5)
+    half[m // 2 :] = -1.5
     seeds = [half * taper, 1.5 * taper * _max_coupling_signs(inst)]
     if len(spikes) >= 2:
-        dipole = np.zeros(n)
+        dipole = np.zeros(m)
         dipole[spikes[0]] = 1.0
         dipole[spikes[1]] = -1.0
         seeds.append(dipole)
@@ -399,16 +376,14 @@ def _deterministic_seeds(inst: ProblemInstance, nodal: bool) -> list[np.ndarray]
 
 
 def _random_seed_field(inst: ProblemInstance, rng: np.random.Generator, nodal: bool) -> np.ndarray:
-    free = np.nonzero(inst.free)[0]
-    mags = rng.uniform(0.5, 2.5, size=len(free))
+    taper = _seed_taper(inst)
+    mags = rng.uniform(0.5, 2.5, size=len(taper))
     if nodal:
-        signs = rng.choice([-1.0, 1.0], size=len(free))
+        signs = rng.choice([-1.0, 1.0], size=len(taper))
         if np.all(signs > 0) or np.all(signs < 0):
             signs[0] = -signs[0]
         mags = mags * signs
-    u = np.zeros(inst.graph.n)
-    u[free] = mags
-    return u * _seed_taper(inst)
+    return mags * taper
 
 
 def _normalize_sign(u: np.ndarray) -> np.ndarray:
@@ -450,13 +425,13 @@ def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveRepor
     ties = [r for r in results if r[0] <= best_level + 1e-12 * max(1.0, abs(best_level))]
     _, u_best, degen = min(ties, key=lambda r: tuple(r[1]))
 
-    r = residual(inst, u_best)
-    up, um = positive_part(u_best), negative_part(u_best)
+    u_best = inst.extend(u_best)
+    check = verify(inst, u_best)
     return SolveReport(
         minimizer=u_best,
-        level=energy(inst, u_best),
-        residual_inf=float(np.max(np.abs(r))),
-        membership_residuals=(dir_deriv(inst, u_best, up), dir_deriv(inst, u_best, um)),
+        level=check.level,
+        residual_inf=check.residual_inf,
+        membership_residuals=check.membership_residuals,
         starts_converged=len(results),
         level_histogram=tuple(level for level, _, _ in results),
         sign_pattern=_sign_pattern(inst, u_best),
@@ -484,8 +459,8 @@ def verify(
     With a companion ground level the report also carries the margin of
     the nodal level over twice the ground level.
     """
-    u = inst.check_admissible(u)
-    mu = inst.graph.mu
+    u = inst.free_values(u)
+    mu = inst.mu
     r = _residual(inst, u)
     up, um = positive_part(u), negative_part(u)
     level = _energy(inst, u)
@@ -542,8 +517,7 @@ def oracle_enumerate(inst: ProblemInstance) -> OracleResult:
     nontrivial root lies on the Nehari manifold; sign-changing roots lie on
     the sign-changing set.
     """
-    free = inst.free_index
-    d = len(free)
+    d = len(inst.mu)
     if d > _ORACLE_DOF_LIMIT:
         raise DofLimitExceeded(
             f"{d} free vertices exceed the oracle budget {_ORACLE_DOF_LIMIT}"
@@ -554,7 +528,7 @@ def oracle_enumerate(inst: ProblemInstance) -> OracleResult:
     pts = np.linspace(-bound, bound, _ORACLE_GRID + 1)
 
     lattice = np.stack(np.meshgrid(*([pts] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    res = lattice @ inst.free_stiffness.T + inst.lam_a_free * lattice - u_log_sq(lattice)
+    res = _residual(inst, lattice)
     cells = _sign_change_cells(res.reshape((_ORACLE_GRID + 1,) * d + (d,)))
     candidates = list(pts[cells] + 0.5 * (pts[1] - pts[0]))
     rng = np.random.default_rng(12345)
@@ -568,23 +542,18 @@ def oracle_enumerate(inst: ProblemInstance) -> OracleResult:
     roots: list[np.ndarray] = [np.zeros(d)]
     for x0 in candidates:
         uf = _newton_root(inst, x0, rtol=1e-14)
-        if uf is None or float(np.max(np.abs(_residual_free(inst, uf)))) > 1e-9:
+        if uf is None or float(np.max(np.abs(_residual(inst, uf)))) > 1e-9:
             continue
         if not any(np.max(np.abs(uf - r)) <= 1e-4 * max(1.0, np.max(np.abs(r))) for r in roots):
             roots.extend((uf, -uf))
 
-    points, levels = [], []
-    for uf in roots:
-        u = _scatter(inst, uf)
-        # Snap near-zero entries so sign classification is exact.
-        u[np.abs(u) < 1e-12] = 0.0
-        points.append(u)
-        levels.append(energy(inst, u))
-
-    nehari = [lvl for u, lvl in zip(points, levels) if _sign_ok(u, free, nodal=False)]
-    nodal = [lvl for u, lvl in zip(points, levels) if _sign_ok(u, free, nodal=True)]
+    # Snap near-zero entries so sign classification is exact.
+    roots = [np.where(np.abs(uf) < 1e-12, 0.0, uf) for uf in roots]
+    levels = [_energy(inst, uf) for uf in roots]
+    nehari = [lvl for uf, lvl in zip(roots, levels) if _sign_ok(uf, nodal=False)]
+    nodal = [lvl for uf, lvl in zip(roots, levels) if _sign_ok(uf, nodal=True)]
     return OracleResult(
-        points=tuple(points),
+        points=tuple(inst.extend(uf) for uf in roots),
         levels=tuple(levels),
         min_nehari_level=min(nehari) if nehari else None,
         min_nodal_level=min(nodal) if nodal else None,

@@ -59,6 +59,47 @@ class TestProblemInstance:
             ProblemInstance.full(p6, lam)
 
 
+class TestFreeBlock:
+    """Only the instance knows the free set: gather once, scatter once."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            g = random_graph(rng)
+            yield rng, ProblemInstance.full(g, float(rng.uniform(0.1, 50.0)))
+            # The closed neighbourhood of a vertex is a connected well.
+            x = int(rng.integers(g.n))
+            well = [g.vertex_ids[x]] + [g.vertex_ids[y] for y in np.nonzero(g.weights[x])[0]]
+            yield rng, ProblemInstance.dirichlet(g, g.boundary(well))
+
+    def test_extend_inverts_free_values(self):
+        for rng, inst in self._instances():
+            u = np.where(inst.free, random_field(rng, inst.graph.n), 0.0)
+            assert np.array_equal(inst.extend(inst.free_values(u)), u)
+
+    def test_free_block_arrays(self):
+        for _, inst in self._instances():
+            m = int(inst.free.sum())
+            assert inst.stiffness.shape == (m, m)
+            for arr in (inst.free_index, inst.mu, inst.lam_a, inst.mass):
+                assert arr.shape == (m,)
+            for arr in (inst.free, inst.free_index, inst.stiffness, inst.mu, inst.lam_a, inst.mass):
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+
+    def test_free_values_rejects_support_off_the_well(self):
+        seen = 0
+        for rng, inst in self._instances():
+            if inst.free.all():
+                continue
+            seen += 1
+            u = np.where(inst.free, 0.0, random_field(rng, inst.graph.n))
+            with pytest.raises(NotAdmissible):
+                inst.free_values(u)
+        assert seen > 0
+
+
 class TestDirDeriv:
     def test_critical_point(self, k2_inst):
         u = np.array([E, -E])

@@ -28,6 +28,31 @@ from logschro.cli import main as cli_main
 E = math.e
 OPTS = SolveOptions(starts=16, seed=0)
 
+# `logschro sweep --lambdas 1,10,100,1000,10000 --starts 16 --seed 0` on the
+# generated 6-path with well 3..4: CSV rows and the stderr summary.
+P6_SWEEP_ROWS = [
+    [1.0, 5.765838439032475, 2.332416752946876, 1.1010049331387233, 14.319698484155186,
+     6.6889449515858175, 11.54110069430991, 6.6889449515858175],
+    [10.0, 18.82430513652382, 2.568915935082376, 13.686473266359066, 1.261231786663842,
+     1.8256451289293731, 0.9498405059585031, 0.18256451289293732],
+    [100.0, 19.90274490715047, 2.693993851462937, 14.514757204224598, 0.1827920160371903,
+     0.3389261832555863, 0.1300426606448466, 0.0033892618325558634],
+    [1000.0, 20.06573538219289, 2.715607265207443, 14.634520851778005, 0.01980154099477005,
+     0.03912032764229027, 0.013984070311735465, 3.912032764229027e-05],
+    [10000.0, 20.083532163357155, 2.7180105678800146, 14.647511027597126,
+     0.0020047598305055203, 0.004002745382766531, 0.001414681190836358, 4.0027453827665316e-07],
+]
+P6_SWEEP_SUMMARY = {
+    "c_omega": 2.7182818284590446,
+    "final_thresholds_ok": True,
+    "m_omega": 20.08553692318766,
+    "sup_h_lambda_norm": 12.675339846027896,
+    "trend_ok": True,
+    "u0_h1_sq": 160.68429538550131,
+    "u0_l2_sq": 40.17107384637533,
+    "verdict": True,
+}
+
 
 class TestGenerateGraph:
     def test_path_fixture(self):
@@ -155,6 +180,20 @@ class TestSweep:
             sweep(p6, [1.0, bad], OPTS)
         assert calls == []
 
+    def test_empty_lambdas_rejected_before_any_solve(self, p6, monkeypatch):
+        # It used to run the two Dirichlet solves and return no rows.
+        calls = []
+
+        def record(inst, opts=None):
+            calls.append(inst.mode)
+            raise AssertionError("solve reached")
+
+        monkeypatch.setattr(lab, "solve_nodal", record)
+        monkeypatch.setattr(lab, "solve_ground", record)
+        with pytest.raises(ValueError, match="lambdas"):
+            sweep(p6, [], OPTS)
+        assert calls == []
+
     def test_determinism(self, p6):
         rows_a, _ = sweep(p6, [1.0, 10.0], OPTS)
         rows_b, _ = sweep(p6, [1.0, 10.0], OPTS)
@@ -270,6 +309,24 @@ class TestCli:
                          "--starts", "2", "--tol", "inf"]) == 3
         assert "tol_residual" in capsys.readouterr().err
 
+    def test_negative_seed_exits_3(self, tmp_path, p6, capsys):
+        # numpy used to reject it inside the first start, with a message
+        # that did not name the option.
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        assert cli_main(["solve", "--graph", str(gpath), "--lambda", "10", "--nodal",
+                         "--starts", "2", "--seed", "-1"]) == 3
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_empty_lambdas_exits_3(self, tmp_path, p6, capsys):
+        # It used to print only the CSV header and exit 0 with verdict null.
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        assert cli_main(["sweep", "--graph", str(gpath), "--lambdas", ",", "--starts", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lambdas must not be empty" in captured.err
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_exits_3(self, tmp_path, p6, capsys, lam):
         gpath = tmp_path / "p6.json"
@@ -310,6 +367,26 @@ class TestCli:
         parser = build_parser()
         for command in commands:
             parser.parse_args(shlex.split(command)[1:])
+
+    def test_p6_sweep_values_pinned(self, tmp_path, capsys):
+        # The acceptance sweep's CSV and stderr summary, recorded before the
+        # solver moved onto the free block of the stiffness matrix.
+        gpath = tmp_path / "p6.json"
+        cli_main(["generate", "--topology", "path", "--n", "6", "--well", "3..4",
+                  "--out", str(gpath)])
+        capsys.readouterr()
+        code = cli_main(["sweep", "--graph", str(gpath), "--lambdas", "1,10,100,1000,10000",
+                         "--starts", "16", "--seed", "0"])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert lines[0] == SWEEP_CSV_HEADER
+        got = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert got == [pytest.approx(row, rel=1e-12) for row in P6_SWEEP_ROWS]
+        summary = json.loads(captured.err)
+        for key, value in P6_SWEEP_SUMMARY.items():
+            assert summary[key] == (value if isinstance(value, bool) else pytest.approx(value, rel=1e-12))
+        assert set(summary) == set(P6_SWEEP_SUMMARY)
 
     def test_byte_identical_outputs(self, tmp_path):
         gpath = tmp_path / "p6.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -112,13 +113,13 @@ class TestPolishRetry:
     def test_grid5_ground_polish_count(self, monkeypatch):
         g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
         calls = []
-        polish = solver._newton_polish
+        polish = solver._newton_root
 
         def counted(*args, **kwargs):
             calls.append(1)
             return polish(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_newton_polish", counted)
+        monkeypatch.setattr(solver, "_newton_root", counted)
         rep = solve_ground(ProblemInstance.full(g, 10.0), SolveOptions(starts=8, seed=0))
         # Retrying at every small-residual iterate made 1,054 calls here.
         assert len(calls) <= 120
@@ -130,15 +131,26 @@ POLISH_EVAL_BOUND = solver._POLISH_MAX_ITER * (solver._POLISH_HALVINGS + 1) + 1
 
 
 def _count_residuals(mp):
-    """Count the ``solver._residual_free`` calls made while ``mp`` is active."""
+    """Count the ``solver._residual`` calls made inside ``solver._newton_root``
+    while ``mp`` is active; descent's own residuals are not counted."""
     evals = [0]
-    residual_free = solver._residual_free
+    inside = [False]
+    residual, newton_root = solver._residual, solver._newton_root
 
     def counted(*args):
-        evals[0] += 1
-        return residual_free(*args)
+        if inside[0]:
+            evals[0] += 1
+        return residual(*args)
 
-    mp.setattr(solver, "_residual_free", counted)
+    def polish(*args, **kwargs):
+        inside[0] = True
+        try:
+            return newton_root(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    mp.setattr(solver, "_residual", counted)
+    mp.setattr(solver, "_newton_root", polish)
     return evals
 
 
@@ -146,13 +158,12 @@ def _count_residuals(mp):
 def grid5_polishes():
     """grid5 ground at lambda = 10 with every polish and residual counted.
 
-    Returns the report, the total ``_residual_free`` calls, and one
+    Returns the report, the total polish residual evaluations, and one
     ``(rtol, result, evaluations)`` entry per polish.
     """
     g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
     inst = ProblemInstance.full(g, 10.0)
     polishes = []
-    polish = solver._newton_polish
 
     def recorded_polish(inst, u, rtol):
         before = evals[0]
@@ -162,14 +173,15 @@ def grid5_polishes():
 
     with pytest.MonkeyPatch.context() as mp:
         evals = _count_residuals(mp)
-        mp.setattr(solver, "_newton_polish", recorded_polish)
+        polish = solver._newton_root
+        mp.setattr(solver, "_newton_root", recorded_polish)
         rep = solve_ground(inst, SolveOptions(starts=8, seed=0))
     return inst, rep, evals[0], polishes
 
 
-def _settled(inst, u, rtol):
-    res = solver._residual_free(inst, u[inst.free_index])
-    return float(np.max(np.abs(res))) <= rtol * max(1.0, float(np.max(np.abs(u))))
+def _settled(inst, uf, rtol):
+    res = solver._residual(inst, uf)
+    return float(np.max(np.abs(res))) <= rtol * max(1.0, float(np.max(np.abs(uf))))
 
 
 class TestNewtonPolish:
@@ -193,15 +205,15 @@ class TestNewtonPolish:
         inst, rep, _, _ = grid5_polishes
         rng = np.random.default_rng(3)
         u = rep.minimizer + np.where(inst.free, 1e-4 * rng.standard_normal(inst.graph.n), 0.0)
-        out = solver._newton_polish(inst, u, 1e-11)
+        out = solver._newton_root(inst, inst.free_values(u), 1e-11)
         assert out is not None and _settled(inst, out, 1e-11)
-        assert np.max(np.abs(out - rep.minimizer)) <= 1e-8
+        assert np.max(np.abs(inst.extend(out) - rep.minimizer)) <= 1e-8
 
     def test_gives_up_on_unreachable_tolerance(self, grid5_polishes, monkeypatch):
         # A zero residual is below rounding, so no polish can reach it.
         inst, rep, _, _ = grid5_polishes
         evals = _count_residuals(monkeypatch)
-        assert solver._newton_polish(inst, rep.minimizer, 0.0) is None
+        assert solver._newton_root(inst, inst.free_values(rep.minimizer), 0.0) is None
         assert 1 <= evals[0] <= POLISH_EVAL_BOUND
 
 
@@ -211,6 +223,18 @@ class TestSolveOptions:
         # An infinite tolerance used to pass every start at once.
         with pytest.raises(ValueError, match="tol_residual"):
             SolveOptions(tol_residual=tol)
+
+    @pytest.mark.parametrize("starts", [0, -3, 2.5, None])
+    def test_rejects_starts_that_is_not_a_positive_integer(self, starts):
+        # A fractional count used to fail inside the solve, in range().
+        with pytest.raises(ValueError, match="starts"):
+            SolveOptions(starts=starts)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        # A negative seed used to fail inside the first start, in numpy.
+        with pytest.raises(ValueError, match="seed"):
+            SolveOptions(seed=seed)
 
 
 class TestCollapseGuards:
@@ -264,11 +288,28 @@ class TestLargeField:
         assert verify(inst, rep.minimizer).residual_inf <= opts.tol_residual * scale
 
     def test_random_mix_r151_ground_fails_typed(self):
-        # lam * a reaches 4e4, so every start runs off past |u| ~ 1e180,
-        # where the energy is NaN; no polish there may count as converged.
+        # lam * a reaches 4e4, so projections run off past |u| ~ 1e180,
+        # where squares overflow.  Such fields collapse the start before
+        # any overflow: the suite turns a RuntimeWarning into a failure.
         inst = self._random_mix_instance(151)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence):
             solve_ground(inst, SolveOptions(starts=4, seed=0))
+
+    def test_random_mix_r151_nodal_fails_typed(self):
+        inst = self._random_mix_instance(151)
+        with pytest.raises(NonConvergence):
+            solve_nodal(inst, SolveOptions(starts=4, seed=0))
+
+    @pytest.mark.parametrize("bad", [1e151, math.inf, math.nan])
+    def test_projected_field_beyond_range_collapses(self, p6, monkeypatch, bad):
+        inst = ProblemInstance.full(p6, 10.0)
+        u = p6.field({"v3": 1.0, "v4": -1.0}, default=0.5)
+        scaled = types.SimpleNamespace(projected=bad * u, degenerate=False)
+        monkeypatch.setattr(solver, "_project_ray", lambda inst, w: bad)
+        monkeypatch.setattr(solver, "_project_pair", lambda inst, w: scaled)
+        for project in (solver._project_ground, _project_nodal):
+            with pytest.raises(_Collapse):
+                project(inst, u)
 
 
 class TestVerify:
