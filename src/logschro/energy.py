@@ -51,23 +51,24 @@ class NotAdmissible(ValueError):
     """Field violates the mode's admissibility constraint."""
 
 
+# Least positive subnormal: flooring |u| here changes no nonzero entry and
+# keeps log finite at u = 0, where the products below vanish.
+_TINY = 5e-324
+
+
 def sq_log_sq(u: np.ndarray) -> np.ndarray:
-    """u^2 log u^2 with the value 0 at u = 0."""
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    un = u[nz]
-    # 2 log |u| avoids underflow of u*u for tiny entries.
-    out[nz] = un * un * (2.0 * np.log(np.abs(un)))
-    return out
+    """u^2 log u^2 with the value 0 at u = 0.
+
+    One ufunc chain with no mask: log u^2 is taken as 2 log max(|u|, 5e-324),
+    which avoids underflow of u*u for tiny entries and is finite at u = 0.
+    The value at u = 0 is a signed zero.
+    """
+    return u * u * (2.0 * np.log(np.maximum(np.abs(u), _TINY)))
 
 
 def u_log_sq(u: np.ndarray) -> np.ndarray:
-    """u log u^2 with the value 0 at u = 0."""
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    un = u[nz]
-    out[nz] = un * (2.0 * np.log(np.abs(un)))
-    return out
+    """u log u^2 with the value 0 at u = 0, floored like :func:`sq_log_sq`."""
+    return u * (2.0 * np.log(np.maximum(np.abs(u), _TINY)))
 
 
 class ProblemInstance:

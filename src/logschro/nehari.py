@@ -12,19 +12,26 @@ Each public function validates its field argument once and gathers its
 values on the instance's free vertex set.  The private projections
 ``_project_ray`` and ``_project_pair``, which the solver calls directly,
 run on those free values through the sign-part statistics
-(``_split_stats``) and the trusted kernels of :mod:`logschro.energy`;
+(``_split_stats``: one ``sq_log_sq`` pass and the two matvecs ``S u+`` and
+``S u-``) and the trusted kernels of :mod:`logschro.energy`;
 ``project_pair`` scatters the projected field back to full length.
+
+The level of a projected field needs no energy pass: on either Nehari set
+``J(w) = |w|_2^2 / 2`` exactly, since ``J(w) - |w|_2^2 / 2 = J'(w).w / 2``
+vanishes there.  ``PairProjection`` carries ``level = (s^2 |u+|_2^2 +
+t^2 |u-|_2^2) / 2`` from the statistics it already has; a ray-projected
+field ``s w`` has level ``|s w|_2^2 / 2``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import ProblemInstance, _coupling_k, _energy, _norm_h_sq, sq_log_sq
+from .energy import ProblemInstance, _energy, _norm_h_sq, sq_log_sq
 from .graphs import negative_part, positive_part
 
 __all__ = [
@@ -46,6 +53,9 @@ _MAX_STEPS = 200
 _MAX_BOX_EXP = min(sys.float_info.max_exp - 1, 1 - sys.float_info.min_exp) // 2
 _PAIR_TOL = 1e-10  # pair residuals, relative to the projected field
 _MEMBERSHIP_TOL = 1e-8  # fiber formula's sign-changing Nehari membership
+# H1 norm under which the solver's pair projection counts a sign part as
+# vanished; the public project_pair only needs both parts nonzero.
+_NIL_PART = 1e-14
 
 
 class DegenerateCoupling(RuntimeError):
@@ -71,6 +81,7 @@ class PairProjection:
     g2_residual: float
     iterations: int
     bracket: tuple[float, float]
+    level: float  # energy of the projected field, (s^2 |u+|_2^2 + t^2 |u-|_2^2) / 2
     degenerate: bool = False
 
     def to_dict(self) -> dict:
@@ -94,7 +105,7 @@ class FiberValue:
 
 @dataclass(frozen=True)
 class _SplitStats:
-    """Norms of the sign parts entering the closed-form pair residuals."""
+    """Sign parts of a field and the norms entering the closed-form pair residuals."""
 
     a_pos: float  # energy-space norm^2 of u+
     l_pos: float  # integral of u+^2 log u+^2
@@ -103,6 +114,10 @@ class _SplitStats:
     l_neg: float
     b_neg: float
     k: float  # edge coupling, <= 0
+    h_pos: float  # H1 norm^2 of u+: gradient form plus L2 mass
+    h_neg: float
+    up: np.ndarray = field(repr=False, compare=False)
+    um: np.ndarray = field(repr=False, compare=False)
 
     @property
     def scale(self) -> float:
@@ -110,17 +125,33 @@ class _SplitStats:
 
 
 def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
-    """Statistics of the free values of a field the caller has validated."""
-    mu = inst.mu
+    """Statistics of the free values of a field the caller has validated.
+
+    One fused pass: a single ``sq_log_sq(u)`` split by sign and the two
+    matvecs ``S u+`` and ``S u-`` give every entry.  ``k = -2 u+ . (S u-)``
+    because the supports are disjoint, and the energy-space and H1 norms
+    share the gradient forms ``u+- . (S u+-)``.  Each entry is the same
+    float, from the same operations in the same order, as evaluating the
+    kernels on ``u+`` and ``u-`` one at a time.
+    """
+    mu, mass, stiff = inst.mu, inst.mass, inst.stiffness
     up, um = positive_part(u), negative_part(u)
+    q = sq_log_sq(u)
+    s_up, s_um = stiff @ up, stiff @ um
+    up2, um2 = up * up, um * um
+    grad_pos, grad_neg = up @ s_up, um @ s_um
     return _SplitStats(
-        a_pos=_norm_h_sq(inst, up),
-        l_pos=float(mu @ sq_log_sq(up)),
-        b_pos=float(mu @ (up * up)),
-        a_neg=_norm_h_sq(inst, um),
-        l_neg=float(mu @ sq_log_sq(um)),
-        b_neg=float(mu @ (um * um)),
-        k=_coupling_k(inst, u),
+        a_pos=float(grad_pos + mass @ up2),
+        l_pos=float(mu @ np.where(u > 0.0, q, 0.0)),
+        b_pos=float(mu @ up2),
+        a_neg=float(grad_neg + mass @ um2),
+        l_neg=float(mu @ np.where(u < 0.0, q, 0.0)),
+        b_neg=float(mu @ um2),
+        k=-2.0 * float(up @ s_um),
+        h_pos=float(grad_pos + mu @ up2),
+        h_neg=float(grad_neg + mu @ um2),
+        up=up,
+        um=um,
     )
 
 
@@ -160,6 +191,14 @@ def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
         - 0.5 * s * t * stats.k
     )
     return g1, g2
+
+
+def _g_scaled(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
+    """(g1 / s^2, g2 / t^2): the pair residuals without the factors s^2 and
+    t^2, whose products with a+- overflow near the top of the box."""
+    e1 = stats.a_pos - stats.l_pos - stats.b_pos - math.log(s * s) * stats.b_pos
+    e2 = stats.a_neg - stats.l_neg - stats.b_neg - math.log(t * t) * stats.b_neg
+    return e1 - 0.5 * (t / s) * stats.k, e2 - 0.5 * (s / t) * stats.k
 
 
 def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> tuple[float, float]:
@@ -278,21 +317,34 @@ def project_pair(
     the bracket or the step is a few ulp of x wide, or f = 0, and the
     result is accepted when max|g| <= 1e-10 * max(s^2 |u+|_H^2,
     t^2 |u-|_H^2, 1), a test relative to the projected field and hence
-    scale-invariant.  ``initial[0]`` is the starting s, clamped into the
+    scale-invariant.  It is judged on g1 / s^2 and g2 / t^2, so a root
+    whose s^2 |u+|_H^2 overflows still passes; a residual reported there
+    is s^2 times the scaled one.  ``level`` is the energy
+    (s^2 |u+|_2^2 + t^2 |u-|_2^2) / 2 of the projected field, exact on the
+    sign-changing Nehari set.  ``initial[0]`` is the starting s, clamped into the
     box; t follows from s.  Zero coupling makes the system decouple into
     two independent ray projections, held to the same test; the result is
     then flagged ``degenerate``.
     """
-    proj = _project_pair(inst, inst.free_values(u), initial)
+    proj = _pair_from_stats(_split_stats(inst, inst.free_values(u)), initial)
     return replace(proj, projected=inst.extend(proj.projected))
 
 
-def _project_pair(
-    inst: ProblemInstance, u: np.ndarray, initial: tuple[float, float] | None = None
-) -> PairProjection:
-    """``project_pair`` on the free values ``u``; ``projected`` is free values too."""
-    up, um = positive_part(u), negative_part(u)
+def _project_pair(inst: ProblemInstance, u: np.ndarray) -> PairProjection:
+    """The solver's pair projection of the free values ``u``.
+
+    ``projected`` is free values too.  Unlike ``project_pair`` it raises
+    ``ValueError`` as soon as a sign part has H1 norm below ``_NIL_PART``:
+    descent treats such a field as collapsed onto one sign.
+    """
     stats = _split_stats(inst, u)
+    if math.sqrt(max(min(stats.h_pos, stats.h_neg), 0.0)) < _NIL_PART:
+        raise ValueError("a sign part has vanished")
+    return _pair_from_stats(stats)
+
+
+def _pair_from_stats(stats: _SplitStats, initial: tuple[float, float] | None = None) -> PairProjection:
+    """The pair projection of the field whose sign parts ``stats`` holds."""
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("pair projection needs both sign parts nontrivial")
 
@@ -330,10 +382,25 @@ def _project_pair(
         s = math.exp(x)
         t = _t_on_g1(stats, s)[0]
 
-    g1, g2 = _g_pair(stats, s, t) if t > 0.0 else (math.inf, math.inf)
-    bound = _PAIR_TOL * max(s * s * stats.a_pos, t * t * stats.a_neg, 1.0)
-    # Written so that a NaN anywhere fails the test.
-    if not (abs(g1) <= bound and abs(g2) <= bound):
+    if t > 0.0:
+        g1, g2 = _g_pair(stats, s, t)
+        # The test |g| <= 1e-10 max(s^2 a+, t^2 a-, 1), divided through by
+        # s^2 for g1 and by t^2 for g2, so that it holds at roots where
+        # s^2 a+ or t^2 a- overflows.  _g_pair took log(s * s) and
+        # log(t * t), so both squares are positive.  Written so that a NaN
+        # anywhere fails the test.
+        e1, e2 = _g_scaled(stats, s, t)
+        r, q = t / s, s / t
+        ok = (
+            abs(e1) <= _PAIR_TOL * max(stats.a_pos, r * r * stats.a_neg, 1.0 / (s * s))
+            and abs(e2) <= _PAIR_TOL * max(q * q * stats.a_pos, stats.a_neg, 1.0 / (t * t))
+        )
+        g1 = g1 if math.isfinite(g1) else s * s * e1
+        g2 = g2 if math.isfinite(g2) else t * t * e2
+    else:
+        g1 = g2 = math.inf
+        ok = False
+    if not ok:
         raise NonConvergence(
             f"pair projection stalled at (g1, g2) = ({g1:.3e}, {g2:.3e}) "
             f"after {iterations} steps"
@@ -341,10 +408,11 @@ def _project_pair(
     return PairProjection(
         s=s,
         t=t,
-        projected=s * up + t * um,
+        projected=s * stats.up + t * stats.um,
         g1_residual=g1,
         g2_residual=g2,
         iterations=iterations,
         bracket=bracket,
+        level=0.5 * (s * s * stats.b_pos + t * t * stats.b_neg),
         degenerate=degenerate,
     )

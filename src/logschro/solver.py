@@ -2,16 +2,22 @@
 
 Each start draws a random field, projects it onto the relevant Nehari
 set, and alternates descent steps along the negative residual with
-re-projection.  A damped Newton polish on the pointwise residual system
-ends a start early once it succeeds; descent tries it when the residual
-is small, every 25 iterations, when the line search cannot move, and at
-tolerance.  The polish aims at a tenth of the descent stopping test,
-relative to the field's sup norm, and gives up once a Newton step has
-been halved five times without lowering the residual, leaving the start
-to descent.  A brute-force oracle on instances with at most a few free
-vertices provides independent reference levels: a vectorized grid scan
-of the residual system, whose sign-change cells it polishes with the
-same damped Newton.
+re-projection.  A line-search trial costs one projection and nothing
+else: the projection returns the level of its field in closed form
+(``J(w) = |w|_2^2 / 2`` on both Nehari sets), and the Armijo test compares
+that level with the level the start carries.  ``_energy`` evaluates a
+field on its own only to judge a polish and to report a level.
+
+A damped Newton polish on the pointwise residual system ends a start
+early once it succeeds; descent tries it when the residual is small,
+every 25 iterations, when the line search cannot move, and at tolerance.
+The polish aims at a tenth of the descent stopping test, relative to the
+field's sup norm, and gives up once a Newton step has been halved five
+times without lowering the residual, leaving the start to descent.  A
+brute-force oracle on instances with at most a few free vertices
+provides independent reference levels: a vectorized grid scan of the
+residual system, whose sign-change cells it polishes with the same
+damped Newton.
 
 Seeds, descent, projections, polish and oracle all work on the free
 values of a field (see :class:`~logschro.energy.ProblemInstance`) and
@@ -47,7 +53,7 @@ __all__ = [
     "oracle_enumerate",
 ]
 
-_COLLAPSE_TOL = 1e-14
+_COLLAPSE_TOL = 1e-14  # sup norm of a ground trial field that has vanished
 # Projected fields beyond this sup norm collapse: below it their squares,
 # energy and residual stay finite.
 _FIELD_MAX = 1e150
@@ -175,9 +181,9 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
     evaluations.
     """
     r = _residual(inst, uf)
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = float(np.abs(r).max())
     for it in range(_POLISH_MAX_ITER + 1):
-        if rnorm <= rtol * max(1.0, float(np.max(np.abs(uf)))):
+        if rnorm <= rtol * max(1.0, float(np.abs(uf).max())):
             return uf
         if it == _POLISH_MAX_ITER:
             return None
@@ -190,7 +196,7 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
             if not np.all(np.isfinite(cand)):
                 continue
             cr = _residual(inst, cand)
-            cnorm = float(np.max(np.abs(cr)))
+            cnorm = float(np.abs(cr).max())
             if cnorm < rnorm:
                 uf, r, rnorm = cand, cr, cnorm
                 break
@@ -201,36 +207,32 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
 # -- per-start descent on the free values of a field ----------------------
 
 
-def _h1_norm(inst: ProblemInstance, u: np.ndarray) -> float:
-    """sqrt(|u|_H1^2) of finite free values: gradient form plus L2 mass."""
-    return math.sqrt(max(float(u @ (inst.stiffness @ u) + inst.mu @ (u * u)), 0.0))
-
-
 def _in_range(u: np.ndarray) -> np.ndarray:
     """``u``, or _Collapse when its sup norm exceeds ``_FIELD_MAX``."""
     # Written so that a NaN fails it too.
-    if not float(np.max(np.abs(u))) <= _FIELD_MAX:
+    if not float(np.abs(u).max()) <= _FIELD_MAX:
         raise _Collapse
     return u
 
 
 def _project_nodal(inst: ProblemInstance, u: np.ndarray):
+    """(projected field, its level, degenerate), or _Collapse.
+
+    The pair projection also collapses a field whose sign part has an H1
+    norm below 1e-14.
+    """
     if not np.all(np.isfinite(u)):
-        raise _Collapse
-    if (
-        _h1_norm(inst, positive_part(u)) < _COLLAPSE_TOL
-        or _h1_norm(inst, negative_part(u)) < _COLLAPSE_TOL
-    ):
         raise _Collapse
     try:
         proj = _project_pair(inst, u)
     except (ValueError, NonConvergence, NoBracket, OverflowError):
         raise _Collapse from None
-    return _in_range(proj.projected), proj.degenerate
+    return _in_range(proj.projected), proj.level, proj.degenerate
 
 
 def _project_ground(inst: ProblemInstance, u: np.ndarray):
-    if not np.all(np.isfinite(u)) or float(np.max(np.abs(u))) < _COLLAPSE_TOL:
+    """(projected field, its level, False), or _Collapse."""
+    if not np.all(np.isfinite(u)) or float(np.abs(u).max()) < _COLLAPSE_TOL:
         raise _Collapse
     try:
         s = _project_ray(inst, u)
@@ -239,17 +241,23 @@ def _project_ground(inst: ProblemInstance, u: np.ndarray):
         raise _Collapse from None
     if not 0.0 < s < math.inf:
         raise _Collapse
-    return _in_range(s * u), False
+    w = _in_range(s * u)
+    return w, 0.5 * float(inst.mu @ (w * w)), False
 
 
 def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
     if nodal:
         return float(u.max()) > _SIGN_EPS and float(u.min()) < -_SIGN_EPS
-    return float(np.max(np.abs(u))) > _SIGN_EPS
+    return float(np.abs(u).max()) > _SIGN_EPS
 
 
 def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal: bool):
     """Projected descent from one initial field.
+
+    The start carries the level of its current field, which the projection
+    returns in closed form; a line-search trial is accepted on the Armijo
+    test against that level, so it costs one projection and no energy
+    evaluation.  ``_energy`` is called only to judge a polish.
 
     A Newton polish is tried at tolerance, when the line search cannot
     move, every 25th iteration, and when the sup residual is at most
@@ -269,7 +277,7 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     """
     project = _project_nodal if nodal else _project_ground
     precond = 1.0 / (inst.lam_a + 1.0)
-    u, degen = project(inst, u0)
+    u, level, degen = project(inst, u0)
 
     def polished(cur: np.ndarray):
         cand = _newton_root(inst, cur, rtol=0.1 * opts.tol_residual)
@@ -284,8 +292,8 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     failed_at = math.inf  # rinf at the last failed polish in the loop
     for it in range(_MAX_OUTER_ITERS):
         r = _residual(inst, u)
-        rinf = float(np.max(np.abs(r)))
-        scale = max(1.0, float(np.max(np.abs(u))))
+        rinf = float(np.abs(r).max())
+        scale = max(1.0, float(np.abs(u).max()))
         if rinf <= opts.tol_residual * scale:
             cand = polished(u)
             return (cand if cand is not None else u), True, degen
@@ -296,16 +304,15 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
             failed_at = rinf
         d = -r * precond
         slope = float(inst.mu @ (r * d))
-        j0 = _energy(inst, u)
         alpha, moved = _STEP_INIT, False
         while alpha > 1e-16:
             try:
-                cand, cand_degen = project(inst, u + alpha * d)
+                cand, cand_level, cand_degen = project(inst, u + alpha * d)
             except _Collapse:
                 alpha *= _SHRINK
                 continue
-            if _energy(inst, cand) <= j0 + _ARMIJO * alpha * slope:
-                u, degen, moved = cand, cand_degen, True
+            if cand_level <= level + _ARMIJO * alpha * slope:
+                u, level, degen, moved = cand, cand_level, cand_degen, True
                 break
             alpha *= _SHRINK
         if not moved:
@@ -314,7 +321,7 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
                 return cand, True, degen
             return u, False, degen
     r = _residual(inst, u)
-    ok = float(np.max(np.abs(r))) <= opts.tol_residual * max(1.0, float(np.max(np.abs(u))))
+    ok = float(np.abs(r).max()) <= opts.tol_residual * max(1.0, float(np.abs(u).max()))
     return u, ok, degen
 
 

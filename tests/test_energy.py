@@ -15,6 +15,8 @@ from logschro import (
     residual,
 )
 
+from logschro.energy import sq_log_sq, u_log_sq
+
 from conftest import random_field, random_graph
 
 E = math.e
@@ -50,6 +52,33 @@ class TestEnergy:
                 assert energy(dir_inst, u) == pytest.approx(
                     energy(full_inst, u), rel=1e-12
                 )
+
+
+def _masked(u, square):
+    """The log kernels as masked definitions: 0 at u = 0, else u^2 log u^2
+    (``square``) or u log u^2."""
+    out = np.zeros_like(u)
+    nz = u != 0.0
+    un = u[nz]
+    out[nz] = (un * un if square else un) * (2.0 * np.log(np.abs(un)))
+    return out
+
+
+class TestLogKernels:
+    VALUES = [0.0, 5e-324, 1e-300, 1e-160, 1.0, 1e154, math.inf, math.nan]
+
+    @pytest.mark.parametrize("kernel, square", [(sq_log_sq, True), (u_log_sq, False)])
+    def test_match_masked_definitions(self, kernel, square):
+        u = np.array(self.VALUES + [-v for v in self.VALUES])
+        # (1e154)^2 log 1e308 overflows to inf in both definitions; any
+        # other floating-point event (log 0, 0 * inf) raises.
+        with np.errstate(over="ignore"):
+            want = _masked(u, square)
+        with np.errstate(all="raise", over="ignore", under="ignore"):
+            got = kernel(u)
+        # Equal entry for entry, NaN in the same places.
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.isnan(got), np.isnan(u))
 
 
 class TestProblemInstance:

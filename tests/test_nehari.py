@@ -18,6 +18,8 @@ from logschro import (
     project_ray,
 )
 from logschro import nehari
+from logschro.energy import _energy
+from logschro.solver import _Collapse, _project_ground
 
 from conftest import random_field, random_graph
 
@@ -300,6 +302,122 @@ class TestProjectPair:
         for c in (1e-3, 1e3):
             again = project_pair(inst, c * u)
             np.testing.assert_allclose(again.projected, proj.projected, rtol=1e-12, atol=0.0)
+
+
+class TestRootNearTopOfBox:
+    """Roots where s^2 |u+|_H^2 overflows while the projected field is finite."""
+
+    def test_draws_with_overflowing_residual_form_converge(self):
+        # The test_matches_scan recipe at seed 5.  At these roots s is
+        # 3e151 to 1e152, so g1 = s^2 (...) overflowed to NaN and the pair
+        # used to stall; judged on g1 / s^2 and g2 / t^2 they are roots.
+        rng = np.random.default_rng(5)
+        draws = {}
+        for i in range(2878):
+            g = random_graph(rng)
+            inst = ProblemInstance.full(g, 10.0 ** rng.uniform(-1.0, 4.0))
+            u = random_field(rng, g.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if i in (1372, 2082, 2877):
+                draws[i] = (inst, u)
+        for inst, u in draws.values():
+            proj = project_pair(inst, u)
+            assert 1e151 < proj.s < 2e152
+            assert np.all(np.isfinite(proj.projected))
+            assert math.isfinite(proj.g1_residual) and math.isfinite(proj.g2_residual)
+
+
+def _parent_split_stats(inst, u):
+    """The sign-part statistics evaluated part by part, as before the fused
+    pass: each part's own matvec and masked u^2 log u^2, the coupling from a
+    third matvec, and the solver's H1 norms from two more."""
+
+    def masked_sq_log_sq(w):
+        out = np.zeros_like(w)
+        nz = w != 0.0
+        out[nz] = w[nz] * w[nz] * (2.0 * np.log(np.abs(w[nz])))
+        return out
+
+    def norm_h_sq(w):
+        return float(w @ (inst.stiffness @ w) + inst.mass @ (w * w))
+
+    def h1_sq(w):
+        return float(w @ (inst.stiffness @ w) + inst.mu @ (w * w))
+
+    up, um = np.maximum(u, 0.0), np.minimum(u, 0.0)
+    return {
+        "a_pos": norm_h_sq(up),
+        "l_pos": float(inst.mu @ masked_sq_log_sq(up)),
+        "b_pos": float(inst.mu @ (up * up)),
+        "a_neg": norm_h_sq(um),
+        "l_neg": float(inst.mu @ masked_sq_log_sq(um)),
+        "b_neg": float(inst.mu @ (um * um)),
+        "k": -2.0 * float(np.maximum(u, 0.0) @ (inst.stiffness @ np.minimum(u, 0.0))),
+        "h_pos": h1_sq(up),
+        "h_neg": h1_sq(um),
+    }
+
+
+def _full_and_dirichlet(seed, draws):
+    """(instance, free values of a random field) on seeded random graphs.
+
+    lambda = 10^U(-1, 4) and field scale 10^U(-3, 3); each graph gives a
+    full instance and a Dirichlet instance on a vertex's closed
+    neighbourhood.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        g = random_graph(rng)
+        lam = 10.0 ** rng.uniform(-1.0, 4.0)
+        x = int(rng.integers(g.n))
+        well = [g.vertex_ids[x]] + [g.vertex_ids[y] for y in np.nonzero(g.weights[x])[0]]
+        for inst in (ProblemInstance.full(g, lam), ProblemInstance.dirichlet(g, g.boundary(well))):
+            yield inst, random_field(rng, len(inst.mu)) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+class TestClosedFormLevel:
+    """The fused statistics, and the levels the projections return."""
+
+    def test_split_stats_bit_identical_to_part_by_part(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for inst, u in _full_and_dirichlet(3, 300):
+            u[rng.random(len(u)) < 0.2] = 0.0
+            got = nehari._split_stats(inst, u)
+            for name, want in _parent_split_stats(inst, u).items():
+                assert getattr(got, name) == want, name
+            np.testing.assert_array_equal(got.up + got.um, u)
+            checked += 1
+        assert checked == 600
+
+    def test_pair_level_is_energy_of_projection(self):
+        checked = 0
+        for inst, u in _full_and_dirichlet(11, 1000):
+            if not u.max() > 0.0 > u.min():
+                continue
+            try:
+                proj = nehari._project_pair(inst, u)
+            except (ValueError, NoBracket, NonConvergence, OverflowError):
+                continue
+            # Past 1e150 the energy's own u^2 log u^2 overflows.
+            if not np.abs(proj.projected).max() <= 1e150:
+                continue
+            stats = nehari._split_stats(inst, u)
+            scale = 0.5 * (proj.s**2 * stats.a_pos + proj.t**2 * stats.a_neg)
+            assert abs(proj.level - _energy(inst, proj.projected)) <= 1e-13 * scale
+            checked += 1
+        assert checked >= 500
+
+    def test_ray_level_is_energy_of_projection(self):
+        checked = 0
+        for inst, u in _full_and_dirichlet(11, 1000):
+            try:
+                w, level, _ = _project_ground(inst, u)
+            except _Collapse:
+                continue
+            scale = 0.5 * nehari._norm_h_sq(inst, w)
+            assert abs(level - _energy(inst, w)) <= 1e-13 * scale
+            checked += 1
+        assert checked >= 1000
 
 
 class TestFiberEnergy:

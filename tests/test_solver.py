@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import types
@@ -16,6 +17,7 @@ from logschro import (
     energy,
     generate_graph,
     oracle_enumerate,
+    project_pair,
     solve_ground,
     solve_nodal,
     verify,
@@ -125,6 +127,33 @@ class TestPolishRetry:
         assert len(calls) <= 120
         assert rep.starts_converged == 8
         assert rep.level == pytest.approx(13.134618343915474, rel=1e-10)
+
+
+class TestLineSearchCost:
+    def test_trials_make_no_energy_call(self, monkeypatch):
+        # Trials are judged by the level their projection returns.
+        # _energy judges a polish (two calls), and gives each converged
+        # start's level and the reported level; one call per trial would
+        # exceed that many times over.
+        g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
+        inst = ProblemInstance.full(g, 10.0)
+        opts = SolveOptions(starts=8, seed=0)
+        calls = collections.Counter()
+        for name in ("_energy", "_newton_root", "_project_ray", "_project_pair"):
+            monkeypatch.setattr(solver, name, _counted(calls, name, getattr(solver, name)))
+        solve_ground(inst, opts)
+        solve_nodal(inst, opts)
+        bound = 2 * calls["_newton_root"] + 2 * opts.starts + 2
+        assert calls["_project_ray"] + calls["_project_pair"] > 5 * bound
+        assert calls["_energy"] <= bound
+
+
+def _counted(calls, name, func):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+
+    return counted
 
 
 POLISH_EVAL_BOUND = solver._POLISH_MAX_ITER * (solver._POLISH_HALVINGS + 1) + 1
@@ -245,6 +274,15 @@ class TestCollapseGuards:
         for project in (solver._project_ground, _project_nodal):
             with pytest.raises(_Collapse):
                 project(inst, u)
+
+    def test_vanishing_sign_part_collapses(self, p6):
+        # |u-|_H1 ~ 1.4e-16 is below the descent's 1e-14 floor; the public
+        # projection has no absolute floor and still projects the field.
+        inst = ProblemInstance.full(p6, 10.0)
+        u = p6.field({"v3": 1.0, "v6": -1e-16})
+        with pytest.raises(_Collapse):
+            _project_nodal(inst, u)
+        assert np.all(np.isfinite(project_pair(inst, u).projected))
 
 
 class TestScalingOverflow:
