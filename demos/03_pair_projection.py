@@ -2,10 +2,11 @@
 
 Starting from an arbitrary sign-changing field, the pair projection
 finds the unique scalings (s, t) that place s*u+ + t*u- on the
-sign-changing set.  The residual g1 vanishes along a closed-form curve
-t = t(s), so the search is one scalar root in log s: a closed-form
-bracketing box whose corners carry the sign pattern, then safeguarded
-Newton inside it.  The
+sign-changing set.  g1 = 0 gives log s^2 and g2 = 0 gives log t^2 in
+closed form as functions of the ratio p = t/s, so the search is one
+scalar root G(p) = 0.  A closed-form bracketing box whose corners carry
+the sign pattern bounds the root; G is increasing and concave, so plain
+Newton from a point where G < 0 climbs to it without overshooting.  The
 fiber map (s, t) -> J(s*u+ + t*u-) is maximal exactly at (1, 1) on the
 projected field.
 """

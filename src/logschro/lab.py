@@ -216,10 +216,6 @@ def sweep(
     report = graph.validate_potential()
     if not report.passes or len(report.omega.interior) < 2:
         raise ValueError("sweep needs a valid well with at least two vertices")
-    omega_mask = np.zeros(graph.n, dtype=bool)
-    for vid in report.omega.interior:
-        omega_mask[graph.index(vid)] = True
-
     dir_inst = ProblemInstance.dirichlet(graph, report.omega)
     nd = solve_nodal(dir_inst, opts)
     gd = solve_ground(dir_inst, opts)
@@ -253,7 +249,7 @@ def sweep(
                 gap_to_m_omega=m_omega - rn.level,
                 potential_mass=lam * graph.integrate(graph.potential_a * u * u),
                 h1_dist_to_limit=math.sqrt(max(_h1_inner(graph, diff, diff), 0.0)),
-                tail_mass=graph.integrate(np.where(omega_mask, 0.0, u * u)),
+                tail_mass=graph.integrate(np.where(dir_inst.free, 0.0, u * u)),
             )
         )
 

@@ -3,10 +3,12 @@
 The ray projection has a closed form for the logarithmic nonlinearity.
 The pair projection finds the scaling factors (s, t) of the positive and
 negative parts with g1 = g2 = 0.  For the logarithmic nonlinearity g1 = 0
-gives t in closed form as a function of s, so the pair system is one
-scalar root in log s, found by a safeguarded Newton iteration inside the
-intermediate-value bracketing box.  That box is in closed form too, and
-only a box beyond float range raises ``NoBracket``.
+gives log s^2 and g2 = 0 gives log t^2 in closed form as functions of the
+ratio p = t / s, so the pair system is one scalar root in p.  That root's
+equation is increasing and concave, so a plain Newton iteration reaches
+it monotonically.  The intermediate-value bracketing box is in closed
+form too; it bounds the root, and only a box beyond float range raises
+``NoBracket``.
 
 Each public function validates its field argument once and gathers its
 values on the instance's free vertex set.  The private projections
@@ -155,11 +157,6 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
     )
 
 
-def _ray_scale(a: float, b: float, l: float) -> float:
-    """Ray root from |w|_H^2 = a, |w|_2^2 = b > 0, int w^2 log w^2 = l."""
-    return math.exp(0.5 * (a - b - l) / b)
-
-
 def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     """Unique positive scaling placing ``s w`` on the Nehari manifold.
 
@@ -174,7 +171,7 @@ def _project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     b = float(mu @ (w * w))
     if b == 0.0:
         raise ValueError("cannot ray-project the zero field")
-    return _ray_scale(_norm_h_sq(inst, w), b, float(mu @ sq_log_sq(w)))
+    return math.exp(0.5 * (_norm_h_sq(inst, w) - b - float(mu @ sq_log_sq(w))) / b)
 
 
 def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
@@ -281,27 +278,15 @@ def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> Fi
     return FiberValue(s=s, t=t, value=value)
 
 
-def _t_on_g1(stats: _SplitStats, s: float) -> tuple[float, float]:
-    """The t solving g1(s, t) = 0, and dt/ds.
+def _ratio_eq(ka: float, kb: float, d: float, x: float) -> tuple[float, float, float]:
+    """G(x) = ka x - kb / x + 2 log x - d, G'(x), and the rounding band of G.
 
-    t is positive, and increasing in s, exactly when s is past the ray
-    root of u+.
+    The band, 4 ulp of ka x + kb / x + |2 log x| + |d| + 2, bounds G's
+    rounding and exceeds 4 ulp of G'(x) x, so a Newton step taken while
+    G < -band moves x by at least 4 ulp.
     """
-    c = stats.a_pos - stats.l_pos - stats.b_pos - stats.b_pos * math.log(s * s)
-    return 2.0 * s * c / stats.k, 2.0 * (c - 2.0 * stats.b_pos) / stats.k
-
-
-def _reduced(stats: _SplitStats, x: float) -> tuple[float, float | None]:
-    """f(x) = g2(s, t(s)) / t(s) at s = e^x, and df/dx (None where t(s) <= 0).
-
-    Where t(s) <= 0 the value is the t -> 0+ limit -s*k/2 > 0.
-    """
-    s = math.exp(x)
-    t, dt = _t_on_g1(stats, s)
-    if t <= 0.0:
-        return -0.5 * s * stats.k, None
-    c = stats.a_neg - stats.l_neg - stats.b_neg - stats.b_neg * math.log(t * t)
-    return t * c - 0.5 * s * stats.k, s * ((c - 2.0 * stats.b_neg) * dt - 0.5 * stats.k)
+    lin, inv, lg = ka * x, kb / x, 2.0 * math.log(x)
+    return lin - inv + lg - d, ka + (inv + 2.0) / x, 4.0 * _EPS * (lin + inv + abs(lg) + abs(d) + 2.0)
 
 
 def project_pair(
@@ -309,23 +294,26 @@ def project_pair(
 ) -> PairProjection:
     """Unique (s, t) with s*u+ + t*u- on the sign-changing Nehari set.
 
-    g1 = 0 is linear in t, so t = t(s) in closed form and the pair system
-    reduces to one scalar root of f(x) = g2(s, t(s)) / t(s) in x = log s.
-    The bracketing box gives f(log r) > 0 > f(log R); a Newton step is
-    taken when it stays inside the current bracket and at least halves the
-    previous step, otherwise the bracket is bisected.  The solve stops once
-    the bracket or the step is a few ulp of x wide, or f = 0, and the
+    Dividing g1 by s^2 |u+|_2^2 and g2 by t^2 |u-|_2^2 gives log s^2 and
+    log t^2 as functions of the ratio p = t / s, so the pair system is one
+    scalar root G(p) = 0.  G is increasing and concave, and a Newton
+    iteration from a point where G < 0 (in 1 / p where G > 0) climbs to the
+    root; it stops once G is within its own rounding.  The bracketing box
+    runs first, and a box beyond float range raises ``NoBracket``.  The
     result is accepted when max|g| <= 1e-10 * max(s^2 |u+|_H^2,
     t^2 |u-|_H^2, 1), a test relative to the projected field and hence
     scale-invariant.  It is judged on g1 / s^2 and g2 / t^2, so a root
     whose s^2 |u+|_H^2 overflows still passes; a residual reported there
     is s^2 times the scaled one.  ``level`` is the energy
     (s^2 |u+|_2^2 + t^2 |u-|_2^2) / 2 of the projected field, exact on the
-    sign-changing Nehari set.  ``initial[0]`` is the starting s, clamped into the
-    box; t follows from s.  Zero coupling makes the system decouple into
-    two independent ray projections, held to the same test; the result is
-    then flagged ``degenerate``.
+    sign-changing Nehari set.  ``initial = (s0, t0)``, both positive and
+    finite, offers the ratio t0 / s0 as a start; Newton leaves from it
+    when G is nearer 0 there than at the default starts.  Zero
+    coupling leaves G = 2 log p - const, whose root gives the two
+    independent ray projections; the result is then flagged ``degenerate``.
     """
+    if initial is not None and not all(0.0 < x < math.inf for x in initial):
+        raise ValueError(f"initial scalings must be positive and finite, got {initial!r}")
     proj = _pair_from_stats(_split_stats(inst, inst.free_values(u)), initial)
     return replace(proj, projected=inst.extend(proj.projected))
 
@@ -347,59 +335,60 @@ def _pair_from_stats(stats: _SplitStats, initial: tuple[float, float] | None = N
     """The pair projection of the field whose sign parts ``stats`` holds."""
     if stats.b_pos == 0.0 or stats.b_neg == 0.0:
         raise ValueError("pair projection needs both sign parts nontrivial")
+    bracket = lo, hi = _bracket_from_stats(stats)
 
-    degenerate = stats.k >= 0.0
+    # g1 / (s^2 b+) = 0 and g2 / (t^2 b-) = 0 in the ratio p = t / s:
+    # log s^2 = c+ + k+ p and log t^2 = c- + k- / p, consistent exactly
+    # where G(p) = k+ p - k- / p + 2 log p - (c- - c+) vanishes.
+    c_pos = (stats.a_pos - stats.l_pos - stats.b_pos) / stats.b_pos
+    c_neg = (stats.a_neg - stats.l_neg - stats.b_neg) / stats.b_neg
+    k_pos, k_neg = -0.5 * stats.k / stats.b_pos, -0.5 * stats.k / stats.b_neg
+    d = c_neg - c_pos
+    # Starts: 1, the ratio of the two ray roots (the root at zero
+    # coupling) and the caller's ratio, each clamped to the root's range
+    # [lo / hi, hi / lo]; Newton leaves from the one with the least |G|.
+    # From a far start where a k+- term dominates G, each step would only
+    # double or halve p.
+    span = math.log(hi / lo)
+    starts = [1.0, math.exp(min(max(0.5 * d, -span), span))]
+    if initial is not None:
+        starts.append(min(max(initial[1] / initial[0], lo / hi), hi / lo))
+    g, dg, band, x = min(
+        (_ratio_eq(k_pos, k_neg, d, p) + (p,) for p in starts), key=lambda e: abs(e[0])
+    )
+    # G is increasing and concave, so Newton from where G < 0 climbs to the
+    # root without passing it.  Where G > 0, -G(1 / q) has the same form
+    # in q = 1 / p with k+- swapped and d negated.
+    flip = g > 0.0
+    eq = (k_neg, k_pos, -d) if flip else (k_pos, k_neg, d)
+    if flip:
+        x = 1.0 / x
+        g, dg, band = _ratio_eq(*eq, x)
     iterations = 0
-    if degenerate:
-        s = _ray_scale(stats.a_pos, stats.b_pos, stats.l_pos)
-        t = _ray_scale(stats.a_neg, stats.b_neg, stats.l_neg)
-        bracket = (min(s, t), max(s, t))
-    else:
-        bracket = lo, hi = _bracket_from_stats(stats)
-        x_lo, x_hi = math.log(lo), math.log(hi)
-        s0 = 1.0 if initial is None else float(initial[0])
-        x = math.log(min(max(s0, lo), hi))
-        f, df = _reduced(stats, x)
-        prev_step = x_hi - x_lo
-        while f != 0.0 and iterations < _MAX_STEPS:
-            iterations += 1
-            if f > 0.0:
-                x_lo = x
-            else:
-                x_hi = x
-            xtol = 4.0 * _EPS * max(1.0, abs(x))
-            if x_hi - x_lo <= xtol:
-                break
-            step = -f / df if df else None
-            if step is not None and abs(step) <= xtol:
-                x += step
-                break
-            if step is None or not x_lo < x + step < x_hi or abs(2.0 * step) > abs(prev_step):
-                step = 0.5 * (x_lo + x_hi) - x
-            prev_step = step
-            x += step
-            f, df = _reduced(stats, x)
-        s = math.exp(x)
-        t = _t_on_g1(stats, s)[0]
+    while g < -band:
+        if iterations == _MAX_STEPS:
+            raise NonConvergence(f"pair projection stalled at G = {g:.3e} after {iterations} steps")
+        x -= g / dg
+        iterations += 1
+        g, dg, band = _ratio_eq(*eq, x)
+    p = 1.0 / x if flip else x
+    s = math.exp(0.5 * (c_pos + k_pos * p))
+    t = math.exp(0.5 * (c_neg + k_neg / p))
 
-    if t > 0.0:
-        g1, g2 = _g_pair(stats, s, t)
-        # The test |g| <= 1e-10 max(s^2 a+, t^2 a-, 1), divided through by
-        # s^2 for g1 and by t^2 for g2, so that it holds at roots where
-        # s^2 a+ or t^2 a- overflows.  _g_pair took log(s * s) and
-        # log(t * t), so both squares are positive.  Written so that a NaN
-        # anywhere fails the test.
-        e1, e2 = _g_scaled(stats, s, t)
-        r, q = t / s, s / t
-        ok = (
-            abs(e1) <= _PAIR_TOL * max(stats.a_pos, r * r * stats.a_neg, 1.0 / (s * s))
-            and abs(e2) <= _PAIR_TOL * max(q * q * stats.a_pos, stats.a_neg, 1.0 / (t * t))
-        )
-        g1 = g1 if math.isfinite(g1) else s * s * e1
-        g2 = g2 if math.isfinite(g2) else t * t * e2
-    else:
-        g1 = g2 = math.inf
-        ok = False
+    g1, g2 = _g_pair(stats, s, t)
+    # The test |g| <= 1e-10 max(s^2 a+, t^2 a-, 1), divided through by
+    # s^2 for g1 and by t^2 for g2, so that it holds at roots where
+    # s^2 a+ or t^2 a- overflows.  The box bounds the root, so s^2 and t^2
+    # are positive normal numbers.  Written so that a NaN anywhere fails
+    # the test.
+    e1, e2 = _g_scaled(stats, s, t)
+    r, q = t / s, s / t
+    ok = (
+        abs(e1) <= _PAIR_TOL * max(stats.a_pos, r * r * stats.a_neg, 1.0 / (s * s))
+        and abs(e2) <= _PAIR_TOL * max(q * q * stats.a_pos, stats.a_neg, 1.0 / (t * t))
+    )
+    g1 = g1 if math.isfinite(g1) else s * s * e1
+    g2 = g2 if math.isfinite(g2) else t * t * e2
     if not ok:
         raise NonConvergence(
             f"pair projection stalled at (g1, g2) = ({g1:.3e}, {g2:.3e}) "
@@ -414,5 +403,5 @@ def _pair_from_stats(stats: _SplitStats, initial: tuple[float, float] | None = N
         iterations=iterations,
         bracket=bracket,
         level=0.5 * (s * s * stats.b_pos + t * t * stats.b_neg),
-        degenerate=degenerate,
+        degenerate=stats.k >= 0.0,
     )

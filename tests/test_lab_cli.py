@@ -347,7 +347,8 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: pair projection stalled")
+        assert captured.err.startswith("error: pair projection failed")
+        assert "float range" in captured.err
 
     def test_scaling_overflow_exits_2(self, tmp_path, p3_no_well, capsys):
         gpath = tmp_path / "p3.json"

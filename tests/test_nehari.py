@@ -17,7 +17,7 @@ from logschro import (
     project_pair,
     project_ray,
 )
-from logschro import nehari
+from logschro import WeightedGraph, nehari, solver
 from logschro.energy import _energy
 from logschro.solver import _Collapse, _project_ground
 
@@ -259,13 +259,15 @@ class TestProjectPair:
         assert proj.t == pytest.approx(project_ray(inst, np.array([0.0, 0.0, -1.0])), rel=1e-12)
         g1, g2 = pair_residuals(inst, u, proj.s, proj.t)
         assert abs(g1) <= 1e-10 and abs(g2) <= 1e-10
+        assert proj.iterations == 0
 
     def test_decoupled_overflow_fails_acceptance(self, p6):
-        # Separated supports; t ~ 2.3e217, so t^2 overflows and g2 is NaN.
+        # Separated supports; t ~ 2.3e217, so t^2 overflows: the box that
+        # bounds it is beyond float range, as for a coupled pair.
         inst = ProblemInstance.full(p6, 1000.0)
         u = p6.field({"v3": 1.0, "v6": -1.0})
         assert coupling_k(inst, u) == 0.0
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NoBracket, match="float range"):
             project_pair(inst, u)
 
     def test_restart_uniqueness(self):
@@ -280,6 +282,11 @@ class TestProjectPair:
             again = project_pair(inst, u, initial=init)
             assert again.s == pytest.approx(base.s, rel=1e-8)
             assert again.t == pytest.approx(base.t, rel=1e-8)
+
+    @pytest.mark.parametrize("initial", [(0.0, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    def test_initial_must_be_positive_and_finite(self, k2_inst, initial):
+        with pytest.raises(ValueError, match="initial"):
+            project_pair(k2_inst, np.array([2.0, -1.0]), initial=initial)
 
     def test_large_scale_root_converges(self, p6):
         # The root sits at s ~ 5.5e4, where |g| ~ s^2 |u+|_H^2 ~ 1e10: the
@@ -302,6 +309,81 @@ class TestProjectPair:
         for c in (1e-3, 1e3):
             again = project_pair(inst, c * u)
             np.testing.assert_allclose(again.projected, proj.projected, rtol=1e-12, atol=0.0)
+
+
+class TestRatioNewton:
+    """The root in p = t / s: few steps, and no stall under weak coupling."""
+
+    def test_steps_on_scan_recipe(self):
+        rng = np.random.default_rng(2026)
+        converged = 0
+        for _ in range(2000):
+            g = random_graph(rng)
+            inst = ProblemInstance.full(g, 10.0 ** rng.uniform(-1.0, 4.0))
+            u = random_field(rng, g.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if not u.max() > 0.0 > u.min():
+                continue
+            try:
+                proj = project_pair(inst, u)
+            except NoBracket:
+                continue
+            assert proj.iterations <= 10
+            converged += 1
+            # A start at a far corner of the box must not crawl there.
+            lo, hi = proj.bracket
+            for init in ((lo, hi), (hi, lo)):
+                again = project_pair(inst, u, initial=init)
+                assert again.iterations <= 10
+                assert again.s == pytest.approx(proj.s, rel=1e-12)
+                assert again.t == pytest.approx(proj.t, rel=1e-12)
+        assert converged >= 1000
+
+    @pytest.mark.parametrize("w", [1e-6, 1e-8])
+    def test_weak_coupling_converges(self, w):
+        # k = -2w moves the pair O(w) off the ray roots (1, 1), to
+        # s = t = e^w exactly.
+        g = WeightedGraph(["v1", "v2"], [1, 1], [0, 0], [("v1", "v2", w)])
+        inst = ProblemInstance.full(g, 1.0)
+        proj = project_pair(inst, np.array([1.0, -1.0]))
+        assert proj.s == pytest.approx(math.exp(w), rel=1e-15)
+        assert proj.t == pytest.approx(math.exp(w), rel=1e-15)
+        for u in ([2.0, -0.5], [0.9, -1.1]):
+            u = np.array(u)
+            proj = project_pair(inst, u)
+            scale = max(
+                proj.s**2 * inst.norm_h_sq(np.maximum(u, 0.0)),
+                proj.t**2 * inst.norm_h_sq(np.minimum(u, 0.0)),
+                1.0,
+            )
+            assert abs(proj.g1_residual) <= 1e-10 * scale
+            assert abs(proj.g2_residual) <= 1e-10 * scale
+
+    def test_random_mix_weak_coupling_solve_never_stalls(self, monkeypatch):
+        # Instance r002 of the seed-0 random mix: n = 10, lam ~ 7482.  Its
+        # nodal descent projects hundreds of weakly coupled fields.
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            g = random_graph(rng)
+            lam = float(10.0 ** rng.uniform(-1.0, 5.0))
+        assert g.n == 10 and lam == pytest.approx(7481.9, rel=1e-4)
+        inst = ProblemInstance.full(g, lam)
+        outcomes = []
+        project = solver._project_pair
+
+        def counted(inst, u):
+            try:
+                proj = project(inst, u)
+            except Exception as exc:
+                outcomes.append(type(exc).__name__)
+                raise
+            outcomes.append("ok")
+            return proj
+
+        monkeypatch.setattr(solver, "_project_pair", counted)
+        rep = solver.solve_nodal(inst, solver.SolveOptions(starts=4, seed=0))
+        assert "NonConvergence" not in outcomes
+        assert outcomes.count("ok") >= 100
+        assert rep.starts_converged == 4
 
 
 class TestRootNearTopOfBox:

@@ -295,7 +295,8 @@ class TestScalingOverflow:
 
     def test_nodal_raises_nonconvergence(self, p3_no_well):
         inst = ProblemInstance.full(p3_no_well, 5000.0)
-        # Separated sign supports take the decoupled ray-projection branch.
+        # Separated sign supports: the box bounding their ray roots is
+        # beyond float range.
         with pytest.raises(_Collapse):
             _project_nodal(inst, np.array([1.0, 0.0, -1.0]))
         with pytest.raises(NonConvergence):
