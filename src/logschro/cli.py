@@ -40,16 +40,11 @@ def _dump(obj: dict, out: str | None) -> None:
 
 def _load_instance(args) -> tuple[WeightedGraph, ProblemInstance]:
     graph = WeightedGraph.load(args.graph)
-    if args.mode == "full":
-        if args.lam is None:
-            raise GraphValidationError("--lambda is required in full mode")
-        inst = ProblemInstance.full(graph, args.lam)
-    else:
-        try:
-            inst = ProblemInstance.dirichlet(graph)
-        except ValueError as exc:
-            raise GraphValidationError(str(exc)) from None
-    return graph, inst
+    if args.mode == "dirichlet":
+        return graph, ProblemInstance.dirichlet(graph)
+    if args.lam is None:
+        raise GraphValidationError("--lambda is required in full mode")
+    return graph, ProblemInstance.full(graph, args.lam)
 
 
 def build_parser() -> _Parser:
@@ -126,7 +121,7 @@ def main(argv=None) -> int:
             inst = ProblemInstance.full(graph, args.lam)
             try:
                 proj = project_pair(inst, u)
-            except (NoBracket, OverflowError) as exc:
+            except NoBracket as exc:
                 raise NonConvergence(f"pair projection failed: {exc}") from None
             _dump(proj.to_dict(), None)
             return 0

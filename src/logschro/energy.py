@@ -1,20 +1,22 @@
 """Energy functionals for the logarithmic nonlinearity on a graph.
 
-Two problem modes share one code path: the full problem on all vertices
-with potential coupling ``lam * a(x)``, and the Dirichlet problem on the
-potential well, where admissible fields vanish identically outside the
-well interior.  The convention ``0 * log 0 = 0`` is applied everywhere.
+A :class:`ProblemInstance` is a coupling ``lam`` and a free vertex set
+``F``: admissible fields vanish off ``F``, and the potential term is
+``lam * a``.  The full problem takes ``F = V``; its large-coupling limit,
+the Dirichlet problem on the well ``Omega = {a = 0}``, takes ``F =
+Omega`` and drops the potential term (``lam=None``); a ball ``B_R`` as
+``F`` truncates the full problem.  The convention ``0 * log 0 = 0`` is
+applied everywhere.
 
-A :class:`ProblemInstance` fixes the free vertex set ``F``: all of ``V``
-in full mode, the well interior in Dirichlet mode.  It stores the free
-block of every coefficient (``mu``, ``lam * a`` and the stiffness block
-``S[F, F]``), and the private kernels (``_norm_h_sq``, ``_energy``,
-``_residual``, ``_dir_deriv``, ``_coupling_k``) run on the free values of
-a field alone.  ``S[F, F]`` is the Dirichlet operator: its diagonal still
-counts every edge to the boundary, so ``u_F^T S[F, F] u_F`` is the
-gradient energy of the zero extension and ``(S[F, F] u_F) / mu_F`` its
-``-Laplacian`` on ``F``.  The kernels use ``integral of Gamma(u, v) dmu =
-v^T S u`` and trust their arrays.
+The instance stores the free block of every coefficient (``mu``, ``lam *
+a`` and the stiffness block ``S[F, F]``), and the private kernels
+(``_norm_h_sq``, ``_energy``, ``_residual``, ``_dir_deriv``,
+``_coupling_k``) run on the free values of a field alone.  ``S[F, F]`` is
+the Dirichlet operator: its diagonal still counts every edge to the
+boundary, so ``u_F^T S[F, F] u_F`` is the gradient energy of the zero
+extension and ``(S[F, F] u_F) / mu_F`` its ``-Laplacian`` on ``F``.  The
+kernels use ``integral of Gamma(u, v) dmu = v^T S u`` and trust their
+arrays.
 
 Full-length fields appear only at the public API: a public function
 validates and gathers its field arguments once (``free_values``) and
@@ -48,7 +50,7 @@ __all__ = [
 
 
 class NotAdmissible(ValueError):
-    """Field violates the mode's admissibility constraint."""
+    """Field is nonzero off the instance's free vertex set."""
 
 
 # Least positive subnormal: flooring |u| here changes no nonzero entry and
@@ -72,66 +74,54 @@ def u_log_sq(u: np.ndarray) -> np.ndarray:
 
 
 class ProblemInstance:
-    """A graph together with the energy definition in force.
+    """A graph, a coupling ``lam`` and a free vertex set ``F``.
 
-    Build with :meth:`full` (coupling strength ``lam`` against the stored
-    potential) or :meth:`dirichlet` (zero-extension problem on the well).
+    ``lam`` scales the stored potential; ``None`` drops the potential
+    term.  ``free`` lists the vertex ids of ``F`` (all of ``V`` when
+    omitted), which must be non-empty and connected.  :meth:`full` and
+    :meth:`dirichlet` build the paper's two problems.
 
-    ``free`` is the full-length mask of the free vertex set ``F``.  The
-    read-only arrays ``free_index``, ``stiffness`` (``S[F, F]``), ``mu``,
-    ``lam_a`` and ``mass`` (``mu * (lam_a + 1)``) live on ``F``; in full
-    mode ``F = V`` and ``stiffness`` and ``mu`` equal the graph's own.
+    ``free`` is then the full-length mask of ``F``.  The read-only arrays
+    ``free_index``, ``stiffness`` (``S[F, F]``), ``mu``, ``lam_a`` and
+    ``mass`` (``mu * (lam_a + 1)``) live on ``F``.
     """
 
-    def __init__(self, graph: WeightedGraph, lam: float | None, omega: SubDomain | None):
+    def __init__(self, graph: WeightedGraph, lam: float | None, free: Iterable[str] | None = None):
+        # Written so that NaN fails it too; inf * 0 would be NaN in lam_a.
+        if lam is not None and not 0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+        ids = graph.vertex_ids if free is None else tuple(free)
+        if not ids:
+            raise ValueError("free vertex set is empty")
+        if not graph.is_connected(ids):
+            raise ValueError("free vertex set is not connected")
         self.graph = graph
         self.lam = lam
-        self.omega = omega
-        if lam is not None:
-            # Written so that NaN fails it too; inf * 0 would be NaN in lam_a.
-            if not 0 < lam < math.inf:
-                raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-            self.free = np.ones(graph.n, dtype=bool)
-            lam_a = lam * graph.potential_a
-        else:
-            assert omega is not None
-            if not omega.interior:
-                raise ValueError("Dirichlet domain is empty")
-            if not graph.is_connected(omega.interior):
-                raise ValueError("Dirichlet domain is not connected")
-            self.free = np.zeros(graph.n, dtype=bool)
-            for vid in omega.interior:
-                self.free[graph.index(vid)] = True
-            lam_a = np.zeros(graph.n)
+        self.free = np.zeros(graph.n, dtype=bool)
+        self.free[[graph.index(vid) for vid in ids]] = True
         f = self.free_index = np.flatnonzero(self.free)
         self.stiffness = graph.stiffness[np.ix_(f, f)]
         self.mu = graph.mu[f]
-        self.lam_a = lam_a[f]
+        self.lam_a = (0.0 if lam is None else lam) * graph.potential_a[f]
         self.mass = self.mu * (self.lam_a + 1.0)
         for arr in (self.free, f, self.stiffness, self.mu, self.lam_a, self.mass):
             arr.setflags(write=False)
 
     @classmethod
     def full(cls, graph: WeightedGraph, lam: float) -> "ProblemInstance":
-        return cls(graph, float(lam), None)
+        """The full problem: coupling ``lam`` on all of ``V``."""
+        return cls(graph, float(lam))
 
     @classmethod
     def dirichlet(cls, graph: WeightedGraph, omega: SubDomain | None = None) -> "ProblemInstance":
-        if omega is None:
-            report = graph.validate_potential()
-            if not report.passes:
-                raise ValueError("potential well fails the non-empty/connected hypothesis")
-            omega = report.omega
-        return cls(graph, None, omega)
-
-    @property
-    def mode(self) -> str:
-        return "full" if self.lam is not None else "dirichlet"
+        """The Dirichlet problem on the interior of ``omega``, the well by default."""
+        omega = graph.validate_potential().omega if omega is None else omega
+        return cls(graph, None, omega.interior)
 
     def check_admissible(self, u: np.ndarray) -> np.ndarray:
         u = self.graph.check_field(u)
-        if self.mode == "dirichlet" and np.any(u[~self.free] != 0.0):
-            raise NotAdmissible("field is nonzero outside the Dirichlet domain")
+        if np.any(u[~self.free] != 0.0):
+            raise NotAdmissible("field is nonzero outside the free vertex set")
         return u
 
     def free_values(self, u: np.ndarray) -> np.ndarray:
@@ -147,9 +137,9 @@ class ProblemInstance:
     def norm_h_sq(self, u: np.ndarray) -> float:
         """Squared energy-space norm: gradient + weighted mass term.
 
-        Full mode uses the mass weight ``lam a + 1``; Dirichlet mode the
-        zero-extension H1 norm (the two agree on admissible fields when the
-        potential vanishes on the well).
+        The gradient term is that of the zero extension off ``F`` and the
+        mass weight is ``lam_a + 1``: the ``H_lam`` norm for ``F = V``, and
+        the zero-extension H1 norm without a potential term.
         """
         return _norm_h_sq(self, self.free_values(u))
 

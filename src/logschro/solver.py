@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemInstance, _energy, _residual, field_to_dict
+from .energy import ProblemInstance, _coupling_k, _energy, _residual, field_to_dict
 from .graphs import negative_part, positive_part
 from .nehari import NoBracket, NonConvergence, _project_pair, _project_ray
 
@@ -72,7 +72,7 @@ _ORACLE_GRID = 32
 
 
 class InfeasibleWell(ValueError):
-    """Dirichlet well too small to carry a sign-changing solution."""
+    """Free vertex set too small to carry a sign-changing solution."""
 
 
 class DofLimitExceeded(ValueError):
@@ -216,7 +216,7 @@ def _in_range(u: np.ndarray) -> np.ndarray:
 
 
 def _project_nodal(inst: ProblemInstance, u: np.ndarray):
-    """(projected field, its level, degenerate), or _Collapse.
+    """(projected field, its level), or _Collapse.
 
     The pair projection also collapses a field whose sign part has an H1
     norm below 1e-14.
@@ -225,13 +225,13 @@ def _project_nodal(inst: ProblemInstance, u: np.ndarray):
         raise _Collapse
     try:
         proj = _project_pair(inst, u)
-    except (ValueError, NonConvergence, NoBracket, OverflowError):
+    except (ValueError, NonConvergence, NoBracket):
         raise _Collapse from None
-    return _in_range(proj.projected), proj.level, proj.degenerate
+    return _in_range(proj.projected), proj.level
 
 
 def _project_ground(inst: ProblemInstance, u: np.ndarray):
-    """(projected field, its level, False), or _Collapse."""
+    """(projected field, its level), or _Collapse."""
     if not np.all(np.isfinite(u)) or float(np.abs(u).max()) < _COLLAPSE_TOL:
         raise _Collapse
     try:
@@ -242,7 +242,7 @@ def _project_ground(inst: ProblemInstance, u: np.ndarray):
     if not 0.0 < s < math.inf:
         raise _Collapse
     w = _in_range(s * u)
-    return w, 0.5 * float(inst.mu @ (w * w)), False
+    return w, 0.5 * float(inst.mu @ (w * w))
 
 
 def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
@@ -272,12 +272,12 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     field far above 1 is held to the digits a double carries, not to an
     absolute bound.
 
-    Returns (field, converged, degenerate) or raises _Collapse when a sign
-    part dies and the start must be re-randomized.
+    Returns (field, converged) or raises _Collapse when a sign part dies
+    and the start must be re-randomized.
     """
     project = _project_nodal if nodal else _project_ground
     precond = 1.0 / (inst.lam_a + 1.0)
-    u, level, degen = project(inst, u0)
+    u, level = project(inst, u0)
 
     def polished(cur: np.ndarray):
         cand = _newton_root(inst, cur, rtol=0.1 * opts.tol_residual)
@@ -296,33 +296,33 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
         scale = max(1.0, float(np.abs(u).max()))
         if rinf <= opts.tol_residual * scale:
             cand = polished(u)
-            return (cand if cand is not None else u), True, degen
+            return (cand if cand is not None else u), True
         if (rinf <= 1e-2 * scale and rinf <= 0.5 * failed_at) or it % 25 == 24:
             cand = polished(u)
             if cand is not None:
-                return cand, True, degen
+                return cand, True
             failed_at = rinf
         d = -r * precond
         slope = float(inst.mu @ (r * d))
         alpha, moved = _STEP_INIT, False
         while alpha > 1e-16:
             try:
-                cand, cand_level, cand_degen = project(inst, u + alpha * d)
+                cand, cand_level = project(inst, u + alpha * d)
             except _Collapse:
                 alpha *= _SHRINK
                 continue
             if cand_level <= level + _ARMIJO * alpha * slope:
-                u, level, degen, moved = cand, cand_level, cand_degen, True
+                u, level, moved = cand, cand_level, True
                 break
             alpha *= _SHRINK
         if not moved:
             cand = polished(u)
             if cand is not None:
-                return cand, True, degen
-            return u, False, degen
+                return cand, True
+            return u, False
     r = _residual(inst, u)
     ok = float(np.abs(r).max()) <= opts.tol_residual * max(1.0, float(np.abs(u).max()))
-    return u, ok, degen
+    return u, ok
 
 
 # -- initialization: seeds are free values ---------------------------------
@@ -410,27 +410,29 @@ def _sign_pattern(inst: ProblemInstance, u: np.ndarray) -> dict:
 
 
 def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveReport:
-    results = []  # (level, normalized field, degenerate)
+    results = []  # (level, normalized field)
     seeds = _deterministic_seeds(inst, nodal)
     for i in range(opts.starts):
         rng = np.random.default_rng([opts.seed, i])
         u0 = seeds[i] if i < len(seeds) else _random_seed_field(inst, rng, nodal)
         for _attempt in range(4):
             try:
-                u, ok, degen = _run_start(inst, u0, opts, nodal)
+                u, ok = _run_start(inst, u0, opts, nodal)
             except _Collapse:
                 u0 = _random_seed_field(inst, rng, nodal)
                 continue
             if ok:
-                results.append((_energy(inst, u), _normalize_sign(u), degen))
+                results.append((_energy(inst, u), _normalize_sign(u)))
             break
     if not results:
         mode = "nodal" if nodal else "ground"
         raise NonConvergence(f"no {mode} start reached tolerance (starts={opts.starts})")
 
-    best_level = min(level for level, _, _ in results)
+    best_level = min(level for level, _ in results)
     ties = [r for r in results if r[0] <= best_level + 1e-12 * max(1.0, abs(best_level))]
-    _, u_best, degen = min(ties, key=lambda r: tuple(r[1]))
+    _, u_best = min(ties, key=lambda r: tuple(r[1]))
+    # Read off the reported minimizer; k is even under u -> -u.
+    degenerate = nodal and _coupling_k(inst, u_best) >= 0.0
 
     u_best = inst.extend(u_best)
     check = verify(inst, u_best)
@@ -440,9 +442,9 @@ def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveRepor
         residual_inf=check.residual_inf,
         membership_residuals=check.membership_residuals,
         starts_converged=len(results),
-        level_histogram=tuple(level for level, _, _ in results),
+        level_histogram=tuple(level for level, _ in results),
         sign_pattern=_sign_pattern(inst, u_best),
-        degenerate_coupling=degen,
+        degenerate_coupling=degenerate,
     )
 
 
@@ -453,8 +455,8 @@ def solve_ground(inst: ProblemInstance, opts: SolveOptions | None = None) -> Sol
 
 def solve_nodal(inst: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:
     """Least level on the sign-changing Nehari set, best over random starts."""
-    if inst.mode == "dirichlet" and len(inst.omega.interior) < 2:
-        raise InfeasibleWell("sign-changing solutions need at least two interior vertices")
+    if len(inst.free_index) < 2:
+        raise InfeasibleWell("sign-changing solutions need at least two free vertices")
     return _solve(inst, opts or SolveOptions(), nodal=True)
 
 
@@ -489,13 +491,6 @@ class OracleResult:
     levels: tuple[float, ...]
     min_nehari_level: float | None
     min_nodal_level: float | None
-
-    def nontrivial(self):
-        return [
-            (u, lvl)
-            for u, lvl in zip(self.points, self.levels)
-            if float(np.max(np.abs(u))) > _SIGN_EPS
-        ]
 
 
 def _sign_change_cells(res_grid: np.ndarray) -> np.ndarray:

@@ -87,6 +87,34 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="lambda must be positive and finite"):
             ProblemInstance.full(p6, lam)
 
+    def test_constructor_matches_factories(self, p6):
+        # Bit for bit, including the sign of zeros: the factories add nothing.
+        omega = p6.validate_potential().omega
+        for built, factory in (
+            (ProblemInstance(p6, 10.0), ProblemInstance.full(p6, 10.0)),
+            (ProblemInstance(p6, None, omega.interior), ProblemInstance.dirichlet(p6)),
+        ):
+            assert built.lam == factory.lam
+            for name in ("free", "free_index", "stiffness", "mu", "lam_a", "mass"):
+                got, want = getattr(built, name), getattr(factory, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+
+    def test_factories_give_the_paper_problems(self, p6):
+        full = ProblemInstance.full(p6, 10.0)
+        assert full.free.all()
+        assert full.stiffness.tobytes() == p6.stiffness.tobytes()
+        assert full.lam_a.tobytes() == (10.0 * p6.potential_a).tobytes()
+        dirichlet = ProblemInstance.dirichlet(p6)
+        assert list(dirichlet.free_index) == [2, 3]
+        assert dirichlet.lam is None
+        assert dirichlet.lam_a.tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("free", [[], ["v1", "v3"]], ids=["empty", "disconnected"])
+    def test_rejects_empty_or_disconnected_free_set(self, p6, free):
+        with pytest.raises(ValueError, match="free vertex set is"):
+            ProblemInstance(p6, 10.0, free)
+
 
 class TestFreeBlock:
     """Only the instance knows the free set: gather once, scatter once."""

@@ -146,7 +146,7 @@ class TestSweep:
         real = lab.solve_nodal
 
         def broken(inst, opts=None):
-            if inst.mode == "full":
+            if inst.lam is not None:
                 raise TypeError("bug")
             return real(inst, opts)
 
@@ -158,7 +158,7 @@ class TestSweep:
         real = lab.solve_nodal
 
         def failing(inst, opts=None):
-            if inst.mode == "full":
+            if inst.lam is not None:
                 raise NonConvergence("no start")
             return real(inst, opts)
 
@@ -171,7 +171,7 @@ class TestSweep:
         calls = []
 
         def record(inst, opts=None):
-            calls.append(inst.mode)
+            calls.append(inst.lam)
             raise AssertionError("solve reached")
 
         monkeypatch.setattr(lab, "solve_nodal", record)
@@ -185,7 +185,7 @@ class TestSweep:
         calls = []
 
         def record(inst, opts=None):
-            calls.append(inst.mode)
+            calls.append(inst.lam)
             raise AssertionError("solve reached")
 
         monkeypatch.setattr(lab, "solve_nodal", record)
@@ -299,6 +299,9 @@ class TestCli:
         cli_main(["generate", "--topology", "path", "--n", "2", "--well", "1..2",
                   "--out", str(gpath)])
         assert cli_main(["solve", "--graph", str(gpath), "--mode", "full", "--nodal"]) == 3
+        # A one-vertex graph carries no sign-changing field.
+        WeightedGraph(["v1"], [1.0], [1.0], []).save(gpath)
+        assert cli_main(["solve", "--graph", str(gpath), "--lambda", "1", "--nodal"]) == 3
 
     def test_infinite_tolerance_exits_3(self, tmp_path, p6, capsys):
         # An infinite tolerance used to report the first projected start

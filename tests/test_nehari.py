@@ -249,6 +249,13 @@ class TestProjectPair:
         assert abs(proj.g1_residual) <= 1e-10 * scale
         assert abs(proj.g2_residual) <= 1e-10 * scale
 
+    def test_separated_supports_beyond_float_range(self, p3_no_well):
+        # lam * a = 5000 on every vertex: the box bounds every exp argument
+        # below the float limit, so the failure is typed, never an overflow.
+        inst = ProblemInstance.full(p3_no_well, 5000.0)
+        with pytest.raises(NoBracket, match="float range"):
+            project_pair(inst, p3_no_well.field({"v1": 1.0, "v3": -1.0}))
+
     def test_degenerate_coupling_decouples(self, p3):
         inst = ProblemInstance.full(p3, 1.0)
         u = np.array([1.0, 0.0, -1.0])
@@ -493,7 +500,7 @@ class TestClosedFormLevel:
         checked = 0
         for inst, u in _full_and_dirichlet(11, 1000):
             try:
-                w, level, _ = _project_ground(inst, u)
+                w, level = _project_ground(inst, u)
             except _Collapse:
                 continue
             scale = 0.5 * nehari._norm_h_sq(inst, w)

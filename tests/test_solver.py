@@ -13,6 +13,7 @@ from logschro import (
     ProblemInstance,
     SolveOptions,
     WeightedGraph,
+    coupling_k,
     dir_deriv,
     energy,
     generate_graph,
@@ -97,6 +98,13 @@ class TestSolveNodal:
         )
         with pytest.raises(InfeasibleWell):
             solve_nodal(ProblemInstance.dirichlet(g), OPTS)
+
+    def test_infeasible_single_vertex_graph(self):
+        # The full problem on one vertex has no sign-changing field either;
+        # it used to run every start and raise NonConvergence.
+        g = WeightedGraph(["v1"], [1.0], [1.0], [])
+        with pytest.raises(InfeasibleWell):
+            solve_nodal(ProblemInstance.full(g, 1.0), OPTS)
 
     def test_sign_parts_bounded_below_across_couplings(self, p6):
         # Qualitative uniform lower bound on both sign parts of the nodal
@@ -457,6 +465,37 @@ class TestOracle:
     def test_dof_limit(self, p6):
         with pytest.raises(DofLimitExceeded):
             oracle_enumerate(ProblemInstance.full(p6, 1.0))
+
+
+@pytest.mark.parametrize("case", ["k2", "p6", "p6_dirichlet", "p5_dirichlet", "grid4"])
+def test_degenerate_coupling_describes_minimizer(request, case):
+    inst = request.getfixturevalue(case)
+    if isinstance(inst, WeightedGraph):
+        inst = ProblemInstance.full(inst, 10.0)
+    assert not solve_ground(inst, OPTS).degenerate_coupling
+    rep = solve_nodal(inst, OPTS)
+    assert rep.degenerate_coupling == (coupling_k(inst, rep.minimizer) >= 0.0)
+
+
+def _ball(g, centre, radius):
+    """Ids within ``radius`` hops of the ids in ``centre``."""
+    ball = set(centre)
+    for _ in range(radius):
+        ball |= {g.vertex_ids[j] for v in ball for j in np.nonzero(g.weights[g.index(v)])[0]}
+    return ball
+
+
+def test_dirichlet_truncation_to_balls():
+    # Zero extension from B_R to B_{R+1} is admissible, so the levels can
+    # only fall as R grows: a rise is a missed minimum, not noise.  B_0 is
+    # the well (the Dirichlet problem) and B_4 is all of the 9-path.
+    g = WeightedGraph.from_dict(generate_graph("path", 9, "4..5"))
+    well = g.validate_potential().omega.interior
+    for solve in (solve_ground, solve_nodal):
+        levels = [solve(ProblemInstance(g, 1.0, _ball(g, well, r)), OPTS).level for r in range(5)]
+        assert all(b <= a for a, b in zip(levels, levels[1:])), levels
+        assert levels[0] == solve(ProblemInstance.dirichlet(g), OPTS).level
+        assert levels[-1] == solve(ProblemInstance.full(g, 1.0), OPTS).level
 
 
 def test_degenerate_coupling_flagged():
