@@ -8,12 +8,14 @@ scalar root G(p) = 0.  A closed-form bracketing box whose corners carry
 the sign pattern bounds the root; G is increasing and concave, so plain
 Newton from a point where G < 0 climbs to it without overshooting.  The
 fiber map (s, t) -> J(s*u+ + t*u-) is maximal exactly at (1, 1) on the
-projected field.
+projected field.  Both projections fail typed, with ``NoBracket``, when
+the scaling lies beyond float range.
 """
 
 import numpy as np
 
 from logschro import (
+    NoBracket,
     ProblemInstance,
     WeightedGraph,
     coupling_k,
@@ -48,3 +50,9 @@ for s in (0.5, 1.0, 2.0):
 print("\nray projection is the single-signed analogue:")
 print("  s for (1, 1):", project_ray(inst, np.array([1.0, 1.0])), "(already on the manifold)")
 print("  s for (0, 1):", project_ray(inst, np.array([0.0, 1.0])), "(exact sqrt(e))")
+
+p3 = WeightedGraph(["v1", "v2", "v3"], [1.0] * 3, [1.0] * 3, [("v1", "v2", 1.0), ("v2", "v3", 1.0)])
+try:
+    project_ray(ProblemInstance.full(p3, 5000.0), p3.field({"v1": 1.0}))
+except NoBracket as exc:
+    print("  lam * a = 5000:", f"NoBracket({exc})")

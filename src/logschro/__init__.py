@@ -27,7 +27,6 @@ from .graphs import (
 )
 from .lab import SWEEP_CSV_HEADER, SweepRow, SweepSummary, generate_graph, parse_well, sweep, sweep_csv
 from .nehari import (
-    DegenerateCoupling,
     FiberValue,
     NoBracket,
     NonConvergence,

@@ -211,6 +211,7 @@ def sweep(
     # Checked before any solve; written so that NaN fails it too.
     if not all(0 < lam < math.inf for lam in lambdas):
         raise ValueError("lambdas must be positive and finite")
+    lambdas = [float(lam) for lam in lambdas]
     opts = opts or SolveOptions()
 
     report = graph.validate_potential()
@@ -242,7 +243,7 @@ def sweep(
         sup_h_norm = max(sup_h_norm, math.sqrt(graph.norms(u, lam).h_lambda_sq))
         rows.append(
             SweepRow(
-                lam=float(lam),
+                lam=lam,
                 m_lambda=rn.level,
                 c_lambda=rg.level,
                 margin_m_minus_2c=rn.level - 2.0 * rg.level,

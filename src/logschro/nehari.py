@@ -7,8 +7,10 @@ gives log s^2 and g2 = 0 gives log t^2 in closed form as functions of the
 ratio p = t / s, so the pair system is one scalar root in p.  That root's
 equation is increasing and concave, so a plain Newton iteration reaches
 it monotonically.  The intermediate-value bracketing box is in closed
-form too; it bounds the root, and only a box beyond float range raises
-``NoBracket``.
+form too, and it bounds the root.  Both projections fail typed beyond
+float range: a scaling whose square is not a normal double raises
+``NoBracket``, and a field without the sign parts a projection scales
+raises ``ValueError``.
 
 Each public function validates its field argument once and gathers its
 values on the instance's free vertex set.  The private projections
@@ -37,7 +39,6 @@ from .energy import ProblemInstance, _energy, _norm_h_sq, sq_log_sq
 from .graphs import negative_part, positive_part
 
 __all__ = [
-    "DegenerateCoupling",
     "NoBracket",
     "NonConvergence",
     "PairProjection",
@@ -51,21 +52,15 @@ __all__ = [
 
 _EPS = 2.0**-52
 _MAX_STEPS = 200
-# Box ends 2^(+-e) whose squares are normal doubles, so log(s * s) is finite.
+# Scalings within 2^(+-e), box ends and ray roots alike, have normal squares,
+# so log(s * s) is finite.
 _MAX_BOX_EXP = min(sys.float_info.max_exp - 1, 1 - sys.float_info.min_exp) // 2
 _PAIR_TOL = 1e-10  # pair residuals, relative to the projected field
 _MEMBERSHIP_TOL = 1e-8  # fiber formula's sign-changing Nehari membership
-# H1 norm under which the solver's pair projection counts a sign part as
-# vanished; the public project_pair only needs both parts nonzero.
-_NIL_PART = 1e-14
-
-
-class DegenerateCoupling(RuntimeError):
-    """The positive and negative supports share no edge (coupling is zero)."""
 
 
 class NoBracket(RuntimeError):
-    """No sign-change box within float range."""
+    """The Nehari scaling lies beyond float range."""
 
 
 class NonConvergence(RuntimeError):
@@ -116,8 +111,6 @@ class _SplitStats:
     l_neg: float
     b_neg: float
     k: float  # edge coupling, <= 0
-    h_pos: float  # H1 norm^2 of u+: gradient form plus L2 mass
-    h_neg: float
     up: np.ndarray = field(repr=False, compare=False)
     um: np.ndarray = field(repr=False, compare=False)
 
@@ -131,27 +124,27 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
 
     One fused pass: a single ``sq_log_sq(u)`` split by sign and the two
     matvecs ``S u+`` and ``S u-`` give every entry.  ``k = -2 u+ . (S u-)``
-    because the supports are disjoint, and the energy-space and H1 norms
-    share the gradient forms ``u+- . (S u+-)``.  Each entry is the same
-    float, from the same operations in the same order, as evaluating the
-    kernels on ``u+`` and ``u-`` one at a time.
+    because the supports are disjoint.  Each entry is the same float, from
+    the same operations in the same order, as evaluating the kernels on
+    ``u+`` and ``u-`` one at a time.  Raises ``ValueError`` when a sign
+    part is zero (its L2 norm^2 is 0.0).
     """
     mu, mass, stiff = inst.mu, inst.mass, inst.stiffness
     up, um = positive_part(u), negative_part(u)
+    up2, um2 = up * up, um * um
+    b_pos, b_neg = float(mu @ up2), float(mu @ um2)
+    if b_pos == 0.0 or b_neg == 0.0:
+        raise ValueError("pair projection needs both sign parts nontrivial")
     q = sq_log_sq(u)
     s_up, s_um = stiff @ up, stiff @ um
-    up2, um2 = up * up, um * um
-    grad_pos, grad_neg = up @ s_up, um @ s_um
     return _SplitStats(
-        a_pos=float(grad_pos + mass @ up2),
+        a_pos=float(up @ s_up + mass @ up2),
         l_pos=float(mu @ np.where(u > 0.0, q, 0.0)),
-        b_pos=float(mu @ up2),
-        a_neg=float(grad_neg + mass @ um2),
+        b_pos=b_pos,
+        a_neg=float(um @ s_um + mass @ um2),
         l_neg=float(mu @ np.where(u < 0.0, q, 0.0)),
-        b_neg=float(mu @ um2),
+        b_neg=b_neg,
         k=-2.0 * float(up @ s_um),
-        h_pos=float(grad_pos + mu @ up2),
-        h_neg=float(grad_neg + mu @ um2),
         up=up,
         um=um,
     )
@@ -161,6 +154,8 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     """Unique positive scaling placing ``s w`` on the Nehari manifold.
 
     Closed form: log s^2 = (|w|_H^2 - |w|_2^2 - int w^2 log w^2) / |w|_2^2.
+    Raises ``NoBracket`` when s lies beyond 2^(+-510), where s^2 is not a
+    normal double, and ``ValueError`` for the zero field.
     """
     return _project_ray(inst, inst.free_values(w))
 
@@ -171,7 +166,12 @@ def _project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     b = float(mu @ (w * w))
     if b == 0.0:
         raise ValueError("cannot ray-project the zero field")
-    return math.exp(0.5 * (_norm_h_sq(inst, w) - b - float(mu @ sq_log_sq(w))) / b)
+    half_log = 0.5 * (_norm_h_sq(inst, w) - b - float(mu @ sq_log_sq(w))) / b
+    # The pair box's bound: s^2 must be a normal double.  Written so that
+    # a NaN fails it too.
+    if not abs(half_log) <= _MAX_BOX_EXP * math.log(2.0):
+        raise NoBracket(f"Nehari scaling e^{half_log:.6g} is beyond float range")
+    return math.exp(half_log)
 
 
 def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
@@ -206,25 +206,19 @@ def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> 
     """
     if s <= 0 or t <= 0:
         raise ValueError("s and t must be positive")
-    stats = _split_stats(inst, inst.free_values(u))
-    if stats.b_pos == 0.0 or stats.b_neg == 0.0:
-        raise ValueError("pair residuals need both sign parts nontrivial")
-    return _g_pair(stats, s, t)
+    return _g_pair(_split_stats(inst, inst.free_values(u)), s, t)
 
 
 def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]:
     """Box [r, R]^2 whose faces carry the sign pattern bracketing a root.
 
-    Uses that g1 is increasing in t and g2 in s (the coupling is negative),
-    so the face conditions reduce to the diagonal corner signs.  Both ends
-    are powers of two with r <= 1 <= R, computed in closed form.
+    Uses that g1 is nondecreasing in t and g2 in s (the coupling is
+    nonpositive, and at zero coupling neither depends on the other
+    variable), so the face conditions reduce to the diagonal corner
+    signs.  Both ends are powers of two with r <= 1 <= R, computed in
+    closed form.
     """
-    stats = _split_stats(inst, inst.free_values(u))
-    if stats.b_pos == 0.0 or stats.b_neg == 0.0:
-        raise ValueError("bracket needs both sign parts nontrivial")
-    if stats.k >= 0.0:
-        raise DegenerateCoupling("positive and negative supports are not edge-adjacent")
-    return _bracket_from_stats(stats)
+    return _bracket_from_stats(_split_stats(inst, inst.free_values(u)))
 
 
 def _bracket_from_stats(stats: _SplitStats) -> tuple[float, float]:
@@ -258,8 +252,6 @@ def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> Fi
         raise ValueError("s and t must be nonnegative")
     u = inst.free_values(u)
     stats = _split_stats(inst, u)
-    if stats.b_pos == 0.0 or stats.b_neg == 0.0:
-        raise ValueError("fiber energy needs both sign parts nontrivial")
     g1, g2 = _g_pair(stats, 1.0, 1.0)
     if max(abs(g1), abs(g2)) > _MEMBERSHIP_TOL * stats.scale:
         raise ValueError("field is not on the sign-changing Nehari set")
@@ -314,27 +306,15 @@ def project_pair(
     """
     if initial is not None and not all(0.0 < x < math.inf for x in initial):
         raise ValueError(f"initial scalings must be positive and finite, got {initial!r}")
-    proj = _pair_from_stats(_split_stats(inst, inst.free_values(u)), initial)
+    proj = _project_pair(inst, inst.free_values(u), initial)
     return replace(proj, projected=inst.extend(proj.projected))
 
 
-def _project_pair(inst: ProblemInstance, u: np.ndarray) -> PairProjection:
-    """The solver's pair projection of the free values ``u``.
-
-    ``projected`` is free values too.  Unlike ``project_pair`` it raises
-    ``ValueError`` as soon as a sign part has H1 norm below ``_NIL_PART``:
-    descent treats such a field as collapsed onto one sign.
-    """
+def _project_pair(
+    inst: ProblemInstance, u: np.ndarray, initial: tuple[float, float] | None = None
+) -> PairProjection:
+    """``project_pair`` on the free values ``u``; ``projected`` is free values too."""
     stats = _split_stats(inst, u)
-    if math.sqrt(max(min(stats.h_pos, stats.h_neg), 0.0)) < _NIL_PART:
-        raise ValueError("a sign part has vanished")
-    return _pair_from_stats(stats)
-
-
-def _pair_from_stats(stats: _SplitStats, initial: tuple[float, float] | None = None) -> PairProjection:
-    """The pair projection of the field whose sign parts ``stats`` holds."""
-    if stats.b_pos == 0.0 or stats.b_neg == 0.0:
-        raise ValueError("pair projection needs both sign parts nontrivial")
     bracket = lo, hi = _bracket_from_stats(stats)
 
     # g1 / (s^2 b+) = 0 and g2 / (t^2 b-) = 0 in the ratio p = t / s:

@@ -24,6 +24,9 @@ values of a field (see :class:`~logschro.energy.ProblemInstance`) and
 share one residual kernel; ``solve_*`` and ``oracle_enumerate`` extend
 the fields they return to full length, and ``verify`` checks a
 full-length field once before it gathers its free values.
+A trial field collapses its start when either projection fails typed
+(``ValueError``, ``NoBracket`` beyond float range, or a stalled pair's
+``NonConvergence``) or when the projected field exceeds 1e150.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "oracle_enumerate",
 ]
 
-_COLLAPSE_TOL = 1e-14  # sup norm of a ground trial field that has vanished
 # Projected fields beyond this sup norm collapse: below it their squares,
 # energy and residual stay finite.
 _FIELD_MAX = 1e150
@@ -216,11 +218,7 @@ def _in_range(u: np.ndarray) -> np.ndarray:
 
 
 def _project_nodal(inst: ProblemInstance, u: np.ndarray):
-    """(projected field, its level), or _Collapse.
-
-    The pair projection also collapses a field whose sign part has an H1
-    norm below 1e-14.
-    """
+    """(projected field, its level), or _Collapse."""
     if not np.all(np.isfinite(u)):
         raise _Collapse
     try:
@@ -232,15 +230,12 @@ def _project_nodal(inst: ProblemInstance, u: np.ndarray):
 
 def _project_ground(inst: ProblemInstance, u: np.ndarray):
     """(projected field, its level), or _Collapse."""
-    if not np.all(np.isfinite(u)) or float(np.abs(u).max()) < _COLLAPSE_TOL:
+    if not np.all(np.isfinite(u)):
         raise _Collapse
     try:
         s = _project_ray(inst, u)
-    except OverflowError:
-        # The scaling exceeds the float range (large lam * a).
+    except (ValueError, NoBracket):
         raise _Collapse from None
-    if not 0.0 < s < math.inf:
-        raise _Collapse
     w = _in_range(s * u)
     return w, 0.5 * float(inst.mu @ (w * w))
 

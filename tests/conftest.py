@@ -4,8 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from logschro import ProblemInstance, WeightedGraph, generate_graph
+
+# Property tests draw the same examples on every run and have no time
+# limit per example, so a slow machine cannot fail them.
+settings.register_profile("logschro", derandomize=True, deadline=None)
+settings.load_profile("logschro")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

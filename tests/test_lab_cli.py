@@ -166,6 +166,21 @@ class TestSweep:
         rows, _ = sweep(p6, [1.0], OPTS)
         assert [r.failed for r in rows] == [True]
 
+    def test_integer_lambdas_print_as_floats_in_failed_rows(self, p6, monkeypatch):
+        # A failed row used to print an integer lambda as given ("10,FAILED").
+        real = lab.solve_nodal
+
+        def failing_at_10(inst, opts=None):
+            if inst.lam == 10.0:
+                raise NonConvergence("no start")
+            return real(inst, opts)
+
+        monkeypatch.setattr(lab, "solve_nodal", failing_at_10)
+        rows, _ = sweep(p6, [1, 10], OPTS)
+        assert [r.failed for r in rows] == [False, True]
+        lines = sweep_csv(rows).strip().split("\n")[1:]
+        assert [line.split(",")[0] for line in lines] == ["1.0", "10.0"]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_lambda_rejected_before_any_solve(self, p6, monkeypatch, bad):
         calls = []

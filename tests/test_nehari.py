@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logschro import (
-    DegenerateCoupling,
     NoBracket,
     NonConvergence,
     ProblemInstance,
@@ -52,6 +54,13 @@ class TestProjectRay:
     def test_zero_field_rejected(self, k2_inst):
         with pytest.raises(ValueError):
             project_ray(k2_inst, np.zeros(2))
+
+    def test_scaling_beyond_float_range_is_typed(self, p3_no_well):
+        # lam * a = 5000 everywhere: log s^2 is about 5000, whose exp used
+        # to overflow as a raw OverflowError.
+        inst = ProblemInstance.full(p3_no_well, 5000.0)
+        with pytest.raises(NoBracket, match="float range"):
+            project_ray(inst, p3_no_well.field({"v1": 1.0}))
 
     def test_homogeneity(self):
         rng = np.random.default_rng(77)
@@ -135,9 +144,17 @@ class TestMirandaBracket:
         assert r <= 1.0 <= big
 
     def test_degenerate_coupling(self, p3):
+        # At zero coupling g1 depends on s alone and g2 on t alone, so the
+        # closed-form box still carries the face sign pattern.
         inst = ProblemInstance.full(p3, 1.0)
-        with pytest.raises(DegenerateCoupling):
-            miranda_bracket(inst, np.array([1.0, 0.0, -1.0]))
+        u = np.array([1.0, 0.0, -1.0])
+        assert coupling_k(inst, u) == 0.0
+        r, big = miranda_bracket(inst, u)
+        for x in np.linspace(r, big, 9):
+            assert pair_residuals(inst, u, r, float(x))[0] > 0.0
+            assert pair_residuals(inst, u, big, float(x))[0] < 0.0
+            assert pair_residuals(inst, u, float(x), r)[1] > 0.0
+            assert pair_residuals(inst, u, float(x), big)[1] < 0.0
 
 
 def scanned_bracket(stats):
@@ -417,8 +434,8 @@ class TestRootNearTopOfBox:
 
 def _parent_split_stats(inst, u):
     """The sign-part statistics evaluated part by part, as before the fused
-    pass: each part's own matvec and masked u^2 log u^2, the coupling from a
-    third matvec, and the solver's H1 norms from two more."""
+    pass: each part's own matvec and masked u^2 log u^2, and the coupling
+    from a third matvec."""
 
     def masked_sq_log_sq(w):
         out = np.zeros_like(w)
@@ -429,9 +446,6 @@ def _parent_split_stats(inst, u):
     def norm_h_sq(w):
         return float(w @ (inst.stiffness @ w) + inst.mass @ (w * w))
 
-    def h1_sq(w):
-        return float(w @ (inst.stiffness @ w) + inst.mu @ (w * w))
-
     up, um = np.maximum(u, 0.0), np.minimum(u, 0.0)
     return {
         "a_pos": norm_h_sq(up),
@@ -441,8 +455,6 @@ def _parent_split_stats(inst, u):
         "l_neg": float(inst.mu @ masked_sq_log_sq(um)),
         "b_neg": float(inst.mu @ (um * um)),
         "k": -2.0 * float(np.maximum(u, 0.0) @ (inst.stiffness @ np.minimum(u, 0.0))),
-        "h_pos": h1_sq(up),
-        "h_neg": h1_sq(um),
     }
 
 
@@ -468,15 +480,20 @@ class TestClosedFormLevel:
 
     def test_split_stats_bit_identical_to_part_by_part(self):
         rng = np.random.default_rng(7)
-        checked = 0
+        checked = one_signed = 0
         for inst, u in _full_and_dirichlet(3, 300):
             u[rng.random(len(u)) < 0.2] = 0.0
+            if not u.max() > 0.0 > u.min():
+                with pytest.raises(ValueError):
+                    nehari._split_stats(inst, u)
+                one_signed += 1
+                continue
             got = nehari._split_stats(inst, u)
             for name, want in _parent_split_stats(inst, u).items():
                 assert getattr(got, name) == want, name
             np.testing.assert_array_equal(got.up + got.um, u)
             checked += 1
-        assert checked == 600
+        assert (checked, one_signed) == (419, 181)
 
     def test_pair_level_is_energy_of_projection(self):
         checked = 0
@@ -485,7 +502,7 @@ class TestClosedFormLevel:
                 continue
             try:
                 proj = nehari._project_pair(inst, u)
-            except (ValueError, NoBracket, NonConvergence, OverflowError):
+            except (ValueError, NoBracket, NonConvergence):
                 continue
             # Past 1e150 the energy's own u^2 log u^2 overflows.
             if not np.abs(proj.projected).max() <= 1e150:
@@ -507,6 +524,41 @@ class TestClosedFormLevel:
             assert abs(level - _energy(inst, w)) <= 1e-13 * scale
             checked += 1
         assert checked >= 1000
+
+
+def _normal_square(x):
+    return sys.float_info.min <= x * x <= sys.float_info.max
+
+
+class TestFailuresAreTyped:
+    """Both projections fail typed beyond float range, never by overflow."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(-1.0, 5.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_projections_raise_only_typed_errors(self, seed, log_lam, log_scale):
+        # Random-mix graphs, lambda = 10^U(-1, 5), field scale 10^U(-3, 3).
+        # A raw OverflowError from the ray's exp, or a scaling whose square
+        # overflows, fails this test.
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        inst = ProblemInstance.full(g, 10.0**log_lam)
+        u = random_field(rng, g.n) * 10.0**log_scale
+        try:
+            s = project_ray(inst, u)
+        except (ValueError, NoBracket):
+            pass
+        else:
+            assert _normal_square(s)
+        try:
+            proj = project_pair(inst, u)
+        except (ValueError, NoBracket):
+            pass
+        else:
+            assert _normal_square(proj.s) and _normal_square(proj.t)
 
 
 class TestFiberEnergy:

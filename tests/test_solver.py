@@ -283,14 +283,15 @@ class TestCollapseGuards:
             with pytest.raises(_Collapse):
                 project(inst, u)
 
-    def test_vanishing_sign_part_collapses(self, p6):
-        # |u-|_H1 ~ 1.4e-16 is below the descent's 1e-14 floor; the public
-        # projection has no absolute floor and still projects the field.
+    def test_vanishing_sign_part_projects_as_project_pair(self, p6):
+        # |u-|_H1 ~ 1.4e-16: the pair projection scales each sign part, so a
+        # tiny part is no special case for descent either.
         inst = ProblemInstance.full(p6, 10.0)
         u = p6.field({"v3": 1.0, "v6": -1e-16})
-        with pytest.raises(_Collapse):
-            _project_nodal(inst, u)
-        assert np.all(np.isfinite(project_pair(inst, u).projected))
+        w, level = _project_nodal(inst, u)
+        proj = project_pair(inst, u)
+        np.testing.assert_array_equal(w, proj.projected)
+        assert level == proj.level
 
 
 class TestScalingOverflow:
