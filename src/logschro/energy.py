@@ -11,7 +11,9 @@ applied everywhere.
 The instance stores the free block of every coefficient (``mu``, ``lam *
 a`` and the stiffness block ``S[F, F]``), and the private kernels
 (``_norm_h_sq``, ``_energy``, ``_residual``, ``_dir_deriv``,
-``_coupling_k``) run on the free values of a field alone.  ``S[F, F]`` is
+``_coupling_k``) run on the free values of a field alone;
+``_norm_h_sq`` and ``_residual`` also take a stack of fields as rows and
+give each row the floats of that field alone.  ``S[F, F]`` is
 the Dirichlet operator: its diagonal still counts every edge to the
 boundary, so ``u_F^T S[F, F] u_F`` is the gradient energy of the zero
 extension and ``(S[F, F] u_F) / mu_F`` its ``-Laplacian`` on ``F``.  The
@@ -141,24 +143,37 @@ class ProblemInstance:
         mass weight is ``lam_a + 1``: the ``H_lam`` norm for ``F = V``, and
         the zero-extension H1 norm without a potential term.
         """
-        return _norm_h_sq(self, self.free_values(u))
+        return float(_norm_h_sq(self, self.free_values(u)))
 
 
 # -- trusted kernels: finite free values of an admissible field -------------
+#
+# A kernel that takes a stack of fields as rows gives each row the same
+# floats as the 1-d field alone: ``_matvec`` and ``_dot`` run one BLAS
+# matrix-vector product or dot per row (a matrix product over the whole
+# stack rounds differently).
 
 
-def _norm_h_sq(inst: ProblemInstance, u: np.ndarray) -> float:
-    return float(u @ (inst.stiffness @ u) + inst.mass @ (u * u))
+def _matvec(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``a @ u`` for one field, or for each row of a stack of fields."""
+    return np.matmul(a, u[..., None])[..., 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` along the last axis, row by row; a scalar for two 1-d arrays."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _norm_h_sq(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
+    return _dot(u, _matvec(inst.stiffness, u)) + _dot(inst.mass, u * u)
 
 
 def _energy(inst: ProblemInstance, u: np.ndarray) -> float:
-    return 0.5 * _norm_h_sq(inst, u) - 0.5 * float(inst.mu @ sq_log_sq(u))
+    return 0.5 * float(_norm_h_sq(inst, u)) - 0.5 * float(inst.mu @ sq_log_sq(u))
 
 
 def _residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
-    # The transposes let a stack of fields come in as rows; one field is
-    # a 1-d array, which they leave as it is.
-    return (inst.stiffness @ u.T).T / inst.mu + inst.lam_a * u - u_log_sq(u)
+    return _matvec(inst.stiffness, u) / inst.mu + inst.lam_a * u - u_log_sq(u)
 
 
 def _dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:

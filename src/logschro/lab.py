@@ -8,13 +8,12 @@ Dirichlet limit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemInstance, energy
+from .energy import ProblemInstance
 from .graphs import WeightedGraph
 from .solver import InfeasibleWell, NonConvergence, SolveOptions, solve_ground, solve_nodal
 

@@ -15,10 +15,17 @@ raises ``ValueError``.
 Each public function validates its field argument once and gathers its
 values on the instance's free vertex set.  The private projections
 ``_project_ray`` and ``_project_pair``, which the solver calls directly,
-run on those free values through the sign-part statistics
-(``_split_stats``: one ``sq_log_sq`` pass and the two matvecs ``S u+`` and
-``S u-``) and the trusted kernels of :mod:`logschro.energy`;
-``project_pair`` scatters the projected field back to full length.
+take a stack of free values as rows and return one entry per row: the
+row's projection, or the typed exception it failed with.  The O(n) work
+is row-wise, one array pass over the stack: the ray's norms and the
+sign-part statistics (``_split_stats``: one ``sq_log_sq`` pass and the two
+matvecs ``S u+`` and ``S u-``) through the trusted kernels of
+:mod:`logschro.energy`, which give each row the floats of that field
+alone.  The O(1) rest, the ray's closed form and the pair's box, ratio
+root and acceptance test, runs once per row on Python floats.  The public
+``project_ray`` and ``project_pair`` call the same functions with a
+one-row stack; ``project_pair`` scatters the projected field back to full
+length.
 
 The level of a projected field needs no energy pass: on either Nehari set
 ``J(w) = |w|_2^2 / 2`` exactly, since ``J(w) - |w|_2^2 / 2 = J'(w).w / 2``
@@ -31,11 +38,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .energy import ProblemInstance, _energy, _norm_h_sq, sq_log_sq
+from .energy import ProblemInstance, _dot, _energy, _matvec, _norm_h_sq, sq_log_sq
 from .graphs import negative_part, positive_part
 
 __all__ = [
@@ -100,9 +108,14 @@ class FiberValue:
     value: float
 
 
-@dataclass(frozen=True)
-class _SplitStats:
-    """Sign parts of a field and the norms entering the closed-form pair residuals."""
+class _SplitStats(NamedTuple):
+    """Sign parts of one field, or of a stack of fields as rows, and the
+    norms entering the closed-form pair residuals.
+
+    Each norm is a float for one field and an array with one entry per
+    row for a stack; :meth:`row` gives one row's norms as floats, which is
+    what the scalar functions below take.
+    """
 
     a_pos: float  # energy-space norm^2 of u+
     l_pos: float  # integral of u+^2 log u+^2
@@ -111,43 +124,64 @@ class _SplitStats:
     l_neg: float
     b_neg: float
     k: float  # edge coupling, <= 0
-    up: np.ndarray = field(repr=False, compare=False)
-    um: np.ndarray = field(repr=False, compare=False)
+    up: np.ndarray
+    um: np.ndarray
 
     @property
     def scale(self) -> float:
         return max(self.a_pos, self.a_neg, 1.0)
 
+    def row(self, i: int | tuple = ()) -> "_SplitStats":
+        """Row ``i`` with its norms as floats; the one field's by default.
+
+        Raises ``ValueError`` when a sign part of the row is zero (its L2
+        norm^2 is 0.0).
+        """
+        row = _SplitStats(*(float(x[i]) for x in self[:7]), self.up[i], self.um[i])
+        if row.b_pos == 0.0 or row.b_neg == 0.0:
+            raise ValueError("pair projection needs both sign parts nontrivial")
+        return row
+
 
 def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
-    """Statistics of the free values of a field the caller has validated.
+    """Statistics of the free values of a field, or of each row of a stack,
+    that the caller has validated.
 
     One fused pass: a single ``sq_log_sq(u)`` split by sign and the two
     matvecs ``S u+`` and ``S u-`` give every entry.  ``k = -2 u+ . (S u-)``
     because the supports are disjoint.  Each entry is the same float, from
     the same operations in the same order, as evaluating the kernels on
-    ``u+`` and ``u-`` one at a time.  Raises ``ValueError`` when a sign
-    part is zero (its L2 norm^2 is 0.0).
+    ``u+`` and ``u-`` one at a time, and a row of a stack gets the floats
+    of that field alone.
     """
     mu, mass, stiff = inst.mu, inst.mass, inst.stiffness
-    up, um = positive_part(u), negative_part(u)
-    up2, um2 = up * up, um * um
-    b_pos, b_neg = float(mu @ up2), float(mu @ um2)
-    if b_pos == 0.0 or b_neg == 0.0:
-        raise ValueError("pair projection needs both sign parts nontrivial")
-    q = sq_log_sq(u)
-    s_up, s_um = stiff @ up, stiff @ um
+    # The two parts as one stack, so that each kernel below is one call.
+    parts = np.stack((positive_part(u), negative_part(u)))
+    sq = parts * parts
+    s_parts = _matvec(stiff, parts)
+    a = _dot(parts, s_parts) + _dot(mass, sq)
+    b = _dot(mu, sq)
+    # A part is nonzero exactly where u has its sign.
+    lg = _dot(mu, np.where(parts != 0.0, sq_log_sq(u), 0.0))
     return _SplitStats(
-        a_pos=float(up @ s_up + mass @ up2),
-        l_pos=float(mu @ np.where(u > 0.0, q, 0.0)),
-        b_pos=b_pos,
-        a_neg=float(um @ s_um + mass @ um2),
-        l_neg=float(mu @ np.where(u < 0.0, q, 0.0)),
-        b_neg=b_neg,
-        k=-2.0 * float(up @ s_um),
-        up=up,
-        um=um,
+        a_pos=a[0],
+        l_pos=lg[0],
+        b_pos=b[0],
+        a_neg=a[1],
+        l_neg=lg[1],
+        b_neg=b[1],
+        k=-2.0 * _dot(parts[0], s_parts[1]),
+        up=parts[0],
+        um=parts[1],
     )
+
+
+def _one(results: list):
+    """The single row's result of a stacked projection, or raise its failure."""
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
@@ -157,21 +191,32 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     Raises ``NoBracket`` when s lies beyond 2^(+-510), where s^2 is not a
     normal double, and ``ValueError`` for the zero field.
     """
-    return _project_ray(inst, inst.free_values(w))
+    return _one(_project_ray(inst, inst.free_values(w)[None, :]))
 
 
-def _project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
-    """``project_ray`` on the free values ``w``."""
+def _project_ray(inst: ProblemInstance, w: np.ndarray) -> list:
+    """``project_ray`` on each row of a stack of free values.
+
+    One entry per row: its scaling, or the ``ValueError`` or
+    ``NoBracket`` it failed with.
+    """
     mu = inst.mu
-    b = float(mu @ (w * w))
-    if b == 0.0:
-        raise ValueError("cannot ray-project the zero field")
-    half_log = 0.5 * (_norm_h_sq(inst, w) - b - float(mu @ sq_log_sq(w))) / b
-    # The pair box's bound: s^2 must be a normal double.  Written so that
-    # a NaN fails it too.
-    if not abs(half_log) <= _MAX_BOX_EXP * math.log(2.0):
-        raise NoBracket(f"Nehari scaling e^{half_log:.6g} is beyond float range")
-    return math.exp(half_log)
+    b = _dot(mu, w * w)
+    h = _norm_h_sq(inst, w)
+    lg = _dot(mu, sq_log_sq(w))
+    out = []
+    for bi, hi, li in zip(b.tolist(), h.tolist(), lg.tolist()):
+        if bi == 0.0:
+            out.append(ValueError("cannot ray-project the zero field"))
+            continue
+        half_log = 0.5 * (hi - bi - li) / bi
+        # The pair box's bound: s^2 must be a normal double.  Written so
+        # that a NaN fails it too.
+        if not abs(half_log) <= _MAX_BOX_EXP * math.log(2.0):
+            out.append(NoBracket(f"Nehari scaling e^{half_log:.6g} is beyond float range"))
+            continue
+        out.append(math.exp(half_log))
+    return out
 
 
 def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
@@ -206,7 +251,7 @@ def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> 
     """
     if s <= 0 or t <= 0:
         raise ValueError("s and t must be positive")
-    return _g_pair(_split_stats(inst, inst.free_values(u)), s, t)
+    return _g_pair(_split_stats(inst, inst.free_values(u)).row(), s, t)
 
 
 def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]:
@@ -218,7 +263,7 @@ def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]
     signs.  Both ends are powers of two with r <= 1 <= R, computed in
     closed form.
     """
-    return _bracket_from_stats(_split_stats(inst, inst.free_values(u)))
+    return _bracket_from_stats(_split_stats(inst, inst.free_values(u)).row())
 
 
 def _bracket_from_stats(stats: _SplitStats) -> tuple[float, float]:
@@ -251,7 +296,7 @@ def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> Fi
     if s < 0 or t < 0:
         raise ValueError("s and t must be nonnegative")
     u = inst.free_values(u)
-    stats = _split_stats(inst, u)
+    stats = _split_stats(inst, u).row()
     g1, g2 = _g_pair(stats, 1.0, 1.0)
     if max(abs(g1), abs(g2)) > _MEMBERSHIP_TOL * stats.scale:
         raise ValueError("field is not on the sign-changing Nehari set")
@@ -306,15 +351,32 @@ def project_pair(
     """
     if initial is not None and not all(0.0 < x < math.inf for x in initial):
         raise ValueError(f"initial scalings must be positive and finite, got {initial!r}")
-    proj = _project_pair(inst, inst.free_values(u), initial)
+    proj = _one(_project_pair(inst, inst.free_values(u)[None, :], initial))
     return replace(proj, projected=inst.extend(proj.projected))
 
 
 def _project_pair(
     inst: ProblemInstance, u: np.ndarray, initial: tuple[float, float] | None = None
-) -> PairProjection:
-    """``project_pair`` on the free values ``u``; ``projected`` is free values too."""
+) -> list:
+    """``project_pair`` on each row of a stack of free values.
+
+    One entry per row: its ``PairProjection``, whose ``projected`` is free
+    values too, or the ``ValueError``, ``NoBracket`` or ``NonConvergence``
+    it failed with.  The statistics take one pass over the stack; the
+    scalar root runs once per row.
+    """
     stats = _split_stats(inst, u)
+    out = []
+    for i in range(len(u)):
+        try:
+            out.append(_pair_row(stats.row(i), initial))
+        except (ValueError, NoBracket, NonConvergence) as exc:
+            out.append(exc)
+    return out
+
+
+def _pair_row(stats: _SplitStats, initial: tuple[float, float] | None) -> PairProjection:
+    """The pair projection of one row's statistics."""
     bracket = lo, hi = _bracket_from_stats(stats)
 
     # g1 / (s^2 b+) = 0 and g2 / (t^2 b-) = 0 in the ratio p = t / s:

@@ -1,34 +1,43 @@
 """Ground-state and sign-changing level computation by projected descent.
 
-Each start draws a random field, projects it onto the relevant Nehari
-set, and alternates descent steps along the negative residual with
-re-projection.  A line-search trial costs one projection and nothing
-else: the projection returns the level of its field in closed form
-(``J(w) = |w|_2^2 / 2`` on both Nehari sets), and the Armijo test compares
-that level with the level the start carries.  ``_energy`` evaluates a
-field on its own only to judge a polish and to report a level.
+All starts of a solve descend together as the rows of one stack.  Each
+start draws a seed (deterministic seeds first, then random fields from
+its own stream ``default_rng([seed, i])``), and every seed is projected
+onto the relevant Nehari set before descent begins.  Each outer
+iteration then takes the residual, the stopping and polish tests, the
+descent direction and its slope for all live rows in one array pass, and
+each line-search round projects only the rows still searching.  The
+stacked kernels give every row the floats it would get alone, so a start
+follows the same steps whatever else is in the stack, and results are
+collected in start order.  A line-search trial
+costs one projection and nothing else: the projection returns the level
+of its field in closed form (``J(w) = |w|_2^2 / 2`` on both Nehari
+sets), and the Armijo test compares that level with the level the row
+carries.  ``_energy`` evaluates a field on its own only to judge a
+polish and to report a level.
 
-A damped Newton polish on the pointwise residual system ends a start
-early once it succeeds; descent tries it when the residual is small,
-every 25 iterations, when the line search cannot move, and at tolerance.
-The polish aims at a tenth of the descent stopping test, relative to the
-field's sup norm, and gives up once a Newton step has been halved five
-times without lowering the residual, leaving the start to descent.  A
-brute-force oracle on instances with at most a few free vertices
-provides independent reference levels: a vectorized grid scan of the
-residual system, whose sign-change cells it polishes with the same
-damped Newton.
+A damped Newton polish on the pointwise residual system, run per row,
+ends a start early once it succeeds; descent tries it when the residual
+is small, every 25 iterations, when the line search cannot move, and at
+tolerance.  The polish aims at a tenth of the descent stopping test,
+relative to the field's sup norm, and gives up once a Newton step has
+been halved five times without lowering the residual, leaving the start
+to descent.  A brute-force oracle on instances with at most a few free
+vertices provides independent reference levels: a vectorized grid scan
+of the residual system, whose sign-change cells it polishes with the
+same damped Newton.
 
 Seeds, descent, projections, polish and oracle all work on the free
 values of a field (see :class:`~logschro.energy.ProblemInstance`) and
 share one residual kernel; ``solve_*`` and ``oracle_enumerate`` extend
 the fields they return to full length, and ``verify`` checks a
 full-length field once before it gathers its free values.
-A trial field collapses its start when either projection fails typed
+A row fails a projection when either projection fails typed
 (``ValueError``, ``NoBracket`` beyond float range, or a stalled pair's
-``NonConvergence``) or when the projected field exceeds 1e150.
+``NonConvergence``) or when the projected field exceeds 1e150.  A seed
+that fails is redrawn from its stream, at most four tries; a trial that
+fails is treated as one the Armijo test rejects.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -38,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemInstance, _coupling_k, _energy, _residual, field_to_dict
+from .energy import ProblemInstance, _coupling_k, _dot, _energy, _residual, field_to_dict
 from .graphs import negative_part, positive_part
-from .nehari import NoBracket, NonConvergence, _project_pair, _project_ray
+from .nehari import NonConvergence, _project_pair, _project_ray
 
 __all__ = [
     "SolveOptions",
@@ -79,10 +88,6 @@ class InfeasibleWell(ValueError):
 
 class DofLimitExceeded(ValueError):
     """Instance has more free vertices than the oracle budget."""
-
-
-class _Collapse(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -206,38 +211,35 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
             return None
 
 
-# -- per-start descent on the free values of a field ----------------------
+# -- stacked descent on the free values of the starts ----------------------
 
 
-def _in_range(u: np.ndarray) -> np.ndarray:
-    """``u``, or _Collapse when its sup norm exceeds ``_FIELD_MAX``."""
+def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
+    """Project each row of a stack onto the solve's Nehari set.
+
+    Returns (projected rows, their levels, ok).  A row fails, with ``ok``
+    false and its projected row and level meaningless, when it is not
+    finite, when its projection fails typed (``ValueError``, ``NoBracket``
+    beyond float range, or a stalled pair's ``NonConvergence``), or when
+    the projected row exceeds ``_FIELD_MAX``.
+    """
+    w = np.zeros_like(u)
+    level = np.zeros(len(u))
+    ok = np.zeros(len(u), dtype=bool)
+    rows = np.flatnonzero(np.isfinite(u).all(axis=1))
+    if nodal:
+        for i, proj in zip(rows.tolist(), _project_pair(inst, u[rows])):
+            if not isinstance(proj, Exception):
+                w[i], level[i], ok[i] = proj.projected, proj.level, True
+    else:
+        for i, s in zip(rows.tolist(), _project_ray(inst, u[rows])):
+            if not isinstance(s, Exception):
+                w[i], ok[i] = s * u[i], True
     # Written so that a NaN fails it too.
-    if not float(np.abs(u).max()) <= _FIELD_MAX:
-        raise _Collapse
-    return u
-
-
-def _project_nodal(inst: ProblemInstance, u: np.ndarray):
-    """(projected field, its level), or _Collapse."""
-    if not np.all(np.isfinite(u)):
-        raise _Collapse
-    try:
-        proj = _project_pair(inst, u)
-    except (ValueError, NonConvergence, NoBracket):
-        raise _Collapse from None
-    return _in_range(proj.projected), proj.level
-
-
-def _project_ground(inst: ProblemInstance, u: np.ndarray):
-    """(projected field, its level), or _Collapse."""
-    if not np.all(np.isfinite(u)):
-        raise _Collapse
-    try:
-        s = _project_ray(inst, u)
-    except (ValueError, NoBracket):
-        raise _Collapse from None
-    w = _in_range(s * u)
-    return w, 0.5 * float(inst.mu @ (w * w))
+    ok &= np.abs(w).max(axis=1) <= _FIELD_MAX
+    if not nodal:
+        level[ok] = 0.5 * _dot(inst.mu, w[ok] * w[ok])
+    return w, level, ok
 
 
 def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
@@ -246,19 +248,24 @@ def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
     return float(np.abs(u).max()) > _SIGN_EPS
 
 
-def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal: bool):
-    """Projected descent from one initial field.
+def _descend(
+    inst: ProblemInstance, u: np.ndarray, level: np.ndarray, opts: SolveOptions, nodal: bool
+):
+    """Projected descent from a stack of projected fields and their levels.
 
-    The start carries the level of its current field, which the projection
-    returns in closed form; a line-search trial is accepted on the Armijo
-    test against that level, so it costs one projection and no energy
-    evaluation.  ``_energy`` is called only to judge a polish.
+    All rows take their iterations together, and each row follows the
+    same steps as it would alone.  A row carries the level of its
+    current field, which the projection returns in closed form; a
+    line-search trial is accepted on the Armijo test against that level,
+    so it costs one projection and no energy evaluation.  ``_energy`` is
+    called only to judge a polish.  Each line-search round projects the
+    rows still searching, and the step halves from round to round.
 
     A Newton polish is tried at tolerance, when the line search cannot
     move, every 25th iteration, and when the sup residual is at most
     1e-2 of the field's scale.  After a polish fails, the small-residual
     trigger waits until the residual has halved since that failure: a
-    start drifting along a flat part of the Nehari set would otherwise
+    row drifting along a flat part of the Nehari set would otherwise
     rerun the same failing polish on every iteration.  A polish counts
     only if it keeps the sign pattern and does not raise the energy.
     Both the stopping test and the polish tolerance scale with
@@ -267,15 +274,17 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
     field far above 1 is held to the digits a double carries, not to an
     absolute bound.
 
-    Returns (field, converged) or raises _Collapse when a sign part dies
-    and the start must be re-randomized.
+    Returns (fields, converged): the final field of each row and whether
+    it reached tolerance.
     """
-    project = _project_nodal if nodal else _project_ground
+    mu = inst.mu
+    tol = opts.tol_residual
     precond = 1.0 / (inst.lam_a + 1.0)
-    u, level = project(inst, u0)
+    fields = u.copy()
+    converged = np.zeros(len(u), dtype=bool)
 
     def polished(cur: np.ndarray):
-        cand = _newton_root(inst, cur, rtol=0.1 * opts.tol_residual)
+        cand = _newton_root(inst, cur, rtol=0.1 * tol)
         if cand is None or not _sign_ok(cand, nodal):
             return None
         j_cur = _energy(inst, cur)
@@ -284,40 +293,58 @@ def _run_start(inst: ProblemInstance, u0: np.ndarray, opts: SolveOptions, nodal:
             return None
         return cand
 
-    failed_at = math.inf  # rinf at the last failed polish in the loop
+    # The live rows: their index in ``fields``, field, level, and the sup
+    # residual at their last failed polish in the loop.
+    idx = np.arange(len(u))
+    u, level = u.copy(), level.copy()
+    failed_at = np.full(len(u), math.inf)
     for it in range(_MAX_OUTER_ITERS):
+        if not idx.size:
+            break
         r = _residual(inst, u)
-        rinf = float(np.abs(r).max())
-        scale = max(1.0, float(np.abs(u).max()))
-        if rinf <= opts.tol_residual * scale:
-            cand = polished(u)
-            return (cand if cand is not None else u), True
-        if (rinf <= 1e-2 * scale and rinf <= 0.5 * failed_at) or it % 25 == 24:
-            cand = polished(u)
+        rinf = np.abs(r).max(axis=1)
+        scale = np.maximum(1.0, np.abs(u).max(axis=1))
+        done = rinf <= tol * scale
+        trigger = done | (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at)
+        if it % 25 == 24:
+            trigger[:] = True
+        for j in np.flatnonzero(trigger).tolist():
+            cand = polished(u[j])
             if cand is not None:
-                return cand, True
-            failed_at = rinf
+                u[j], done[j] = cand, True
+            elif not done[j]:
+                failed_at[j] = rinf[j]
+        if done.any():
+            fields[idx[done]], converged[idx[done]] = u[done], True
+            keep = ~done
+            idx, u, level, failed_at, r = idx[keep], u[keep], level[keep], failed_at[keep], r[keep]
+
         d = -r * precond
-        slope = float(inst.mu @ (r * d))
-        alpha, moved = _STEP_INIT, False
-        while alpha > 1e-16:
-            try:
-                cand, cand_level = project(inst, u + alpha * d)
-            except _Collapse:
-                alpha *= _SHRINK
-                continue
-            if cand_level <= level + _ARMIJO * alpha * slope:
-                u, level, moved = cand, cand_level, True
-                break
+        slope = _dot(mu, r * d)
+        # Every row still searching has taken the same number of halvings,
+        # so the step is one number per round.
+        alpha = _STEP_INIT
+        search = np.arange(len(idx))  # live rows still searching
+        while search.size and alpha > 1e-16:
+            w, w_level, ok = _project(inst, u[search] + alpha * d[search], nodal)
+            ok &= w_level <= level[search] + _ARMIJO * alpha * slope[search]
+            u[search[ok]], level[search[ok]] = w[ok], w_level[ok]
+            search = search[~ok]
             alpha *= _SHRINK
-        if not moved:
-            cand = polished(u)
-            if cand is not None:
-                return cand, True
-            return u, False
-    r = _residual(inst, u)
-    ok = float(np.abs(r).max()) <= opts.tol_residual * max(1.0, float(np.abs(u).max()))
-    return u, ok
+        if search.size:  # rows the line search cannot move
+            for j in search.tolist():
+                cand = polished(u[j])
+                if cand is not None:
+                    u[j], converged[idx[j]] = cand, True
+            fields[idx[search]] = u[search]
+            keep = np.ones(len(idx), dtype=bool)
+            keep[search] = False
+            idx, u, level, failed_at = idx[keep], u[keep], level[keep], failed_at[keep]
+    else:  # the iteration cap: each row left is judged as it stands
+        rinf = np.abs(_residual(inst, u)).max(axis=1)
+        fields[idx] = u
+        converged[idx] = rinf <= tol * np.maximum(1.0, np.abs(u).max(axis=1))
+    return fields, converged
 
 
 # -- initialization: seeds are free values ---------------------------------
@@ -404,21 +431,44 @@ def _sign_pattern(inst: ProblemInstance, u: np.ndarray) -> dict:
     }
 
 
-def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveReport:
-    results = []  # (level, normalized field)
+def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
+    """Projected seeds of all starts: (fields, levels, ok).
+
+    Start ``i`` takes deterministic seed ``i`` while there is one and
+    otherwise a random field from its own stream ``default_rng([seed,
+    i])``.  A seed whose projection fails is replaced by the stream's next
+    random field, for at most 4 tries; ``ok`` marks the starts that got a
+    projected seed.
+    """
     seeds = _deterministic_seeds(inst, nodal)
-    for i in range(opts.starts):
-        rng = np.random.default_rng([opts.seed, i])
-        u0 = seeds[i] if i < len(seeds) else _random_seed_field(inst, rng, nodal)
-        for _attempt in range(4):
-            try:
-                u, ok = _run_start(inst, u0, opts, nodal)
-            except _Collapse:
-                u0 = _random_seed_field(inst, rng, nodal)
-                continue
-            if ok:
-                results.append((_energy(inst, u), _normalize_sign(u)))
+    rngs = [np.random.default_rng([opts.seed, i]) for i in range(opts.starts)]
+    u0 = np.array(
+        [
+            seeds[i] if i < len(seeds) else _random_seed_field(inst, rng, nodal)
+            for i, rng in enumerate(rngs)
+        ]
+    )
+    u, level = np.zeros_like(u0), np.zeros(opts.starts)
+    ok = np.zeros(opts.starts, dtype=bool)
+    todo = np.arange(opts.starts)
+    for _attempt in range(4):
+        if not todo.size:
             break
+        w, w_level, got = _project(inst, u0[todo], nodal)
+        u[todo[got]], level[todo[got]], ok[todo[got]] = w[got], w_level[got], True
+        todo = todo[~got]
+        for i in todo.tolist():
+            u0[i] = _random_seed_field(inst, rngs[i], nodal)
+    return u, level, ok
+
+
+def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveReport:
+    u, level, seeded = _seed_stack(inst, opts, nodal)
+    fields, converged = _descend(inst, u[seeded], level[seeded], opts, nodal)
+    # In start order, so that ties and the histogram do not depend on the stacking.
+    results = [
+        (_energy(inst, f), _normalize_sign(f)) for f, ok in zip(fields, converged) if ok
+    ]
     if not results:
         mode = "nodal" if nodal else "ground"
         raise NonConvergence(f"no {mode} start reached tolerance (starts={opts.starts})")

@@ -22,7 +22,7 @@ from logschro import (
     residual,
     verify,
 )
-from logschro import solver
+from logschro import nehari, solver
 from logschro.energy import sq_log_sq, u_log_sq
 
 from conftest import random_field, random_graph
@@ -130,6 +130,20 @@ class TestKernelsMatchReference:
             assert np.max(np.abs(got - full[inst.free])) <= RTOL * _scale(
                 full, inst.graph.deg * u / inst.graph.mu, u_log_sq(u)
             )
+
+    def test_stacked_rows_match_each_field_alone(self, inst):
+        # The kernels the stacked descent uses give each row of a stack
+        # the very floats of that field alone.
+        stack = np.array([_fields(inst, seed)[0][inst.free] for seed in range(5)])
+        stack[1] = np.abs(stack[1])
+        stats = nehari._split_stats(inst, stack)
+        for i, row in enumerate(stack):
+            np.testing.assert_array_equal(solver._residual(inst, stack)[i], solver._residual(inst, row))
+            assert nehari._norm_h_sq(inst, stack)[i] == nehari._norm_h_sq(inst, row)
+            alone = nehari._split_stats(inst, row)
+            assert [x[i] for x in stats[:7]] == list(alone[:7])
+            np.testing.assert_array_equal(stats.up[i], alone.up)
+            np.testing.assert_array_equal(stats.um[i], alone.um)
 
     def test_polish_jacobian_matches_differences(self, inst):
         u, _ = _fields(inst, 0)

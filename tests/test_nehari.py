@@ -21,7 +21,6 @@ from logschro import (
 )
 from logschro import WeightedGraph, nehari, solver
 from logschro.energy import _energy
-from logschro.solver import _Collapse, _project_ground
 
 from conftest import random_field, random_graph
 
@@ -183,7 +182,7 @@ class TestClosedFormBracket:
             u = random_field(rng, g.n) * 10.0 ** rng.uniform(-3.0, 3.0)
             if not u.max() > 0.0 > u.min():
                 continue
-            stats = nehari._split_stats(inst, u)
+            stats = nehari._split_stats(inst, u).row()
             expect = scanned_bracket(stats)
             try:
                 got = nehari._bracket_from_stats(stats)
@@ -391,17 +390,14 @@ class TestRatioNewton:
             lam = float(10.0 ** rng.uniform(-1.0, 5.0))
         assert g.n == 10 and lam == pytest.approx(7481.9, rel=1e-4)
         inst = ProblemInstance.full(g, lam)
-        outcomes = []
+        outcomes = []  # one per projected row
         project = solver._project_pair
 
         def counted(inst, u):
-            try:
-                proj = project(inst, u)
-            except Exception as exc:
-                outcomes.append(type(exc).__name__)
-                raise
-            outcomes.append("ok")
-            return proj
+            projs = project(inst, u)
+            for proj in projs:
+                outcomes.append(type(proj).__name__ if isinstance(proj, Exception) else "ok")
+            return projs
 
         monkeypatch.setattr(solver, "_project_pair", counted)
         rep = solver.solve_nodal(inst, solver.SolveOptions(starts=4, seed=0))
@@ -485,7 +481,7 @@ class TestClosedFormLevel:
             u[rng.random(len(u)) < 0.2] = 0.0
             if not u.max() > 0.0 > u.min():
                 with pytest.raises(ValueError):
-                    nehari._split_stats(inst, u)
+                    nehari._split_stats(inst, u).row()
                 one_signed += 1
                 continue
             got = nehari._split_stats(inst, u)
@@ -500,9 +496,8 @@ class TestClosedFormLevel:
         for inst, u in _full_and_dirichlet(11, 1000):
             if not u.max() > 0.0 > u.min():
                 continue
-            try:
-                proj = nehari._project_pair(inst, u)
-            except (ValueError, NoBracket, NonConvergence):
+            (proj,) = nehari._project_pair(inst, u[None, :])
+            if isinstance(proj, (ValueError, NoBracket, NonConvergence)):
                 continue
             # Past 1e150 the energy's own u^2 log u^2 overflows.
             if not np.abs(proj.projected).max() <= 1e150:
@@ -516,10 +511,10 @@ class TestClosedFormLevel:
     def test_ray_level_is_energy_of_projection(self):
         checked = 0
         for inst, u in _full_and_dirichlet(11, 1000):
-            try:
-                w, level = _project_ground(inst, u)
-            except _Collapse:
+            w, level, ok = solver._project(inst, u[None, :], nodal=False)
+            if not ok[0]:
                 continue
+            w, level = w[0], level[0]
             scale = 0.5 * nehari._norm_h_sq(inst, w)
             assert abs(level - _energy(inst, w)) <= 1e-13 * scale
             checked += 1
@@ -559,6 +554,41 @@ class TestFailuresAreTyped:
             pass
         else:
             assert _normal_square(proj.s) and _normal_square(proj.t)
+
+
+class TestStackedRows:
+    """A stack of fields projects row by row as each field does alone."""
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(-1.0, 5.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_stack_matches_each_row_alone(self, seed, log_lam, log_scale):
+        # The draws of TestFailuresAreTyped, six fields to a stack; one row
+        # lacks its negative part and one is zero, so that every stack holds
+        # typed failures next to projected rows.
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        inst = ProblemInstance.full(g, 10.0**log_lam)
+        u = np.array([random_field(rng, g.n) for _ in range(6)]) * 10.0**log_scale
+        u[1] = np.abs(u[1])
+        u[4] = 0.0
+        for project in (nehari._project_ray, nehari._project_pair):
+            stacked = project(inst, u)
+            assert len(stacked) == len(u)
+            for row, got in zip(u, stacked):
+                (alone,) = project(inst, row[None, :])
+                assert type(got) is type(alone)
+                if not isinstance(alone, Exception):
+                    assert _scalings(got) == pytest.approx(_scalings(alone), rel=1e-15, abs=0.0)
+
+
+def _scalings(proj):
+    """The numbers a projected row is judged on: the ray's s, or the pair's
+    s, t and level."""
+    return [proj] if isinstance(proj, float) else [proj.s, proj.t, proj.level]
 
 
 class TestFiberEnergy:

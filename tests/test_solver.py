@@ -24,7 +24,6 @@ from logschro import (
     verify,
 )
 from logschro import solver
-from logschro.solver import _Collapse, _project_nodal
 
 from conftest import random_graph
 
@@ -147,8 +146,11 @@ class TestLineSearchCost:
         inst = ProblemInstance.full(g, 10.0)
         opts = SolveOptions(starts=8, seed=0)
         calls = collections.Counter()
-        for name in ("_energy", "_newton_root", "_project_ray", "_project_pair"):
+        for name in ("_energy", "_newton_root"):
             monkeypatch.setattr(solver, name, _counted(calls, name, getattr(solver, name)))
+        # A projection call takes a stack: count the rows it projects.
+        for name in ("_project_ray", "_project_pair"):
+            monkeypatch.setattr(solver, name, _counted_rows(calls, name, getattr(solver, name)))
         solve_ground(inst, opts)
         solve_nodal(inst, opts)
         bound = 2 * calls["_newton_root"] + 2 * opts.starts + 2
@@ -156,10 +158,40 @@ class TestLineSearchCost:
         assert calls["_energy"] <= bound
 
 
+class TestStackedDescent:
+    """All starts descend as one stack, and each row as it would alone."""
+
+    @pytest.mark.parametrize(
+        "topology, n, well, lam, nodal",
+        [("path", 6, "3..4", 100.0, True), ("grid", 5, "v2-2,v2-3,v3-2,v3-3", 10.0, False)],
+    )
+    def test_stack_matches_each_seed_alone(self, topology, n, well, lam, nodal):
+        inst = ProblemInstance.full(WeightedGraph.from_dict(generate_graph(topology, n, well)), lam)
+        opts = SolveOptions(starts=8, seed=0)
+        u, level, seeded = solver._seed_stack(inst, opts, nodal)
+        assert seeded.all()
+        fields, converged = solver._descend(inst, u, level, opts, nodal)
+        assert converged.any()
+        for i in range(len(u)):
+            alone, ok = solver._descend(inst, u[i : i + 1], level[i : i + 1], opts, nodal)
+            assert ok[0] == converged[i]
+            # Each row takes the very steps it takes alone, so not only the
+            # level (to 1e-13) but the field agrees to the last bit.
+            np.testing.assert_array_equal(alone[0], fields[i])
+
+
 def _counted(calls, name, func):
     def counted(*args, **kwargs):
         calls[name] += 1
         return func(*args, **kwargs)
+
+    return counted
+
+
+def _counted_rows(calls, name, func):
+    def counted(inst, u):
+        calls[name] += len(u)
+        return func(inst, u)
 
     return counted
 
@@ -279,19 +311,20 @@ class TestCollapseGuards:
         inst = ProblemInstance.full(p6, 10.0)
         u = p6.field({"v3": 1.0, "v4": -1.0})
         u[0] = math.nan
-        for project in (solver._project_ground, _project_nodal):
-            with pytest.raises(_Collapse):
-                project(inst, u)
+        for nodal in (False, True):
+            _, _, ok = solver._project(inst, u[None, :], nodal)
+            assert not ok[0]
 
     def test_vanishing_sign_part_projects_as_project_pair(self, p6):
         # |u-|_H1 ~ 1.4e-16: the pair projection scales each sign part, so a
         # tiny part is no special case for descent either.
         inst = ProblemInstance.full(p6, 10.0)
         u = p6.field({"v3": 1.0, "v6": -1e-16})
-        w, level = _project_nodal(inst, u)
+        w, level, ok = solver._project(inst, u[None, :], nodal=True)
         proj = project_pair(inst, u)
-        np.testing.assert_array_equal(w, proj.projected)
-        assert level == proj.level
+        assert ok[0]
+        np.testing.assert_array_equal(w[0], proj.projected)
+        assert level[0] == proj.level
 
 
 class TestScalingOverflow:
@@ -306,8 +339,8 @@ class TestScalingOverflow:
         inst = ProblemInstance.full(p3_no_well, 5000.0)
         # Separated sign supports: the box bounding their ray roots is
         # beyond float range.
-        with pytest.raises(_Collapse):
-            _project_nodal(inst, np.array([1.0, 0.0, -1.0]))
+        _, _, ok = solver._project(inst, np.array([[1.0, 0.0, -1.0]]), nodal=True)
+        assert not ok[0]
         with pytest.raises(NonConvergence):
             solve_nodal(inst, SolveOptions(starts=4, seed=0))
 
@@ -352,12 +385,12 @@ class TestLargeField:
     def test_projected_field_beyond_range_collapses(self, p6, monkeypatch, bad):
         inst = ProblemInstance.full(p6, 10.0)
         u = p6.field({"v3": 1.0, "v4": -1.0}, default=0.5)
-        scaled = types.SimpleNamespace(projected=bad * u, degenerate=False)
-        monkeypatch.setattr(solver, "_project_ray", lambda inst, w: bad)
-        monkeypatch.setattr(solver, "_project_pair", lambda inst, w: scaled)
-        for project in (solver._project_ground, _project_nodal):
-            with pytest.raises(_Collapse):
-                project(inst, u)
+        scaled = types.SimpleNamespace(projected=bad * u, level=0.0, degenerate=False)
+        monkeypatch.setattr(solver, "_project_ray", lambda inst, w: [bad] * len(w))
+        monkeypatch.setattr(solver, "_project_pair", lambda inst, w: [scaled] * len(w))
+        for nodal in (False, True):
+            _, _, ok = solver._project(inst, u[None, :], nodal)
+            assert not ok[0]
 
 
 class TestVerify:
