@@ -371,7 +371,9 @@ def _project_pair(
         try:
             out.append(_pair_row(stats.row(i), initial))
         except (ValueError, NoBracket, NonConvergence) as exc:
-            out.append(exc)
+            # Kept as the row's outcome, not propagated: without its
+            # traceback it holds no frame, and no cycle through ``out``.
+            out.append(exc.with_traceback(None))
     return out
 
 

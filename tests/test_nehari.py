@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 
@@ -583,6 +584,24 @@ class TestStackedRows:
                 assert type(got) is type(alone)
                 if not isinstance(alone, Exception):
                     assert _scalings(got) == pytest.approx(_scalings(alone), rel=1e-15, abs=0.0)
+
+
+    def test_failed_rows_leave_no_reference_cycle(self, p6):
+        # A failed row's exception is returned as data.  Were its traceback
+        # kept, it would hold the projection's frame, whose list holds the
+        # exception: a cycle that keeps the stacks alive until the cycle
+        # collector runs.
+        inst = ProblemInstance.full(p6, 10.0)
+        u = np.array([[1.0, -1.0, 0.5, 0.2, -0.3, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        gc.collect()
+        gc.disable()
+        try:
+            results = nehari._project_pair(inst, u)
+            assert isinstance(results[1], ValueError)
+            del results
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _scalings(proj):
