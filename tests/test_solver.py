@@ -166,7 +166,8 @@ class TestStackedDescent:
         [("path", 6, "3..4", 100.0, True), ("grid", 5, "v2-2,v2-3,v3-2,v3-3", 10.0, False)],
     )
     def test_stack_matches_each_seed_alone(self, topology, n, well, lam, nodal):
-        inst = ProblemInstance.full(WeightedGraph.from_dict(generate_graph(topology, n, well)), lam)
+        graph = WeightedGraph.from_dict(generate_graph(topology, n, well))
+        inst = ProblemInstance.full(graph, lam)
         opts = SolveOptions(starts=8, seed=0)
         u, level, seeded = solver._seed_stack(inst, opts, nodal)
         assert seeded.all()
