@@ -154,7 +154,10 @@ class WeightedGraph:
             if key in seen:
                 raise GraphValidationError(f"duplicate edge {x!r}-{y!r}")
             seen.add(key)
-            w = float(w)
+            try:
+                w = float(w)
+            except (TypeError, ValueError):
+                raise GraphValidationError(f"edge weight is not a number: {x!r}-{y!r}") from None
             if not np.isfinite(w) or w <= 0:
                 raise GraphValidationError(f"edge weight must be positive: {x!r}-{y!r}")
             i, j = index[x], index[y]
@@ -197,9 +200,14 @@ class WeightedGraph:
     def field(self, values: Mapping[str, float] | None = None, default: float = 0.0) -> np.ndarray:
         """Dense field from an id-keyed mapping; missing ids get ``default``."""
         u = np.full(self.n, float(default))
-        if values:
-            for vid, val in values.items():
-                u[self.index(vid)] = float(val)
+        if values is not None and not isinstance(values, Mapping):
+            raise ValueError("field values must be a mapping of vertex ids to numbers")
+        for vid, val in (values or {}).items():
+            i = self.index(vid)
+            try:
+                u[i] = float(val)
+            except (TypeError, ValueError):
+                raise ValueError(f"value of vertex {vid!r} is not a number: {val!r}") from None
         return u
 
     def check_field(self, u: np.ndarray) -> np.ndarray:

@@ -13,32 +13,31 @@ float range: a scaling whose square is not a normal double raises
 raises ``ValueError``.
 
 Each public function validates its field argument once and gathers its
-values on the instance's free vertex set.  The private projections
-``_project_ray`` and ``_project_pair``, which the solver calls directly,
-take a stack of free values as rows and return one entry per row: the
-row's projection, or the typed exception it failed with.  The O(n) work
-is row-wise, one array pass over the stack: the ray's norms and the
-sign-part statistics (``_split_stats``: one ``sq_log_sq`` pass and the two
-matvecs ``S u+`` and ``S u-``) through the trusted kernels of
-:mod:`logschro.energy`, which give each row the floats of that field
-alone.  The O(1) rest, the ray's closed form and the pair's box, ratio
-root and acceptance test, runs once per row on Python floats.  The public
-``project_ray`` and ``project_pair`` call the same functions with a
-one-row stack; ``project_pair`` scatters the projected field back to full
-length.
+values on the instance's free vertex set.  The solver calls ``_project``,
+which takes a stack of finite free values as rows and returns arrays: the
+projected rows, their levels and an ``ok`` mask.  The O(n) work is one
+array pass over the stack: the ray's norms and the sign-part statistics
+(``_split_stats``: one ``sq_log_sq`` pass and the two matvecs ``S u+`` and
+``S u-``) through the trusted kernels of :mod:`logschro.energy`, which
+give each row the floats of that field alone.  The O(1) rest, the ray's
+closed form and the pair's box, ratio root and acceptance test, runs once
+per row on Python floats in ``_ray_scaling`` and ``_pair_row``; a row
+where it raises gets ``ok`` false.  The public ``project_ray`` and
+``project_pair`` call these row functions directly, so their errors keep
+the frame that raised them.
 
 The level of a projected field needs no energy pass: on either Nehari set
 ``J(w) = |w|_2^2 / 2`` exactly, since ``J(w) - |w|_2^2 / 2 = J'(w).w / 2``
-vanishes there.  ``PairProjection`` carries ``level = (s^2 |u+|_2^2 +
-t^2 |u-|_2^2) / 2`` from the statistics it already has; a ray-projected
-field ``s w`` has level ``|s w|_2^2 / 2``.
+vanishes there.  ``_project`` gives a pair-projected row ``s u+ + t u-``
+the level ``(s^2 |u+|_2^2 + t^2 |u-|_2^2) / 2`` and a ray-projected row
+``s w`` the level ``|s w|_2^2 / 2``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +85,6 @@ class PairProjection:
     g2_residual: float
     iterations: int
     bracket: tuple[float, float]
-    level: float  # energy of the projected field, (s^2 |u+|_2^2 + t^2 |u-|_2^2) / 2
     degenerate: bool = False
 
     def to_dict(self) -> dict:
@@ -176,14 +174,6 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
     )
 
 
-def _one(results: list):
-    """The single row's result of a stacked projection, or raise its failure."""
-    (res,) = results
-    if isinstance(res, Exception):
-        raise res
-    return res
-
-
 def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     """Unique positive scaling placing ``s w`` on the Nehari manifold.
 
@@ -191,32 +181,25 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     Raises ``NoBracket`` when s lies beyond 2^(+-510), where s^2 is not a
     normal double, and ``ValueError`` for the zero field.
     """
-    return _one(_project_ray(inst, inst.free_values(w)[None, :]))
+    return _ray_scaling(*(float(x[0]) for x in _ray_norms(inst, inst.free_values(w)[None, :])))
 
 
-def _project_ray(inst: ProblemInstance, w: np.ndarray) -> list:
-    """``project_ray`` on each row of a stack of free values.
-
-    One entry per row: its scaling, or the ``ValueError`` or
-    ``NoBracket`` it failed with.
-    """
+def _ray_norms(inst: ProblemInstance, w: np.ndarray):
+    """(|w|_2^2, |w|_H^2, int w^2 log w^2) of each row of a stack."""
     mu = inst.mu
-    b = _dot(mu, w * w)
-    h = _norm_h_sq(inst, w)
-    lg = _dot(mu, sq_log_sq(w))
-    out = []
-    for bi, hi, li in zip(b.tolist(), h.tolist(), lg.tolist()):
-        if bi == 0.0:
-            out.append(ValueError("cannot ray-project the zero field"))
-            continue
-        half_log = 0.5 * (hi - bi - li) / bi
-        # The pair box's bound: s^2 must be a normal double.  Written so
-        # that a NaN fails it too.
-        if not abs(half_log) <= _MAX_BOX_EXP * math.log(2.0):
-            out.append(NoBracket(f"Nehari scaling e^{half_log:.6g} is beyond float range"))
-            continue
-        out.append(math.exp(half_log))
-    return out
+    return _dot(mu, w * w), _norm_h_sq(inst, w), _dot(mu, sq_log_sq(w))
+
+
+def _ray_scaling(b: float, h: float, lg: float) -> float:
+    """The ray's closed form from one row's norms (see ``project_ray``)."""
+    if b == 0.0:
+        raise ValueError("cannot ray-project the zero field")
+    half_log = 0.5 * (h - b - lg) / b
+    # The pair box's bound: s^2 must be a normal double.  Written so that a
+    # NaN fails it too.
+    if not abs(half_log) <= _MAX_BOX_EXP * math.log(2.0):
+        raise NoBracket(f"Nehari scaling e^{half_log:.6g} is beyond float range")
+    return math.exp(half_log)
 
 
 def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
@@ -341,44 +324,66 @@ def project_pair(
     t^2 |u-|_H^2, 1), a test relative to the projected field and hence
     scale-invariant.  It is judged on g1 / s^2 and g2 / t^2, so a root
     whose s^2 |u+|_H^2 overflows still passes; a residual reported there
-    is s^2 times the scaled one.  ``level`` is the energy
-    (s^2 |u+|_2^2 + t^2 |u-|_2^2) / 2 of the projected field, exact on the
-    sign-changing Nehari set.  ``initial = (s0, t0)``, both positive and
-    finite, offers the ratio t0 / s0 as a start; Newton leaves from it
-    when G is nearer 0 there than at the default starts.  Zero
-    coupling leaves G = 2 log p - const, whose root gives the two
+    is s^2 times the scaled one.  ``initial = (s0, t0)``, both positive
+    and finite, offers the ratio t0 / s0 as a start; Newton leaves from it
+    when G is nearer 0 there than at the default starts.  Zero coupling
+    leaves G = 2 log p - const, whose root gives the two
     independent ray projections; the result is then flagged ``degenerate``.
     """
     if initial is not None and not all(0.0 < x < math.inf for x in initial):
         raise ValueError(f"initial scalings must be positive and finite, got {initial!r}")
-    proj = _one(_project_pair(inst, inst.free_values(u)[None, :], initial))
-    return replace(proj, projected=inst.extend(proj.projected))
+    stats = _split_stats(inst, inst.free_values(u)[None, :]).row(0)
+    s, t, g1, g2, iterations, bracket = _pair_row(stats, initial)
+    return PairProjection(
+        s=s,
+        t=t,
+        projected=inst.extend(s * stats.up + t * stats.um),
+        g1_residual=g1,
+        g2_residual=g2,
+        iterations=iterations,
+        bracket=bracket,
+        degenerate=stats.k >= 0.0,
+    )
 
 
-def _project_pair(
-    inst: ProblemInstance, u: np.ndarray, initial: tuple[float, float] | None = None
-) -> list:
-    """``project_pair`` on each row of a stack of free values.
+def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
+    """Project each row of a stack of finite free values onto the
+    sign-changing Nehari set (``nodal``) or the Nehari manifold.
 
-    One entry per row: its ``PairProjection``, whose ``projected`` is free
-    values too, or the ``ValueError``, ``NoBracket`` or ``NonConvergence``
-    it failed with.  The statistics take one pass over the stack; the
-    scalar root runs once per row.
+    Returns (projected rows, levels, ok).  A row whose scalar function
+    raises ``ValueError``, ``NoBracket`` or ``NonConvergence`` has ``ok``
+    false, and its projected row and level mean nothing.
     """
-    stats = _split_stats(inst, u)
-    out = []
+    s, t = np.zeros(len(u)), np.zeros(len(u))
+    ok = np.zeros(len(u), dtype=bool)
+    if nodal:
+        stats = _split_stats(inst, u)
+    else:
+        norms = np.stack(_ray_norms(inst, u), axis=1).tolist()
     for i in range(len(u)):
         try:
-            out.append(_pair_row(stats.row(i), initial))
-        except (ValueError, NoBracket, NonConvergence) as exc:
-            # Kept as the row's outcome, not propagated: without its
-            # traceback it holds no frame, and no cycle through ``out``.
-            out.append(exc.with_traceback(None))
-    return out
+            if nodal:
+                s[i], t[i] = _pair_row(stats.row(i))[:2]
+            else:
+                s[i] = _ray_scaling(*norms[i])
+        except (ValueError, NoBracket, NonConvergence):
+            continue
+        ok[i] = True
+    # A row projected beyond float range overflows to inf here, and a failed
+    # row of infinite norm gets a NaN level; the caller drops both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if nodal:
+            w = s[:, None] * stats.up + t[:, None] * stats.um
+            return w, 0.5 * (s * s * stats.b_pos + t * t * stats.b_neg), ok
+        w = s[:, None] * u
+        return w, 0.5 * _dot(inst.mu, w * w), ok
 
 
-def _pair_row(stats: _SplitStats, initial: tuple[float, float] | None) -> PairProjection:
-    """The pair projection of one row's statistics."""
+def _pair_row(stats: _SplitStats, initial: tuple[float, float] | None = None):
+    """The pair projection of one row's statistics (see ``project_pair``).
+
+    Returns (s, t, g1, g2, iterations, bracket).
+    """
     bracket = lo, hi = _bracket_from_stats(stats)
 
     # g1 / (s^2 b+) = 0 and g2 / (t^2 b-) = 0 in the ratio p = t / s:
@@ -438,14 +443,4 @@ def _pair_row(stats: _SplitStats, initial: tuple[float, float] | None) -> PairPr
             f"pair projection stalled at (g1, g2) = ({g1:.3e}, {g2:.3e}) "
             f"after {iterations} steps"
         )
-    return PairProjection(
-        s=s,
-        t=t,
-        projected=s * stats.up + t * stats.um,
-        g1_residual=g1,
-        g2_residual=g2,
-        iterations=iterations,
-        bracket=bracket,
-        level=0.5 * (s * s * stats.b_pos + t * t * stats.b_neg),
-        degenerate=stats.k >= 0.0,
-    )
+    return s, t, g1, g2, iterations, bracket

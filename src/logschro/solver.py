@@ -32,11 +32,11 @@ values of a field (see :class:`~logschro.energy.ProblemInstance`) and
 share one residual kernel; ``solve_*`` and ``oracle_enumerate`` extend
 the fields they return to full length, and ``verify`` checks a
 full-length field once before it gathers its free values.
-A row fails a projection when either projection fails typed
-(``ValueError``, ``NoBracket`` beyond float range, or a stalled pair's
-``NonConvergence``) or when the projected field exceeds 1e150.  A seed
-that fails is redrawn from its stream, at most four tries; a trial that
-fails is treated as one the Armijo test rejects.
+A projection of a stack returns arrays: the projected rows, their levels
+and a mask of the rows that succeeded.  A row also fails when it is not
+finite or when its projected field exceeds 1e150.  A seed that fails is
+redrawn from its stream, at most four tries; a trial that fails is
+treated as one the Armijo test rejects.
 """
 from __future__ import annotations
 
@@ -49,7 +49,8 @@ import numpy as np
 
 from .energy import ProblemInstance, _coupling_k, _dot, _energy, _residual, field_to_dict
 from .graphs import negative_part, positive_part
-from .nehari import NonConvergence, _project_pair, _project_ray
+from . import nehari
+from .nehari import NonConvergence
 
 __all__ = [
     "SolveOptions",
@@ -217,28 +218,15 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
 def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
     """Project each row of a stack onto the solve's Nehari set.
 
-    Returns (projected rows, their levels, ok).  A row fails, with ``ok``
-    false and its projected row and level meaningless, when it is not
-    finite, when its projection fails typed (``ValueError``, ``NoBracket``
-    beyond float range, or a stalled pair's ``NonConvergence``), or when
-    the projected row exceeds ``_FIELD_MAX``.
+    Returns (projected rows, their levels, ok) as ``nehari._project``
+    does, for rows of any values: a row also fails when it is not finite
+    or when its projected row exceeds ``_FIELD_MAX``.
     """
-    w = np.zeros_like(u)
-    level = np.zeros(len(u))
-    ok = np.zeros(len(u), dtype=bool)
-    rows = np.flatnonzero(np.isfinite(u).all(axis=1))
-    if nodal:
-        for i, proj in zip(rows.tolist(), _project_pair(inst, u[rows])):
-            if not isinstance(proj, Exception):
-                w[i], level[i], ok[i] = proj.projected, proj.level, True
-    else:
-        for i, s in zip(rows.tolist(), _project_ray(inst, u[rows])):
-            if not isinstance(s, Exception):
-                w[i], ok[i] = s * u[i], True
+    w, level, ok = np.zeros_like(u), np.zeros(len(u)), np.zeros(len(u), dtype=bool)
+    rows = np.isfinite(u).all(axis=1)
+    w[rows], level[rows], ok[rows] = nehari._project(inst, u[rows], nodal)
     # Written so that a NaN fails it too.
     ok &= np.abs(w).max(axis=1) <= _FIELD_MAX
-    if not nodal:
-        level[ok] = 0.5 * _dot(inst.mu, w[ok] * w[ok])
     return w, level, ok
 
 

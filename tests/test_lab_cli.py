@@ -318,6 +318,29 @@ class TestCli:
         WeightedGraph(["v1"], [1.0], [1.0], []).save(gpath)
         assert cli_main(["solve", "--graph", str(gpath), "--lambda", "1", "--nodal"]) == 3
 
+    @pytest.mark.parametrize(
+        "state", [{"values": [1, 2]}, {"values": {"v1": None}}], ids=["list", "null_value"]
+    )
+    def test_malformed_state_exits_3(self, tmp_path, p3, capsys, state):
+        # These used to escape as a raw AttributeError and TypeError.
+        gpath, spath = tmp_path / "g.json", tmp_path / "s.json"
+        p3.save(gpath)
+        spath.write_text(json.dumps(state))
+        assert cli_main(["check", "--graph", str(gpath), "--state", str(spath),
+                         "--lambda", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_null_edge_weight_exits_3(self, tmp_path, p3, capsys):
+        # It used to escape WeightedGraph.__init__ as a raw TypeError.
+        data = p3.to_dict()
+        data["edges"][0]["w"] = None
+        gpath, spath = tmp_path / "g.json", tmp_path / "s.json"
+        gpath.write_text(json.dumps(data))
+        spath.write_text(json.dumps({"values": {"v1": 1.0}}))
+        assert cli_main(["check", "--graph", str(gpath), "--state", str(spath),
+                         "--lambda", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: edge weight is not a number")
+
     def test_infinite_tolerance_exits_3(self, tmp_path, p6, capsys):
         # An infinite tolerance used to report the first projected start
         # as converged and exit 0.

@@ -391,16 +391,19 @@ class TestRatioNewton:
             lam = float(10.0 ** rng.uniform(-1.0, 5.0))
         assert g.n == 10 and lam == pytest.approx(7481.9, rel=1e-4)
         inst = ProblemInstance.full(g, lam)
-        outcomes = []  # one per projected row
-        project = solver._project_pair
+        outcomes = []  # one per row that reaches the pair's scalar root
+        pair_row = nehari._pair_row
 
-        def counted(inst, u):
-            projs = project(inst, u)
-            for proj in projs:
-                outcomes.append(type(proj).__name__ if isinstance(proj, Exception) else "ok")
-            return projs
+        def counted(stats, initial=None):
+            try:
+                root = pair_row(stats, initial)
+            except Exception as exc:
+                outcomes.append(type(exc).__name__)
+                raise
+            outcomes.append("ok")
+            return root
 
-        monkeypatch.setattr(solver, "_project_pair", counted)
+        monkeypatch.setattr(nehari, "_pair_row", counted)
         rep = solver.solve_nodal(inst, solver.SolveOptions(starts=4, seed=0))
         assert "NonConvergence" not in outcomes
         assert outcomes.count("ok") >= 100
@@ -497,15 +500,18 @@ class TestClosedFormLevel:
         for inst, u in _full_and_dirichlet(11, 1000):
             if not u.max() > 0.0 > u.min():
                 continue
-            (proj,) = nehari._project_pair(inst, u[None, :])
-            if isinstance(proj, (ValueError, NoBracket, NonConvergence)):
+            w, level, ok = nehari._project(inst, u[None, :], nodal=True)
+            if not ok[0]:
                 continue
+            w, level = w[0], level[0]
             # Past 1e150 the energy's own u^2 log u^2 overflows.
-            if not np.abs(proj.projected).max() <= 1e150:
+            if not np.abs(w).max() <= 1e150:
                 continue
+            proj = project_pair(inst, inst.extend(u))
+            np.testing.assert_array_equal(inst.free_values(proj.projected), w)
             stats = nehari._split_stats(inst, u)
             scale = 0.5 * (proj.s**2 * stats.a_pos + proj.t**2 * stats.a_neg)
-            assert abs(proj.level - _energy(inst, proj.projected)) <= 1e-13 * scale
+            assert abs(level - _energy(inst, w)) <= 1e-13 * scale
             checked += 1
         assert checked >= 500
 
@@ -556,6 +562,22 @@ class TestFailuresAreTyped:
         else:
             assert _normal_square(proj.s) and _normal_square(proj.t)
 
+    @pytest.mark.parametrize(
+        "values, project, raised_in",
+        [
+            ({"v1": 1.0, "v2": -1.0}, project_pair, "_bracket_from_stats"),
+            ({"v1": 1.0}, project_ray, "_ray_scaling"),
+        ],
+        ids=["pair", "ray"],
+    )
+    def test_public_errors_keep_the_raising_frame(self, p3_no_well, values, project, raised_in):
+        # At lam * a = 5000 both scalings lie beyond float range.  The error
+        # must come from the frame that computed it, not from a re-raise.
+        inst = ProblemInstance.full(p3_no_well, 5000.0)
+        with pytest.raises(NoBracket) as info:
+            project(inst, p3_no_well.field(values))
+        assert info.traceback[-1].name == raised_in
+
 
 class TestStackedRows:
     """A stack of fields projects row by row as each field does alone."""
@@ -576,38 +598,37 @@ class TestStackedRows:
         u = np.array([random_field(rng, g.n) for _ in range(6)]) * 10.0**log_scale
         u[1] = np.abs(u[1])
         u[4] = 0.0
-        for project in (nehari._project_ray, nehari._project_pair):
-            stacked = project(inst, u)
-            assert len(stacked) == len(u)
-            for row, got in zip(u, stacked):
-                (alone,) = project(inst, row[None, :])
-                assert type(got) is type(alone)
-                if not isinstance(alone, Exception):
-                    assert _scalings(got) == pytest.approx(_scalings(alone), rel=1e-15, abs=0.0)
-
+        for nodal, public in ((False, project_ray), (True, project_pair)):
+            w, level, ok = nehari._project(inst, u, nodal)
+            assert w.shape == u.shape and len(level) == len(ok) == len(u)
+            for row, w_i, level_i, ok_i in zip(u, w, level, ok):
+                w_alone, level_alone, ok_alone = nehari._project(inst, row[None, :], nodal)
+                assert ok_i == ok_alone[0]
+                if not ok_i:
+                    with pytest.raises((ValueError, NoBracket, NonConvergence)):
+                        public(inst, row)
+                    continue
+                np.testing.assert_array_equal(w_i, w_alone[0])
+                assert level_i == level_alone[0]
+                # The public projection of the row scales it the same way.
+                got = public(inst, row)
+                np.testing.assert_array_equal(w_i, got.projected if nodal else got * row)
 
     def test_failed_rows_leave_no_reference_cycle(self, p6):
-        # A failed row's exception is returned as data.  Were its traceback
-        # kept, it would hold the projection's frame, whose list holds the
-        # exception: a cycle that keeps the stacks alive until the cycle
-        # collector runs.
+        # A failed row leaves only ok = False behind: neither its exception
+        # nor that exception's frame outlives the projection.
         inst = ProblemInstance.full(p6, 10.0)
-        u = np.array([[1.0, -1.0, 0.5, 0.2, -0.3, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        u = np.array([[1.0, -1.0, 0.5, 0.2, -0.3, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0.0] * 6])
         gc.collect()
         gc.disable()
         try:
-            results = nehari._project_pair(inst, u)
-            assert isinstance(results[1], ValueError)
-            del results
-            assert gc.collect() == 0
+            for nodal in (False, True):
+                _, _, ok = nehari._project(inst, u, nodal)
+                assert not ok[2] and ok[1] != nodal
+                del ok
+                assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-def _scalings(proj):
-    """The numbers a projected row is judged on: the ray's s, or the pair's
-    s, t and level."""
-    return [proj] if isinstance(proj, float) else [proj.s, proj.t, proj.level]
 
 
 class TestFiberEnergy:

@@ -1,7 +1,6 @@
 import collections
 import itertools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from logschro import (
     solve_nodal,
     verify,
 )
-from logschro import solver
+from logschro import nehari, solver
 
 from conftest import random_graph
 
@@ -149,12 +148,11 @@ class TestLineSearchCost:
         for name in ("_energy", "_newton_root"):
             monkeypatch.setattr(solver, name, _counted(calls, name, getattr(solver, name)))
         # A projection call takes a stack: count the rows it projects.
-        for name in ("_project_ray", "_project_pair"):
-            monkeypatch.setattr(solver, name, _counted_rows(calls, name, getattr(solver, name)))
+        monkeypatch.setattr(nehari, "_project", _counted_rows(calls, "_project", nehari._project))
         solve_ground(inst, opts)
         solve_nodal(inst, opts)
         bound = 2 * calls["_newton_root"] + 2 * opts.starts + 2
-        assert calls["_project_ray"] + calls["_project_pair"] > 5 * bound
+        assert calls["_project"] > 5 * bound
         assert calls["_energy"] <= bound
 
 
@@ -190,9 +188,9 @@ def _counted(calls, name, func):
 
 
 def _counted_rows(calls, name, func):
-    def counted(inst, u):
+    def counted(inst, u, nodal):
         calls[name] += len(u)
-        return func(inst, u)
+        return func(inst, u, nodal)
 
     return counted
 
@@ -325,7 +323,8 @@ class TestCollapseGuards:
         proj = project_pair(inst, u)
         assert ok[0]
         np.testing.assert_array_equal(w[0], proj.projected)
-        assert level[0] == proj.level
+        stats = nehari._split_stats(inst, u[None, :]).row(0)
+        assert level[0] == 0.5 * (proj.s * proj.s * stats.b_pos + proj.t * proj.t * stats.b_neg)
 
 
 class TestScalingOverflow:
@@ -386,9 +385,11 @@ class TestLargeField:
     def test_projected_field_beyond_range_collapses(self, p6, monkeypatch, bad):
         inst = ProblemInstance.full(p6, 10.0)
         u = p6.field({"v3": 1.0, "v4": -1.0}, default=0.5)
-        scaled = types.SimpleNamespace(projected=bad * u, level=0.0, degenerate=False)
-        monkeypatch.setattr(solver, "_project_ray", lambda inst, w: [bad] * len(w))
-        monkeypatch.setattr(solver, "_project_pair", lambda inst, w: [scaled] * len(w))
+
+        def project(inst, w, nodal):  # every row projects, to bad times itself, at level 0
+            return bad * w, np.zeros(len(w)), np.ones(len(w), dtype=bool)
+
+        monkeypatch.setattr(nehari, "_project", project)
         for nodal in (False, True):
             _, _, ok = solver._project(inst, u[None, :], nodal)
             assert not ok[0]
