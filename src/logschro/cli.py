@@ -11,11 +11,11 @@ import argparse
 import json
 import sys
 
-from .energy import NotAdmissible, ProblemInstance, load_field
+from .energy import ProblemInstance, load_field
 from .graphs import GraphValidationError, WeightedGraph
 from .lab import generate_graph, sweep, sweep_csv
 from .nehari import NoBracket, NonConvergence, project_pair
-from .solver import InfeasibleWell, SolveOptions, solve_ground, solve_nodal, verify
+from .solver import SolveOptions, solve_ground, solve_nodal, verify
 
 EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (GraphValidationError, NotAdmissible, InfeasibleWell, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     raise AssertionError("unreachable")

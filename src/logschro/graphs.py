@@ -106,13 +106,15 @@ class WeightedGraph:
     Parameters
     ----------
     vertex_ids : sequence of str
-        Vertex identifiers; fixes the ordering of all field vectors.
+        Vertex identifiers, converted with ``str``; fixes the ordering of
+        all field vectors.
     mu : sequence of float
         Positive per-vertex measure.
     potential_a : sequence of float
         Nonnegative per-vertex potential.
     edges : iterable of (str, str, float)
-        Undirected edges with positive weights; no self loops, no
+        Undirected edges with positive weights, their endpoints
+        converted with ``str`` like the vertex ids; no self loops, no
         duplicates (an edge listed in both orientations counts as a
         duplicate, even with differing weights).
 
@@ -146,6 +148,7 @@ class WeightedGraph:
         weights = np.zeros((n, n))
         seen: set[frozenset] = set()
         for x, y, w in edges:
+            x, y = str(x), str(y)
             if x not in index or y not in index:
                 raise GraphValidationError(f"edge references unknown vertex: {x!r}-{y!r}")
             if x == y:
@@ -258,7 +261,7 @@ class WeightedGraph:
             h1_sq=grad_sq + l2_sq,
             h_lambda_sq=h_lambda_sq,
             l2_sq=l2_sq,
-            linf=float(np.max(np.abs(u))) if self.n else 0.0,
+            linf=float(np.max(np.abs(u))),
         )
 
     # -- subsets, boundary, connectivity --------------------------------

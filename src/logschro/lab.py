@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import ProblemInstance
 from .graphs import WeightedGraph
-from .solver import InfeasibleWell, NonConvergence, SolveOptions, solve_ground, solve_nodal
+from .solver import NonConvergence, SolveOptions, solve_ground, solve_nodal
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -200,8 +200,8 @@ def sweep(
     the nodal and ground solves on the full problem, flips the nodal
     minimizer to align with the limit before measuring distance, and
     records the gap, leaked potential mass, tail mass and H1 distance.
-    A coupling whose solve raises ``NonConvergence`` or ``InfeasibleWell``
-    becomes a failed row; any other exception propagates.
+    A coupling whose solve raises ``NonConvergence`` becomes a failed
+    row; any other exception propagates.
     """
     if not lambdas:
         raise ValueError("lambdas must not be empty")
@@ -231,7 +231,7 @@ def sweep(
         try:
             rn = solve_nodal(inst, opts)
             rg = solve_ground(inst, opts)
-        except (NonConvergence, InfeasibleWell):
+        except NonConvergence:
             rows.append(SweepRow(lam, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, math.nan, failed=True))
             continue

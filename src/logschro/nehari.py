@@ -13,17 +13,21 @@ float range: a scaling whose square is not a normal double raises
 raises ``ValueError``.
 
 Each public function validates its field argument once and gathers its
-values on the instance's free vertex set.  The solver calls ``_project``,
-which takes a stack of finite free values as rows and returns arrays: the
-projected rows, their levels and an ``ok`` mask.  The O(n) work is one
-array pass over the stack: the ray's norms and the sign-part statistics
-(``_split_stats``: one ``sq_log_sq`` pass and the two matvecs ``S u+`` and
-``S u-``) through the trusted kernels of :mod:`logschro.energy`, which
-give each row the floats of that field alone.  The O(1) rest, the ray's
-closed form and the pair's box, ratio root and acceptance test, runs once
-per row on Python floats in ``_ray_scaling`` and ``_pair_row``; a row
-where it raises gets ``ok`` false.  The public ``project_ray`` and
-``project_pair`` call these row functions directly, so their errors keep
+values on the instance's free vertex set.  ``_project`` is the one
+stacked projection: the solver hands it rows of any values and gets
+arrays back, the projected rows, their levels and an ``ok`` mask.  The
+O(n) work is one array pass over the stack that gives each row its norms,
+the ray's (``_ray_norms``) or the sign parts' (``_split_stats``: one
+``sq_log_sq`` pass and the two matvecs ``S u+`` and ``S u-``), through
+the trusted kernels of :mod:`logschro.energy`, which give each row the
+floats of that field alone.  The O(1) rest runs once per row on that
+row's floats, read with ``.tolist()``: the ray's closed form in
+``_ray_scaling`` and the pair's box, ratio root and acceptance test in
+``_pair_row``, each raising its own typed error.  A row fails, with
+``ok`` false, when it is not finite, when its row function raises, or
+when its projected field exceeds 1e150, past which its square, energy
+and residual would overflow.  The public ``project_ray`` and
+``project_pair`` call the row functions directly, so their errors keep
 the frame that raised them.
 
 The level of a projected field needs no energy pass: on either Nehari set
@@ -38,7 +42,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +67,9 @@ _MAX_STEPS = 200
 _MAX_BOX_EXP = min(sys.float_info.max_exp - 1, 1 - sys.float_info.min_exp) // 2
 _PAIR_TOL = 1e-10  # pair residuals, relative to the projected field
 _MEMBERSHIP_TOL = 1e-8  # fiber formula's sign-changing Nehari membership
+# Projected fields beyond this sup norm fail: below it their squares,
+# energy and residual stay finite.
+_FIELD_MAX = 1e150
 
 
 class NoBracket(RuntimeError):
@@ -106,51 +112,18 @@ class FiberValue:
     value: float
 
 
-class _SplitStats(NamedTuple):
-    """Sign parts of one field, or of a stack of fields as rows, and the
-    norms entering the closed-form pair residuals.
+def _split_stats(inst: ProblemInstance, u: np.ndarray):
+    """Norms of the sign parts of each row of a stack of free values that
+    the caller has validated, and the parts.
 
-    Each norm is a float for one field and an array with one entry per
-    row for a stack; :meth:`row` gives one row's norms as floats, which is
-    what the scalar functions below take.
-    """
-
-    a_pos: float  # energy-space norm^2 of u+
-    l_pos: float  # integral of u+^2 log u+^2
-    b_pos: float  # L2 norm^2 of u+
-    a_neg: float
-    l_neg: float
-    b_neg: float
-    k: float  # edge coupling, <= 0
-    up: np.ndarray
-    um: np.ndarray
-
-    @property
-    def scale(self) -> float:
-        return max(self.a_pos, self.a_neg, 1.0)
-
-    def row(self, i: int | tuple = ()) -> "_SplitStats":
-        """Row ``i`` with its norms as floats; the one field's by default.
-
-        Raises ``ValueError`` when a sign part of the row is zero (its L2
-        norm^2 is 0.0).
-        """
-        row = _SplitStats(*(float(x[i]) for x in self[:7]), self.up[i], self.um[i])
-        if row.b_pos == 0.0 or row.b_neg == 0.0:
-            raise ValueError("pair projection needs both sign parts nontrivial")
-        return row
-
-
-def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
-    """Statistics of the free values of a field, or of each row of a stack,
-    that the caller has validated.
-
-    One fused pass: a single ``sq_log_sq(u)`` split by sign and the two
-    matvecs ``S u+`` and ``S u-`` give every entry.  ``k = -2 u+ . (S u-)``
-    because the supports are disjoint.  Each entry is the same float, from
-    the same operations in the same order, as evaluating the kernels on
-    ``u+`` and ``u-`` one at a time, and a row of a stack gets the floats
-    of that field alone.
+    Returns (norms, u+, u-): row i of the (rows, 7) array ``norms`` holds
+    (|u+|_H^2, int u+^2 log u+^2, |u+|_2^2, the same three for u-, k) of
+    row i, where k <= 0 is the edge coupling.  One fused pass: a single
+    ``sq_log_sq(u)`` split by sign and the two matvecs ``S u+`` and
+    ``S u-`` give every entry.  ``k = -2 u+ . (S u-)`` because the supports
+    are disjoint.  Each entry is the same float, from the same operations
+    in the same order, as evaluating the kernels on ``u+`` and ``u-`` of
+    that row alone.
     """
     mu, mass, stiff = inst.mu, inst.mass, inst.stiffness
     # The two parts as one stack, so that each kernel below is one call.
@@ -161,17 +134,21 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray) -> _SplitStats:
     b = _dot(mu, sq)
     # A part is nonzero exactly where u has its sign.
     lg = _dot(mu, np.where(parts != 0.0, sq_log_sq(u), 0.0))
-    return _SplitStats(
-        a_pos=a[0],
-        l_pos=lg[0],
-        b_pos=b[0],
-        a_neg=a[1],
-        l_neg=lg[1],
-        b_neg=b[1],
-        k=-2.0 * _dot(parts[0], s_parts[1]),
-        up=parts[0],
-        um=parts[1],
-    )
+    k = -2.0 * _dot(parts[0], s_parts[1])
+    return np.stack((a[0], lg[0], b[0], a[1], lg[1], b[1], k), axis=1), parts[0], parts[1]
+
+
+def _field_norms(inst: ProblemInstance, uf: np.ndarray) -> list[float]:
+    """The ``_split_stats`` row of one field's free values, as floats;
+    ``ValueError`` when a sign part is zero."""
+    return _both_parts(_split_stats(inst, uf[None, :])[0][0].tolist())
+
+
+def _both_parts(norms: list[float]) -> list[float]:
+    """One row's norms; ``ValueError`` when a sign part is zero."""
+    if norms[2] == 0.0 or norms[5] == 0.0:
+        raise ValueError("pair projection needs both sign parts nontrivial")
+    return norms
 
 
 def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
@@ -181,13 +158,13 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
     Raises ``NoBracket`` when s lies beyond 2^(+-510), where s^2 is not a
     normal double, and ``ValueError`` for the zero field.
     """
-    return _ray_scaling(*(float(x[0]) for x in _ray_norms(inst, inst.free_values(w)[None, :])))
+    return _ray_scaling(*_ray_norms(inst, inst.free_values(w)[None, :])[0].tolist())
 
 
-def _ray_norms(inst: ProblemInstance, w: np.ndarray):
-    """(|w|_2^2, |w|_H^2, int w^2 log w^2) of each row of a stack."""
+def _ray_norms(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
+    """(|w|_2^2, |w|_H^2, int w^2 log w^2) of each row of a stack, as rows."""
     mu = inst.mu
-    return _dot(mu, w * w), _norm_h_sq(inst, w), _dot(mu, sq_log_sq(w))
+    return np.stack((_dot(mu, w * w), _norm_h_sq(inst, w), _dot(mu, sq_log_sq(w))), axis=1)
 
 
 def _ray_scaling(b: float, h: float, lg: float) -> float:
@@ -202,28 +179,22 @@ def _ray_scaling(b: float, h: float, lg: float) -> float:
     return math.exp(half_log)
 
 
-def _g_pair(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
+def _g_pair(norms: list[float], s: float, t: float) -> tuple[float, float]:
+    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
     ls2 = math.log(s * s)
     lt2 = math.log(t * t)
-    g1 = (
-        s * s * (stats.a_pos - stats.l_pos - stats.b_pos)
-        - s * s * ls2 * stats.b_pos
-        - 0.5 * s * t * stats.k
-    )
-    g2 = (
-        t * t * (stats.a_neg - stats.l_neg - stats.b_neg)
-        - t * t * lt2 * stats.b_neg
-        - 0.5 * s * t * stats.k
-    )
+    g1 = s * s * (a_pos - l_pos - b_pos) - s * s * ls2 * b_pos - 0.5 * s * t * k
+    g2 = t * t * (a_neg - l_neg - b_neg) - t * t * lt2 * b_neg - 0.5 * s * t * k
     return g1, g2
 
 
-def _g_scaled(stats: _SplitStats, s: float, t: float) -> tuple[float, float]:
+def _g_scaled(norms: list[float], s: float, t: float) -> tuple[float, float]:
     """(g1 / s^2, g2 / t^2): the pair residuals without the factors s^2 and
     t^2, whose products with a+- overflow near the top of the box."""
-    e1 = stats.a_pos - stats.l_pos - stats.b_pos - math.log(s * s) * stats.b_pos
-    e2 = stats.a_neg - stats.l_neg - stats.b_neg - math.log(t * t) * stats.b_neg
-    return e1 - 0.5 * (t / s) * stats.k, e2 - 0.5 * (s / t) * stats.k
+    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
+    e1 = a_pos - l_pos - b_pos - math.log(s * s) * b_pos
+    e2 = a_neg - l_neg - b_neg - math.log(t * t) * b_neg
+    return e1 - 0.5 * (t / s) * k, e2 - 0.5 * (s / t) * k
 
 
 def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> tuple[float, float]:
@@ -234,7 +205,7 @@ def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> 
     """
     if s <= 0 or t <= 0:
         raise ValueError("s and t must be positive")
-    return _g_pair(_split_stats(inst, inst.free_values(u)).row(), s, t)
+    return _g_pair(_field_norms(inst, inst.free_values(u)), s, t)
 
 
 def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]:
@@ -246,19 +217,17 @@ def miranda_bracket(inst: ProblemInstance, u: np.ndarray) -> tuple[float, float]
     signs.  Both ends are powers of two with r <= 1 <= R, computed in
     closed form.
     """
-    return _bracket_from_stats(_split_stats(inst, inst.free_values(u)).row())
+    return _bracket_from_stats(_field_norms(inst, inst.free_values(u)))
 
 
-def _bracket_from_stats(stats: _SplitStats) -> tuple[float, float]:
+def _bracket_from_stats(norms: list[float]) -> tuple[float, float]:
     """Least r = 2^-i <= 1 <= R = 2^j with both g > 0 at (r, r), g < 0 at (R, R).
 
     On the diagonal each g = r^2 (a - l - b - k/2 - b log r^2) is positive
     exactly when log r^2 is below its level (a - l - b - k/2) / b.
     """
-    levels = [
-        (stats.a_pos - stats.l_pos - stats.b_pos - 0.5 * stats.k) / stats.b_pos,
-        (stats.a_neg - stats.l_neg - stats.b_neg - 0.5 * stats.k) / stats.b_neg,
-    ]
+    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
+    levels = [(a_pos - l_pos - b_pos - 0.5 * k) / b_pos, (a_neg - l_neg - b_neg - 0.5 * k) / b_neg]
     if not all(math.isfinite(lv) for lv in levels):
         raise NoBracket("sign-change level of a pair residual is not finite")
     ln4 = 2.0 * math.log(2.0)
@@ -279,9 +248,10 @@ def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> Fi
     if s < 0 or t < 0:
         raise ValueError("s and t must be nonnegative")
     u = inst.free_values(u)
-    stats = _split_stats(inst, u).row()
-    g1, g2 = _g_pair(stats, 1.0, 1.0)
-    if max(abs(g1), abs(g2)) > _MEMBERSHIP_TOL * stats.scale:
+    norms = _field_norms(inst, u)
+    a_pos, _, b_pos, a_neg, _, b_neg, k = norms
+    g1, g2 = _g_pair(norms, 1.0, 1.0)
+    if max(abs(g1), abs(g2)) > _MEMBERSHIP_TOL * max(a_pos, a_neg, 1.0):
         raise ValueError("field is not on the sign-changing Nehari set")
 
     def f(tau: float) -> float:
@@ -291,9 +261,9 @@ def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> Fi
 
     value = (
         _energy(inst, u)
-        + 0.5 * f(s) * stats.b_pos
-        + 0.5 * f(t) * stats.b_neg
-        + 0.25 * (s - t) ** 2 * stats.k
+        + 0.5 * f(s) * b_pos
+        + 0.5 * f(t) * b_neg
+        + 0.25 * (s - t) ** 2 * k
     )
     return FiberValue(s=s, t=t, value=value)
 
@@ -332,66 +302,76 @@ def project_pair(
     """
     if initial is not None and not all(0.0 < x < math.inf for x in initial):
         raise ValueError(f"initial scalings must be positive and finite, got {initial!r}")
-    stats = _split_stats(inst, inst.free_values(u)[None, :]).row(0)
-    s, t, g1, g2, iterations, bracket = _pair_row(stats, initial)
+    norms, up, um = _split_stats(inst, inst.free_values(u)[None, :])
+    row = norms[0].tolist()
+    s, t, g1, g2, iterations, bracket = _pair_row(row, initial)
     return PairProjection(
         s=s,
         t=t,
-        projected=inst.extend(s * stats.up + t * stats.um),
+        projected=inst.extend(s * up[0] + t * um[0]),
         g1_residual=g1,
         g2_residual=g2,
         iterations=iterations,
         bracket=bracket,
-        degenerate=stats.k >= 0.0,
+        degenerate=row[6] >= 0.0,
     )
 
 
 def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
-    """Project each row of a stack of finite free values onto the
-    sign-changing Nehari set (``nodal``) or the Nehari manifold.
+    """Project each row of a stack of free values onto the sign-changing
+    Nehari set (``nodal``) or the Nehari manifold.
 
-    Returns (projected rows, levels, ok).  A row whose scalar function
-    raises ``ValueError``, ``NoBracket`` or ``NonConvergence`` has ``ok``
-    false, and its projected row and level mean nothing.
+    Returns (projected rows, levels, ok).  A row fails, with ``ok`` false
+    and a projected row and level that mean nothing, when it is not
+    finite, when its row function raises ``ValueError``, ``NoBracket`` or
+    ``NonConvergence``, or when its projected row exceeds ``_FIELD_MAX``.
     """
+    # A row that is not finite projects as the zero row, which fails.
+    u = np.where(np.isfinite(u).all(axis=1)[:, None], u, 0.0)
+    if nodal:
+        norms, up, um = _split_stats(inst, u)
+    else:
+        norms = _ray_norms(inst, u)
     s, t = np.zeros(len(u)), np.zeros(len(u))
     ok = np.zeros(len(u), dtype=bool)
-    if nodal:
-        stats = _split_stats(inst, u)
-    else:
-        norms = np.stack(_ray_norms(inst, u), axis=1).tolist()
-    for i in range(len(u)):
+    for i, row in enumerate(norms.tolist()):
         try:
             if nodal:
-                s[i], t[i] = _pair_row(stats.row(i))[:2]
+                s[i], t[i] = _pair_row(row)[:2]
             else:
-                s[i] = _ray_scaling(*norms[i])
+                s[i] = _ray_scaling(*row)
         except (ValueError, NoBracket, NonConvergence):
             continue
         ok[i] = True
     # A row projected beyond float range overflows to inf here, and a failed
-    # row of infinite norm gets a NaN level; the caller drops both.
+    # row of infinite norm gets a NaN level.
     with np.errstate(over="ignore", invalid="ignore"):
         if nodal:
-            w = s[:, None] * stats.up + t[:, None] * stats.um
-            return w, 0.5 * (s * s * stats.b_pos + t * t * stats.b_neg), ok
-        w = s[:, None] * u
-        return w, 0.5 * _dot(inst.mu, w * w), ok
+            w = s[:, None] * up + t[:, None] * um
+            level = 0.5 * (s * s * norms[:, 2] + t * t * norms[:, 5])
+        else:
+            w = s[:, None] * u
+            level = 0.5 * _dot(inst.mu, w * w)
+    # Written so that a NaN fails it too.
+    ok &= np.abs(w).max(axis=1) <= _FIELD_MAX
+    return w, level, ok
 
 
-def _pair_row(stats: _SplitStats, initial: tuple[float, float] | None = None):
-    """The pair projection of one row's statistics (see ``project_pair``).
+def _pair_row(norms: list[float], initial: tuple[float, float] | None = None):
+    """The pair projection of one row's norms (see ``project_pair``).
 
-    Returns (s, t, g1, g2, iterations, bracket).
+    Returns (s, t, g1, g2, iterations, bracket).  Raises ``ValueError``
+    when a sign part is zero.
     """
-    bracket = lo, hi = _bracket_from_stats(stats)
+    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = _both_parts(norms)
+    bracket = lo, hi = _bracket_from_stats(norms)
 
     # g1 / (s^2 b+) = 0 and g2 / (t^2 b-) = 0 in the ratio p = t / s:
     # log s^2 = c+ + k+ p and log t^2 = c- + k- / p, consistent exactly
     # where G(p) = k+ p - k- / p + 2 log p - (c- - c+) vanishes.
-    c_pos = (stats.a_pos - stats.l_pos - stats.b_pos) / stats.b_pos
-    c_neg = (stats.a_neg - stats.l_neg - stats.b_neg) / stats.b_neg
-    k_pos, k_neg = -0.5 * stats.k / stats.b_pos, -0.5 * stats.k / stats.b_neg
+    c_pos = (a_pos - l_pos - b_pos) / b_pos
+    c_neg = (a_neg - l_neg - b_neg) / b_neg
+    k_pos, k_neg = -0.5 * k / b_pos, -0.5 * k / b_neg
     d = c_neg - c_pos
     # Starts: 1, the ratio of the two ray roots (the root at zero
     # coupling) and the caller's ratio, each clamped to the root's range
@@ -424,17 +404,17 @@ def _pair_row(stats: _SplitStats, initial: tuple[float, float] | None = None):
     s = math.exp(0.5 * (c_pos + k_pos * p))
     t = math.exp(0.5 * (c_neg + k_neg / p))
 
-    g1, g2 = _g_pair(stats, s, t)
+    g1, g2 = _g_pair(norms, s, t)
     # The test |g| <= 1e-10 max(s^2 a+, t^2 a-, 1), divided through by
     # s^2 for g1 and by t^2 for g2, so that it holds at roots where
     # s^2 a+ or t^2 a- overflows.  The box bounds the root, so s^2 and t^2
     # are positive normal numbers.  Written so that a NaN anywhere fails
     # the test.
-    e1, e2 = _g_scaled(stats, s, t)
+    e1, e2 = _g_scaled(norms, s, t)
     r, q = t / s, s / t
     ok = (
-        abs(e1) <= _PAIR_TOL * max(stats.a_pos, r * r * stats.a_neg, 1.0 / (s * s))
-        and abs(e2) <= _PAIR_TOL * max(q * q * stats.a_pos, stats.a_neg, 1.0 / (t * t))
+        abs(e1) <= _PAIR_TOL * max(a_pos, r * r * a_neg, 1.0 / (s * s))
+        and abs(e2) <= _PAIR_TOL * max(q * q * a_pos, a_neg, 1.0 / (t * t))
     )
     g1 = g1 if math.isfinite(g1) else s * s * e1
     g2 = g2 if math.isfinite(g2) else t * t * e2

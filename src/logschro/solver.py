@@ -18,8 +18,10 @@ polish and to report a level.
 
 A damped Newton polish on the pointwise residual system, run per row,
 ends a start early once it succeeds; descent tries it when the residual
-is small, every 25 iterations, when the line search cannot move, and at
-tolerance.  The polish aims at a tenth of the descent stopping test,
+is small, every 25 iterations, at tolerance, and on the iteration after
+the line search cannot move a row.  Rows leave the stack in one place:
+at tolerance, after the polish of a row that stalled, or at the
+iteration cap.  The polish aims at a tenth of the descent stopping test,
 relative to the field's sup norm, and gives up once a Newton step has
 been halved five times without lowering the residual, leaving the start
 to descent.  A brute-force oracle on instances with at most a few free
@@ -32,11 +34,11 @@ values of a field (see :class:`~logschro.energy.ProblemInstance`) and
 share one residual kernel; ``solve_*`` and ``oracle_enumerate`` extend
 the fields they return to full length, and ``verify`` checks a
 full-length field once before it gathers its free values.
-A projection of a stack returns arrays: the projected rows, their levels
-and a mask of the rows that succeeded.  A row also fails when it is not
-finite or when its projected field exceeds 1e150.  A seed that fails is
-redrawn from its stream, at most four tries; a trial that fails is
-treated as one the Armijo test rejects.
+Seeds and line-search trials go through the one stacked projection,
+``nehari._project``, which returns the projected rows, their levels and
+a mask of the rows that succeeded.  A seed that fails is redrawn from its
+stream, at most four tries; a trial that fails is treated as one the
+Armijo test rejects.
 """
 from __future__ import annotations
 
@@ -66,9 +68,6 @@ __all__ = [
     "oracle_enumerate",
 ]
 
-# Projected fields beyond this sup norm collapse: below it their squares,
-# energy and residual stay finite.
-_FIELD_MAX = 1e150
 _SIGN_EPS = 1e-8
 # Newton polish budget: steps per polish, and step halvings per step.
 _POLISH_MAX_ITER = 60
@@ -215,21 +214,6 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
 # -- stacked descent on the free values of the starts ----------------------
 
 
-def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
-    """Project each row of a stack onto the solve's Nehari set.
-
-    Returns (projected rows, their levels, ok) as ``nehari._project``
-    does, for rows of any values: a row also fails when it is not finite
-    or when its projected row exceeds ``_FIELD_MAX``.
-    """
-    w, level, ok = np.zeros_like(u), np.zeros(len(u)), np.zeros(len(u), dtype=bool)
-    rows = np.isfinite(u).all(axis=1)
-    w[rows], level[rows], ok[rows] = nehari._project(inst, u[rows], nodal)
-    # Written so that a NaN fails it too.
-    ok &= np.abs(w).max(axis=1) <= _FIELD_MAX
-    return w, level, ok
-
-
 def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
     if nodal:
         return float(u.max()) > _SIGN_EPS and float(u.min()) < -_SIGN_EPS
@@ -249,18 +233,22 @@ def _descend(
     called only to judge a polish.  Each line-search round projects the
     rows still searching, and the step halves from round to round.
 
-    A Newton polish is tried at tolerance, when the line search cannot
-    move, every 25th iteration, and when the sup residual is at most
-    1e-2 of the field's scale.  After a polish fails, the small-residual
-    trigger waits until the residual has halved since that failure: a
-    row drifting along a flat part of the Nehari set would otherwise
-    rerun the same failing polish on every iteration.  A polish counts
-    only if it keeps the sign pattern and does not raise the energy.
-    Both the stopping test and the polish tolerance scale with
-    ``max(1, max|u|)`` of the field they judge: descent stops at
-    ``tol_residual`` times that and the polish aims at a tenth of it, so a
-    field far above 1 is held to the digits a double carries, not to an
-    absolute bound.
+    A Newton polish is tried at tolerance, every 25th iteration, when the
+    sup residual is at most 1e-2 of the field's scale, and on the
+    iteration after the line search cannot move a row; such a row is
+    marked stalled.  One block retires rows: a row at tolerance, a
+    stalled row after its polish (converged only if the polish
+    succeeds), and at the iteration cap every row, judged as it stands
+    but for the polish a row that stalled last is owed.  After a polish
+    fails, the small-residual trigger waits until the residual has
+    halved since that failure: a row drifting along a flat part of the
+    Nehari set would otherwise rerun the same failing polish on every
+    iteration.  A polish counts only if it keeps the sign pattern and
+    does not raise the energy.  Both the stopping test and the polish
+    tolerance scale with ``max(1, max|u|)`` of the field they judge:
+    descent stops at ``tol_residual`` times that and the polish aims at a
+    tenth of it, so a field far above 1 is held to the digits a double
+    carries, not to an absolute bound.
 
     Returns (fields, converged): the final field of each row and whether
     it reached tolerance.
@@ -281,30 +269,36 @@ def _descend(
             return None
         return cand
 
-    # The live rows: their index in ``fields``, field, level, and the sup
-    # residual at their last failed polish in the loop.
+    # The live rows: their index in ``fields``, field, level, the sup
+    # residual at their last failed polish in the loop, and whether the
+    # line search could not move them.
     idx = np.arange(len(u))
     u, level = u.copy(), level.copy()
     failed_at = np.full(len(u), math.inf)
-    for it in range(_MAX_OUTER_ITERS):
+    stalled = np.zeros(len(u), dtype=bool)
+    for it in range(_MAX_OUTER_ITERS + 1):
         if not idx.size:
             break
         r = _residual(inst, u)
         rinf = np.abs(r).max(axis=1)
         scale = np.maximum(1.0, np.abs(u).max(axis=1))
         done = rinf <= tol * scale
-        trigger = done | (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at)
-        if it % 25 == 24:
-            trigger[:] = True
+        # At the iteration cap each row is judged as it stands, once a row
+        # that stalled has had its polish.
+        cap = it == _MAX_OUTER_ITERS
+        trigger = stalled if cap else (
+            stalled | done | (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at) | (it % 25 == 24)
+        )
         for j in np.flatnonzero(trigger).tolist():
             cand = polished(u[j])
             if cand is not None:
                 u[j], done[j] = cand, True
             elif not done[j]:
                 failed_at[j] = rinf[j]
-        if done.any():
-            fields[idx[done]], converged[idx[done]] = u[done], True
-            keep = ~done
+        retire = done | stalled | cap
+        if retire.any():
+            fields[idx[retire]], converged[idx[retire]] = u[retire], done[retire]
+            keep = ~retire
             idx, u, level, failed_at, r = idx[keep], u[keep], level[keep], failed_at[keep], r[keep]
 
         d = -r * precond
@@ -314,24 +308,13 @@ def _descend(
         alpha = _STEP_INIT
         search = np.arange(len(idx))  # live rows still searching
         while search.size and alpha > 1e-16:
-            w, w_level, ok = _project(inst, u[search] + alpha * d[search], nodal)
+            w, w_level, ok = nehari._project(inst, u[search] + alpha * d[search], nodal)
             ok &= w_level <= level[search] + _ARMIJO * alpha * slope[search]
             u[search[ok]], level[search[ok]] = w[ok], w_level[ok]
             search = search[~ok]
             alpha *= _SHRINK
-        if search.size:  # rows the line search cannot move
-            for j in search.tolist():
-                cand = polished(u[j])
-                if cand is not None:
-                    u[j], converged[idx[j]] = cand, True
-            fields[idx[search]] = u[search]
-            keep = np.ones(len(idx), dtype=bool)
-            keep[search] = False
-            idx, u, level, failed_at = idx[keep], u[keep], level[keep], failed_at[keep]
-    else:  # the iteration cap: each row left is judged as it stands
-        rinf = np.abs(_residual(inst, u)).max(axis=1)
-        fields[idx] = u
-        converged[idx] = rinf <= tol * np.maximum(1.0, np.abs(u).max(axis=1))
+        stalled = np.zeros(len(idx), dtype=bool)
+        stalled[search] = True
     return fields, converged
 
 
@@ -442,7 +425,7 @@ def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
     for _attempt in range(4):
         if not todo.size:
             break
-        w, w_level, got = _project(inst, u0[todo], nodal)
+        w, w_level, got = nehari._project(inst, u0[todo], nodal)
         u[todo[got]], level[todo[got]], ok[todo[got]] = w[got], w_level[got], True
         todo = todo[~got]
         for i in todo.tolist():

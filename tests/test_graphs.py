@@ -255,6 +255,25 @@ class TestConstructionAndIO:
         with pytest.raises(GraphValidationError):
             WeightedGraph.from_json(json.dumps(data))
 
+    def test_loader_rejects_unhashable_edge_endpoint(self):
+        # It used to escape as a raw TypeError: unhashable type: 'list'.
+        data = {
+            "vertices": [{"id": "v1", "mu": 1.0, "a": 0.0}, {"id": "v2", "mu": 1.0, "a": 0.0}],
+            "edges": [{"u": ["v1"], "v": "v2", "w": 1.0}],
+        }
+        with pytest.raises(GraphValidationError, match="unknown vertex"):
+            WeightedGraph.from_dict(data)
+
+    def test_loader_matches_edge_endpoints_as_strings(self):
+        # Vertex ids are stringified, so an integer endpoint names vertex "1".
+        data = {
+            "vertices": [{"id": 1, "mu": 1.0, "a": 0.0}, {"id": "2", "mu": 1.0, "a": 0.0}],
+            "edges": [{"u": 1, "v": 2, "w": 1.5}],
+        }
+        g = WeightedGraph.from_dict(data)
+        assert g.vertex_ids == ("1", "2")
+        assert g.weights[g.index("1"), g.index("2")] == 1.5
+
     def test_field_from_mapping(self, p6):
         u = p6.field({"v3": 2.0})
         assert u[p6.index("v3")] == 2.0

@@ -136,15 +136,15 @@ class TestKernelsMatchReference:
         # the very floats of that field alone.
         stack = np.array([_fields(inst, seed)[0][inst.free] for seed in range(5)])
         stack[1] = np.abs(stack[1])
-        stats = nehari._split_stats(inst, stack)
+        norms, up, um = nehari._split_stats(inst, stack)
         residuals = solver._residual(inst, stack)
         for i, row in enumerate(stack):
             np.testing.assert_array_equal(residuals[i], solver._residual(inst, row))
             assert nehari._norm_h_sq(inst, stack)[i] == nehari._norm_h_sq(inst, row)
-            alone = nehari._split_stats(inst, row)
-            assert [x[i] for x in stats[:7]] == list(alone[:7])
-            np.testing.assert_array_equal(stats.up[i], alone.up)
-            np.testing.assert_array_equal(stats.um[i], alone.um)
+            norms_alone, up_alone, um_alone = nehari._split_stats(inst, row[None, :])
+            assert norms[i].tolist() == norms_alone[0].tolist()
+            np.testing.assert_array_equal(up[i], up_alone[0])
+            np.testing.assert_array_equal(um[i], um_alone[0])
 
     def test_polish_jacobian_matches_differences(self, inst):
         u, _ = _fields(inst, 0)

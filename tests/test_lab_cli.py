@@ -341,6 +341,17 @@ class TestCli:
                          "--lambda", "1"]) == 3
         assert capsys.readouterr().err.startswith("error: edge weight is not a number")
 
+    def test_unhashable_edge_endpoint_exits_3(self, tmp_path, p3, capsys):
+        # It used to escape WeightedGraph.__init__ as a raw TypeError (exit 1).
+        data = p3.to_dict()
+        data["edges"][0]["u"] = [data["edges"][0]["u"]]
+        gpath, spath = tmp_path / "g.json", tmp_path / "s.json"
+        gpath.write_text(json.dumps(data))
+        spath.write_text(json.dumps({"values": {"v1": 1.0}}))
+        assert cli_main(["check", "--graph", str(gpath), "--state", str(spath),
+                         "--lambda", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: edge references unknown vertex")
+
     def test_infinite_tolerance_exits_3(self, tmp_path, p6, capsys):
         # An infinite tolerance used to report the first projected start
         # as converged and exit 0.

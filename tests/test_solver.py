@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 
@@ -311,7 +312,7 @@ class TestCollapseGuards:
         u = p6.field({"v3": 1.0, "v4": -1.0})
         u[0] = math.nan
         for nodal in (False, True):
-            _, _, ok = solver._project(inst, u[None, :], nodal)
+            _, _, ok = nehari._project(inst, u[None, :], nodal)
             assert not ok[0]
 
     def test_vanishing_sign_part_projects_as_project_pair(self, p6):
@@ -319,12 +320,12 @@ class TestCollapseGuards:
         # tiny part is no special case for descent either.
         inst = ProblemInstance.full(p6, 10.0)
         u = p6.field({"v3": 1.0, "v6": -1e-16})
-        w, level, ok = solver._project(inst, u[None, :], nodal=True)
+        w, level, ok = nehari._project(inst, u[None, :], nodal=True)
         proj = project_pair(inst, u)
         assert ok[0]
         np.testing.assert_array_equal(w[0], proj.projected)
-        stats = nehari._split_stats(inst, u[None, :]).row(0)
-        assert level[0] == 0.5 * (proj.s * proj.s * stats.b_pos + proj.t * proj.t * stats.b_neg)
+        b_pos, b_neg = nehari._split_stats(inst, u[None, :])[0][0, [2, 5]]
+        assert level[0] == 0.5 * (proj.s * proj.s * b_pos + proj.t * proj.t * b_neg)
 
 
 class TestScalingOverflow:
@@ -339,28 +340,74 @@ class TestScalingOverflow:
         inst = ProblemInstance.full(p3_no_well, 5000.0)
         # Separated sign supports: the box bounding their ray roots is
         # beyond float range.
-        _, _, ok = solver._project(inst, np.array([[1.0, 0.0, -1.0]]), nodal=True)
+        _, _, ok = nehari._project(inst, np.array([[1.0, 0.0, -1.0]]), nodal=True)
         assert not ok[0]
         with pytest.raises(NonConvergence):
             solve_nodal(inst, SolveOptions(starts=4, seed=0))
 
 
-class TestLargeField:
-    """Stopping tests scale with the field when |u| is far above 1."""
+def _random_mix_instance(k):
+    """Instance r<k> of the seed-0 random mix, drawn in generator order."""
+    rng = np.random.default_rng(0)
+    for _ in range(k + 1):
+        g = random_graph(rng)
+        lam = float(10.0 ** rng.uniform(-1.0, 5.0))
+    return ProblemInstance.full(g, lam)
+
+
+class TestIterationCap:
+    """At the iteration cap each row is judged as it stands."""
+
+    # (case, cap) -> (converged flags, SHA-256 prefix of the final fields),
+    # recorded before the stalled-row polish moved into the polish pass.
+    # Cap 25 passes the polish every 25th iteration triggers.  r083's
+    # row 2 is the one row of the first 200 seed-0 random-mix solves that
+    # the line search cannot move: it stalls at iteration 0, so at cap 1
+    # it stalled in the last iteration and converges by its polish alone.
+    RECORDED = {
+        ("p6", 0): ("00000000", "04c9a2275e0811d1"),
+        ("p6", 1): ("00000000", "ceea255d011e372f"),
+        ("p6", 25): ("11111111", "57f38a8772e7f2d2"),
+        ("grid5", 0): ("00000000", "7856d67e5864c283"),
+        ("grid5", 1): ("00000000", "9a2717894aaa5746"),
+        ("grid5", 25): ("01000000", "f46c5f4dfad0ae7d"),
+        ("r083", 0): ("0000", "c7c276f8039e2934"),
+        ("r083", 1): ("0010", "ff4573a43cffbbcc"),
+        ("r083", 25): ("1111", "287ef27bde4f4bf6"),
+    }
 
     @staticmethod
-    def _random_mix_instance(k):
-        """Instance r<k> of the seed-0 random mix, drawn in generator order."""
-        rng = np.random.default_rng(0)
-        for _ in range(k + 1):
-            g = random_graph(rng)
-            lam = float(10.0 ** rng.uniform(-1.0, 5.0))
-        return ProblemInstance.full(g, lam)
+    def _case(name):
+        """(instance, nodal, options) of a named case."""
+        if name == "p6":
+            g = WeightedGraph.from_dict(generate_graph("path", 6, "3..4"))
+            return ProblemInstance.full(g, 100.0), True, SolveOptions(starts=8, seed=0)
+        if name == "grid5":
+            g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
+            return ProblemInstance.full(g, 10.0), False, SolveOptions(starts=8, seed=0)
+        return _random_mix_instance(83), True, SolveOptions(starts=4, seed=0)
+
+    @pytest.mark.parametrize("case, cap", sorted(RECORDED))
+    def test_capped_descent_matches_record(self, monkeypatch, case, cap):
+        monkeypatch.setattr(solver, "_MAX_OUTER_ITERS", cap)
+        inst, nodal, opts = self._case(case)
+        u, level, seeded = solver._seed_stack(inst, opts, nodal)
+        assert seeded.all()
+        fields, converged = solver._descend(inst, u, level, opts, nodal)
+        flags = "".join("1" if c else "0" for c in converged)
+        assert (flags, hashlib.sha256(fields.tobytes()).hexdigest()[:16]) == self.RECORDED[case, cap]
+        rinf = np.abs(solver._residual(inst, fields)).max(axis=1)
+        scale = np.maximum(1.0, np.abs(fields).max(axis=1))
+        assert np.all(rinf[converged] <= opts.tol_residual * scale[converged])
+
+
+class TestLargeField:
+    """Stopping tests scale with the field when |u| is far above 1."""
 
     def test_random_mix_r100_ground_converges(self):
         # n = 11, lam ~ 379.9, |u| ~ 2.2e8: an absolute polish tolerance
         # could not be met here.
-        inst = self._random_mix_instance(100)
+        inst = _random_mix_instance(100)
         assert inst.graph.n == 11 and inst.lam == pytest.approx(379.88, rel=1e-4)
         opts = SolveOptions(starts=4, seed=0)
         rep = solve_ground(inst, opts)
@@ -372,12 +419,12 @@ class TestLargeField:
         # lam * a reaches 4e4, so projections run off past |u| ~ 1e180,
         # where squares overflow.  Such fields collapse the start before
         # any overflow: the suite turns a RuntimeWarning into a failure.
-        inst = self._random_mix_instance(151)
+        inst = _random_mix_instance(151)
         with pytest.raises(NonConvergence):
             solve_ground(inst, SolveOptions(starts=4, seed=0))
 
     def test_random_mix_r151_nodal_fails_typed(self):
-        inst = self._random_mix_instance(151)
+        inst = _random_mix_instance(151)
         with pytest.raises(NonConvergence):
             solve_nodal(inst, SolveOptions(starts=4, seed=0))
 
@@ -386,12 +433,11 @@ class TestLargeField:
         inst = ProblemInstance.full(p6, 10.0)
         u = p6.field({"v3": 1.0, "v4": -1.0}, default=0.5)
 
-        def project(inst, w, nodal):  # every row projects, to bad times itself, at level 0
-            return bad * w, np.zeros(len(w)), np.ones(len(w), dtype=bool)
-
-        monkeypatch.setattr(nehari, "_project", project)
+        # Every row's scalings are bad.
+        monkeypatch.setattr(nehari, "_ray_scaling", lambda *norms: bad)
+        monkeypatch.setattr(nehari, "_pair_row", lambda norms: (bad, bad, 0.0, 0.0, 0, (1.0, 1.0)))
         for nodal in (False, True):
-            _, _, ok = solver._project(inst, u[None, :], nodal)
+            _, _, ok = nehari._project(inst, u[None, :], nodal)
             assert not ok[0]
 
 

@@ -1,0 +1,159 @@
+"""Print one SHA-256 per output group of the ``logschro`` package in SRC_DIR.
+
+Run it on two source trees and compare the lines; equal lines mean
+byte-identical outputs:
+
+    python tools/dump_outputs.py src
+    python tools/dump_outputs.py ../other-checkout/src
+
+Groups, each hashed over its records in order:
+
+``fixtures``
+    7 fixture families x full (lambda = 10) / Dirichlet x ground / nodal
+    at 8 starts, seed 0: ``SolveReport.to_dict`` and the minimizer's
+    bytes, or the error.
+``sweep``
+    CLI ``sweep`` on p6 and grid5, lambda = 1..1e4, 16 starts, seed 0:
+    exit code, CSV and stderr.
+``random_mix``
+    Seed 0: the first 200 random graphs, lambda = 10^U(-1, 5), x ground /
+    nodal at 4 starts, with the error texts.
+``projections``
+    1,000 seeded random fields, each through ``project_pair`` and
+    ``project_ray``: result and projected-field bytes, or the error.
+
+The random graphs and fields come from this checkout's
+``tests/conftest.py``, so every tree gets the same inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+
+FIXTURE_FAMILIES = (
+    ("path", 12, "5..8"),
+    ("path", 24, "10..15"),
+    ("cycle", 10, "4..6"),
+    ("star", 8, "1..2"),
+    ("grid", 4, "v2-2,v2-3,v3-2,v3-3"),
+    ("grid", 5, "v2-2,v2-3,v3-2,v3-3"),
+    ("grid", 7, "v3-3,v3-4,v4-3,v4-4,v3-5,v4-5"),
+)
+SWEEP_GRAPHS = (("path", 6, "3..4"), ("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
+SWEEP_LAMBDAS = "1,10,100,1000,10000"
+
+
+def _error(exc: Exception) -> str:
+    return f"error {type(exc).__name__}: {exc}"
+
+
+def _solve_record(inst, kind: str, starts: int) -> str:
+    import logschro
+
+    solve = logschro.solve_ground if kind == "ground" else logschro.solve_nodal
+    try:
+        rep = solve(inst, logschro.SolveOptions(starts=starts, seed=0))
+    except Exception as exc:  # the error text is part of the output
+        return f"{kind} {_error(exc)}"
+    return f"{kind} {json.dumps(rep.to_dict(inst), sort_keys=True)} {rep.minimizer.tobytes().hex()}"
+
+
+def fixtures(families=FIXTURE_FAMILIES, starts: int = 8):
+    """Solve records of the fixture families, full and Dirichlet."""
+    from logschro import ProblemInstance, WeightedGraph, generate_graph
+
+    for topology, n, well in families:
+        graph = WeightedGraph.from_dict(generate_graph(topology, n, well))
+        for inst in (ProblemInstance.full(graph, 10.0), ProblemInstance.dirichlet(graph)):
+            for kind in ("ground", "nodal"):
+                yield f"{topology}{n} {inst.lam} {_solve_record(inst, kind, starts)}"
+
+
+def cli_sweep(graphs=SWEEP_GRAPHS, lambdas: str = SWEEP_LAMBDAS, starts: int = 16):
+    """Exit code, CSV and stderr of the CLI ``sweep`` on each graph."""
+    from logschro.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for topology, n, well in graphs:
+            path = os.path.join(tmp, f"{topology}{n}.json")
+            argv = ["generate", "--topology", topology, "--n", str(n), "--well", well, "--out", path]
+            if main(argv) != 0:
+                raise RuntimeError(f"logschro {' '.join(argv)} failed")
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["sweep", "--graph", path, "--lambdas", lambdas, "--starts", str(starts), "--seed", "0"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            yield f"{topology}{n} exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def random_mix(count: int = 200, starts: int = 4):
+    """Ground and nodal solve records of the seed-0 random mix."""
+    import numpy as np
+    from conftest import random_graph
+    from logschro import ProblemInstance
+
+    rng = np.random.default_rng(0)
+    for i in range(count):
+        inst = ProblemInstance.full(random_graph(rng), float(10.0 ** rng.uniform(-1.0, 5.0)))
+        for kind in ("ground", "nodal"):
+            yield f"r{i:03d} {_solve_record(inst, kind, starts)}"
+
+
+def projections(count: int = 1000):
+    """Pair and ray projections of seeded random fields."""
+    import numpy as np
+    from conftest import random_field, random_graph
+    from logschro import ProblemInstance, project_pair, project_ray
+
+    rng = np.random.default_rng(2026)
+    for i in range(count):
+        g = random_graph(rng)
+        inst = ProblemInstance.full(g, float(10.0 ** rng.uniform(-1.0, 5.0)))
+        u = random_field(rng, g.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        try:
+            proj = project_pair(inst, u)
+            pair = f"{json.dumps(proj.to_dict(), sort_keys=True)} {proj.projected.tobytes().hex()}"
+        except Exception as exc:
+            pair = _error(exc)
+        try:
+            ray = repr(project_ray(inst, u))
+        except Exception as exc:
+            ray = _error(exc)
+        yield f"p{i:04d} pair {pair} ray {ray}"
+
+
+GROUPS = {"fixtures": fixtures, "sweep": cli_sweep, "random_mix": random_mix, "projections": projections}
+
+
+def digest(records) -> str:
+    """SHA-256 of a group's records, each ended by a newline, with the
+    numbers of records and of errors raised by the package."""
+    h, n, errors = hashlib.sha256(), 0, 0
+    for rec in records:
+        h.update(rec.encode() + b"\n")
+        n += 1
+        errors += rec.count(" error ")
+    return f"{h.hexdigest()} records={n} errors={errors}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_dir", help="directory holding the logschro package")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [os.path.abspath(args.src_dir), TESTS_DIR]
+    for name, group in GROUPS.items():
+        print(f"{name} {digest(group())}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
