@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graphs import SubDomain, WeightedGraph, negative_part, positive_part
+from .graphs import SubDomain, WeightedGraph, _json_fields, negative_part, positive_part
 
 __all__ = [
     "NotAdmissible",
@@ -237,13 +237,9 @@ class IdentityCheck:
         return self.abs_discrepancy / scale
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "left": self.left,
-            "right": self.right,
-            "abs_discrepancy": self.abs_discrepancy,
-            "rel_discrepancy": self.rel_discrepancy,
-        }
+        return _json_fields(
+            self, abs_discrepancy=self.abs_discrepancy, rel_discrepancy=self.rel_discrepancy
+        )
 
 
 @dataclass(frozen=True)

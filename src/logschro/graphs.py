@@ -7,15 +7,25 @@ all file IO is keyed by vertex id, so the ordering is an internal detail.
 
 Each graph also holds its stiffness matrix ``S = diag(deg) - W``, built
 once at construction: the Laplacian is ``-(S u) / mu`` and the gradient
-energy is the quadratic form ``integral of Gamma(u) dmu = u^T S u``.
+energy is the quadratic form ``integral of Gamma(u) dmu = u^T S u``.  The
+weight matrix is the only adjacency structure: boundaries and edge lists
+read its nonzero pattern, and one breadth-first search over its rows
+(``_hops``), through a set of allowed vertices, gives both hop distances
+and connectivity.
+
+Every report dataclass of the package turns into JSON through one
+function, ``_json_fields``: its fields in declaration order, tuples as
+lists, a nested report as its dict and array fields left out.  A
+report's ``to_dict`` passes only what is not a plain field, such as a
+property or a field serialized another way.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +54,26 @@ def negative_part(u: np.ndarray) -> np.ndarray:
     return np.minimum(u, 0.0)
 
 
+def _json_fields(report, **values) -> dict:
+    """JSON dict of a report dataclass: its fields in declaration order.
+
+    Tuples become lists and a nested report becomes its ``to_dict``.  An
+    array field is left out unless ``values`` supplies it; each entry of
+    ``values`` replaces the field of its name in place or is appended.
+    """
+    out = {}
+    for f in fields(report):
+        v = getattr(report, f.name)
+        if isinstance(v, np.ndarray) and f.name not in values:
+            continue
+        if isinstance(v, tuple):
+            v = list(v)
+        elif is_dataclass(v):
+            v = v.to_dict()
+        out[f.name] = v
+    return out | values
+
+
 @dataclass(frozen=True)
 class SubDomain:
     """A vertex subset together with its derived edge boundary."""
@@ -56,7 +86,7 @@ class SubDomain:
         return self.interior + self.boundary
 
     def to_dict(self) -> dict:
-        return {"interior": list(self.interior), "boundary": list(self.boundary)}
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -89,15 +119,7 @@ class ValidationReport:
     vol_d_m: float
 
     def to_dict(self) -> dict:
-        return {
-            "omega": self.omega.to_dict(),
-            "omega_nonempty": self.omega_nonempty,
-            "omega_connected": self.omega_connected,
-            "passes": self.passes,
-            "small_well_warning": self.small_well_warning,
-            "m_threshold": self.m_threshold,
-            "vol_d_m": self.vol_d_m,
-        }
+        return _json_fields(self)
 
 
 class WeightedGraph:
@@ -183,7 +205,6 @@ class WeightedGraph:
         self.stiffness.setflags(write=False)
         self.mu_min = float(mu_arr.min())
         self.n = n
-        self._neighbors = [np.nonzero(weights[i])[0] for i in range(n)]
 
         if not self.is_connected(self._ids):
             raise GraphValidationError("graph is not connected")
@@ -251,8 +272,9 @@ class WeightedGraph:
         The weighted norm uses the mass factor ``lam * a(x) + 1``, so it
         dominates the plain H1 norm whenever the potential is nonnegative.
         """
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        # Written so that NaN fails it too.
+        if not 0 <= lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         u = self.check_field(u)
         grad_sq = self.integrate(self.gamma(u))
         l2_sq = self.integrate(u * u)
@@ -266,52 +288,41 @@ class WeightedGraph:
 
     # -- subsets, boundary, connectivity --------------------------------
 
+    def _hops(self, start: int, allowed: Container[int]) -> list[int]:
+        """Hop distances from vertex ``start`` along paths whose other
+        vertices have their index in ``allowed``; -1 where no such path
+        exists (BFS)."""
+        dist = [-1] * self.n
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            k = queue.popleft()
+            for j in np.flatnonzero(self.weights[k]).tolist():
+                if j in allowed and dist[j] < 0:
+                    dist[j] = dist[k] + 1
+                    queue.append(j)
+        return dist
+
     def boundary(self, interior: Iterable[str]) -> SubDomain:
         """Subdomain with boundary {y not in S : y adjacent to some x in S}."""
         interior_ids = [str(v) for v in interior]
         inside = np.zeros(self.n, dtype=bool)
-        for vid in interior_ids:
-            inside[self.index(vid)] = True
-        on_boundary = np.zeros(self.n, dtype=bool)
-        for i in np.nonzero(inside)[0]:
-            for j in self._neighbors[i]:
-                if not inside[j]:
-                    on_boundary[j] = True
-        boundary_ids = tuple(self._ids[i] for i in np.nonzero(on_boundary)[0])
+        inside[[self.index(vid) for vid in interior_ids]] = True
+        on_boundary = (self.weights[inside] > 0).any(axis=0) & ~inside
+        boundary_ids = tuple(self._ids[i] for i in np.flatnonzero(on_boundary))
         return SubDomain(interior=tuple(dict.fromkeys(interior_ids)), boundary=boundary_ids)
 
     def distance(self, x: str, y: str) -> int:
         """Hop distance: minimal number of edges on a connecting path."""
-        i, j = self.index(x), self.index(y)
-        if i == j:
-            return 0
-        dist = {i: 0}
-        queue = deque([i])
-        while queue:
-            k = queue.popleft()
-            for m in self._neighbors[k]:
-                if m not in dist:
-                    dist[m] = dist[k] + 1
-                    if m == j:
-                        return dist[m]
-                    queue.append(m)
-        raise GraphValidationError(f"vertices {x!r} and {y!r} are not connected")
+        return self._hops(self.index(x), range(self.n))[self.index(y)]
 
     def is_connected(self, subset: Iterable[str]) -> bool:
-        """Connectivity of the induced subgraph on ``subset`` (BFS)."""
+        """Connectivity of the induced subgraph on ``subset``."""
         idx = {self.index(str(v)) for v in subset}
         if not idx:
             return False
-        start = next(iter(idx))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            k = queue.popleft()
-            for m in self._neighbors[k]:
-                if m in idx and m not in seen:
-                    seen.add(m)
-                    queue.append(m)
-        return seen == idx
+        dist = self._hops(min(idx), idx)
+        return all(dist[i] >= 0 for i in idx)
 
     def validate_potential(self) -> ValidationReport:
         """Check the potential-well hypotheses and locate the well.
@@ -339,13 +350,10 @@ class WeightedGraph:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        edges = []
-        for i in range(self.n):
-            for j in self._neighbors[i]:
-                if j > i:
-                    edges.append(
-                        {"u": self._ids[i], "v": self._ids[int(j)], "w": float(self.weights[i, j])}
-                    )
+        edges = [
+            {"u": self._ids[i], "v": self._ids[j], "w": float(self.weights[i, j])}
+            for i, j in zip(*np.nonzero(np.triu(self.weights)))
+        ]
         return {
             "vertices": [
                 {"id": v, "mu": float(self.mu[i]), "a": float(self.potential_a[i])}

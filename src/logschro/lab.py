@@ -9,12 +9,12 @@ Dirichlet limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .energy import ProblemInstance
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _json_fields
 from .solver import NonConvergence, SolveOptions, solve_ground, solve_nodal
 
 __all__ = [
@@ -52,21 +52,12 @@ class SweepRow:
     failed: bool = False
 
     def csv_line(self) -> str:
+        """The row's fields but ``failed`` in declaration order, which
+        ``SWEEP_CSV_HEADER`` names; a failed row keeps only lambda."""
+        cells = [repr(getattr(self, f.name)) for f in fields(self) if f.name != "failed"]
         if self.failed:
-            return f"{self.lam!r},FAILED,,,,,,"
-        return ",".join(
-            repr(v)
-            for v in (
-                self.lam,
-                self.m_lambda,
-                self.c_lambda,
-                self.margin_m_minus_2c,
-                self.gap_to_m_omega,
-                self.potential_mass,
-                self.h1_dist_to_limit,
-                self.tail_mass,
-            )
-        )
+            cells[1:] = ["FAILED"] + [""] * (len(cells) - 2)
+        return ",".join(cells)
 
 
 @dataclass(frozen=True)
@@ -87,16 +78,7 @@ class SweepSummary:
         return self.final_thresholds_ok and self.trend_ok
 
     def to_dict(self) -> dict:
-        return {
-            "m_omega": self.m_omega,
-            "c_omega": self.c_omega,
-            "u0_l2_sq": self.u0_l2_sq,
-            "u0_h1_sq": self.u0_h1_sq,
-            "sup_h_lambda_norm": self.sup_h_lambda_norm,
-            "final_thresholds_ok": self.final_thresholds_ok,
-            "trend_ok": self.trend_ok,
-            "verdict": self.verdict,
-        }
+        return _json_fields(self, verdict=self.verdict)
 
 
 # -- fixture generation -------------------------------------------------
@@ -135,8 +117,8 @@ def parse_well(spec: str, ids: list[str]) -> list[str]:
     spec = spec.strip()
     if ".." in spec and "," not in spec:
         lo_s, hi_s = spec.split("..", 1)
-        lo_s = lo_s.lstrip("v")
-        hi_s = hi_s.lstrip("v")
+        lo_s = lo_s.removeprefix("v")
+        hi_s = hi_s.removeprefix("v")
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
@@ -164,12 +146,11 @@ def generate_graph(
     """Fixture graph with a zero-potential well and constant potential outside.
 
     Returns the graph JSON dict with the well-validation report embedded
-    under the extra key ``"validation"`` (ignored by the loader).
+    under the extra key ``"validation"`` (ignored by the loader).  The
+    graph constructor judges ``mu`` and ``omega_w``.
     """
     if a_out <= 0:
         raise ValueError("a_out must be positive")
-    if mu <= 0 or omega_w <= 0:
-        raise ValueError("mu and edge weight must be positive")
     ids, edge_pairs = _topology(topology, n)
     well_ids = parse_well(well, ids)
     a = [0.0 if v in set(well_ids) else float(a_out) for v in ids]

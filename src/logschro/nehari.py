@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ProblemInstance, _dot, _energy, _matvec, _norm_h_sq, sq_log_sq
-from .graphs import negative_part, positive_part
+from .graphs import _json_fields, negative_part, positive_part
 
 __all__ = [
     "NoBracket",
@@ -94,15 +94,7 @@ class PairProjection:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "g1_residual": self.g1_residual,
-            "g2_residual": self.g2_residual,
-            "iterations": self.iterations,
-            "bracket": list(self.bracket),
-            "degenerate": self.degenerate,
-        }
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)

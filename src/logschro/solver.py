@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ProblemInstance, _coupling_k, _dot, _energy, _residual, field_to_dict
-from .graphs import negative_part, positive_part
+from .graphs import _json_fields, negative_part, positive_part
 from . import nehari
 from .nehari import NonConvergence
 
@@ -119,16 +119,7 @@ class SolveReport:
     degenerate_coupling: bool
 
     def to_dict(self, inst: ProblemInstance) -> dict:
-        return {
-            "minimizer": field_to_dict(inst.graph, self.minimizer),
-            "level": self.level,
-            "residual_inf": self.residual_inf,
-            "membership_residuals": list(self.membership_residuals),
-            "starts_converged": self.starts_converged,
-            "level_histogram": list(self.level_histogram),
-            "sign_pattern": self.sign_pattern,
-            "degenerate_coupling": self.degenerate_coupling,
-        }
+        return _json_fields(self, minimizer=field_to_dict(inst.graph, self.minimizer))
 
 
 @dataclass(frozen=True)
@@ -151,15 +142,7 @@ class VerificationReport:
         return None if margin is None else margin > 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "residual_inf": self.residual_inf,
-            "membership_residuals": list(self.membership_residuals),
-            "nehari_gap": self.nehari_gap,
-            "level": self.level,
-            "companion_ground": self.companion_ground,
-            "m_margin": self.m_margin,
-            "m_gt_2c": self.m_gt_2c,
-        }
+        return _json_fields(self, m_margin=self.m_margin, m_gt_2c=self.m_gt_2c)
 
 
 # -- residual Newton polish ----------------------------------------------

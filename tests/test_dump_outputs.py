@@ -16,6 +16,7 @@ def _tiny_slice() -> list[str]:
         dump.digest(dump.cli_sweep(graphs=dump.SWEEP_GRAPHS[:1], lambdas="1,10", starts=2)),
         dump.digest(dump.random_mix(count=3, starts=2)),
         dump.digest(dump.projections(count=20)),
+        dump.digest(dump.cli_reports(families=dump.FIXTURE_FAMILIES[3:4], starts=2)),
     ]
 
 
@@ -24,7 +25,7 @@ def test_tiny_slice_is_deterministic():
     assert first == _tiny_slice()
     counts = [line.split()[1:] for line in first]
     assert counts[0] == ["records=4", "errors=0"]
-    assert [c[0] for c in counts[1:]] == ["records=1", "records=6", "records=20"]
+    assert [c[0] for c in counts[1:]] == ["records=1", "records=6", "records=20", "records=6"]
 
 
 def test_main_prints_one_line_per_group(monkeypatch, capsys):

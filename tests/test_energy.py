@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -268,6 +269,17 @@ class TestIdentitySuite:
         assert "integration_by_parts" in names and "nehari_quadratic" in names
         assert report.to_json().endswith("\n")
 
+    def test_report_json_lists_fields_then_discrepancies(self, k2_inst):
+        report = identity_suite(k2_inst, np.array([1.5, -0.5]))
+        assert list(json.loads(report.to_json())[0]) == [
+            "name", "left", "right", "abs_discrepancy", "rel_discrepancy"
+        ]
+
+    def test_report_lookup_of_a_missing_check(self, k2_inst):
+        report = identity_suite(k2_inst, np.array([1.5, -0.5]))
+        with pytest.raises(KeyError):
+            report["missing"]
+
 
 class TestFieldIO:
     def test_missing_ids_default_to_zero(self, p6):
@@ -282,3 +294,8 @@ class TestFieldIO:
     def test_nonfinite_rejected(self, p6):
         with pytest.raises(ValueError):
             load_field(p6, '{"values": {"v1": Infinity}}')
+
+    @pytest.mark.parametrize("text", ['{"v1": 1.0}', '{"minimizer": {}}', "[1.0]"])
+    def test_missing_values_rejected(self, p6, text):
+        with pytest.raises(ValueError, match="needs a 'values' mapping"):
+            load_field(p6, text)

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from logschro import GraphValidationError, WeightedGraph
+from logschro import GraphValidationError, SubDomain, WeightedGraph, generate_graph
+from logschro.graphs import _json_fields
 
 from conftest import random_field, random_graph
 
@@ -123,8 +125,11 @@ class TestNorms:
             assert nb.h_lambda_sq >= nb.h1_sq - 1e-12
 
     def test_negative_lambda_rejected(self, k2):
-        with pytest.raises(ValueError):
-            k2.norms(np.array([1.0, 1.0]), -1.0)
+        # NaN and +inf used to pass and fail later, inside integrate, as a
+        # non-finite field.
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+                k2.norms(np.array([1.0, 1.0]), lam)
 
     def test_linf_embedding(self):
         rng = np.random.default_rng(17)
@@ -165,6 +170,21 @@ class TestBoundaryDistance:
     def test_is_connected_subsets(self, p6):
         assert p6.is_connected(["v3", "v4"])
         assert not p6.is_connected(["v2", "v5"])
+
+    def test_empty_interior_has_empty_boundary(self, p6):
+        assert p6.boundary([]) == SubDomain(interior=(), boundary=())
+
+    def test_grid_boundary_and_distance(self):
+        g = WeightedGraph.from_dict(generate_graph("grid", 4, "v2-2,v2-3"))
+        assert g.boundary(["v2-2", "v2-3"]).boundary == ("v1-2", "v1-3", "v2-1", "v2-4", "v3-2", "v3-3")
+        d = g.distance("v1-1", "v4-4")
+        assert d == 6 and type(d) is int
+
+    def test_is_connected_uses_the_induced_subgraph(self):
+        g = WeightedGraph.from_dict(generate_graph("star", 4, "1..1"))
+        assert g.is_connected(["l1", "c", "l3"]) is True
+        assert g.is_connected(["l1", "l3"]) is False
+        assert g.is_connected([]) is False
 
 
 class TestValidatePotential:
@@ -236,6 +256,26 @@ class TestConstructionAndIO:
                 [("a", "b", 1.0), ("c", "d", 1.0)],
             )
 
+    @pytest.mark.parametrize("mu, a", [([1.0], [0.0, 0.0]), ([1.0, 1.0], [0.0])])
+    def test_rejects_length_mismatch(self, mu, a):
+        with pytest.raises(GraphValidationError, match="length"):
+            WeightedGraph(["a", "b"], mu, a, [("a", "b", 1.0)])
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("{", "invalid graph JSON"),
+            ("[]", "needs 'vertices' and 'edges'"),
+            ('{"vertices": []}', "needs 'vertices' and 'edges'"),
+            ('{"vertices": [{"id": "a", "mu": 1.0}], "edges": []}', "malformed"),
+            ('{"vertices": [{"id": "a", "mu": 1.0, "a": 0.0}], "edges": [["a", "b"]]}', "malformed"),
+        ],
+        ids=["not_json", "not_object", "no_edges", "vertex_without_a", "edge_as_list"],
+    )
+    def test_loader_rejects_malformed_json(self, text, match):
+        with pytest.raises(GraphValidationError, match=match):
+            WeightedGraph.from_json(text)
+
     def test_immutable(self, k2):
         with pytest.raises(ValueError):
             k2.mu[0] = 2.0
@@ -278,3 +318,26 @@ class TestConstructionAndIO:
         u = p6.field({"v3": 2.0})
         assert u[p6.index("v3")] == 2.0
         assert u.sum() == 2.0
+
+
+def test_json_fields_serializes_a_report_dataclass():
+    @dataclass(frozen=True)
+    class Report:
+        name: str
+        pair: tuple[float, float]
+        omega: SubDomain
+        field: np.ndarray
+        flag: bool = False
+
+    rep = Report("r", (1.0, 2.0), SubDomain(("a",), ("b",)), np.zeros(2))
+    assert list(_json_fields(rep).items()) == [
+        ("name", "r"),
+        ("pair", [1.0, 2.0]),
+        ("omega", {"interior": ["a"], "boundary": ["b"]}),
+        ("flag", False),
+    ]
+    # Supplied values replace a field in place, array fields included, or
+    # are appended.
+    out = _json_fields(rep, field=[0.0, 0.0], name="s", extra=3)
+    assert list(out) == ["name", "pair", "omega", "field", "flag", "extra"]
+    assert (out["name"], out["field"], out["extra"]) == ("s", [0.0, 0.0], 3)

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 
 from logschro import (
     SWEEP_CSV_HEADER,
+    GraphValidationError,
     NonConvergence,
     ProblemInstance,
     SolveOptions,
+    SweepRow,
     WeightedGraph,
     generate_graph,
     parse_well,
@@ -88,6 +91,16 @@ class TestGenerateGraph:
             generate_graph("blob", 6, "3..4")
         with pytest.raises(ValueError):
             generate_graph("path", 1, "1..1")
+        with pytest.raises(ValueError, match="cycle needs at least three vertices"):
+            generate_graph("cycle", 2, "1..2")
+
+    @pytest.mark.parametrize("option", ["mu", "omega_w"])
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_bad_measure_or_weight_rejected(self, option, value):
+        # The graph constructor judges them; generate used to let NaN and
+        # inf through its own check.
+        with pytest.raises(GraphValidationError):
+            generate_graph("path", 6, "3..4", **{option: value})
 
 
 class TestParseWell:
@@ -108,6 +121,10 @@ class TestParseWell:
             parse_well("", ids)
         with pytest.raises(ValueError):
             parse_well("zz", ids)
+        # "vv1..2" used to be read as 1..2: every leading "v" was stripped.
+        for spec in ("vv1..2", "1..x"):
+            with pytest.raises(ValueError, match="bad well range"):
+                parse_well(spec, ids)
 
 
 class TestSweep:
@@ -141,6 +158,16 @@ class TestSweep:
         assert float(first[0]) == 1.0
         # Full round-trip decimal formatting.
         assert first[1] == repr(rows[0].m_lambda)
+
+    def test_csv_header_names_the_row_fields(self):
+        names = [f.name for f in fields(SweepRow)]
+        assert (names[0], names[-1]) == ("lam", "failed")
+        assert SWEEP_CSV_HEADER.split(",") == ["lambda"] + names[1:-1]
+
+    def test_single_vertex_well_rejected(self):
+        g = WeightedGraph.from_dict(generate_graph("path", 3, "2..2"))
+        with pytest.raises(ValueError, match="at least two vertices"):
+            sweep(g, [1.0], OPTS)
 
     def test_programming_errors_propagate(self, p6, monkeypatch):
         real = lab.solve_nodal
@@ -296,6 +323,59 @@ class TestCli:
         lines = cpath.read_text().strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         assert len(lines) == 4
+
+    def test_dirichlet_solve_and_check(self, tmp_path, p6, capsys):
+        gpath, spath = tmp_path / "p6.json", tmp_path / "u.json"
+        p6.save(gpath)
+        code = cli_main(["solve", "--graph", str(gpath), "--mode", "dirichlet", "--nodal",
+                         "--starts", "8", "--out", str(spath)])
+        assert code == 0
+        report = json.loads(spath.read_text())
+        assert report["level"] == pytest.approx(E**3, rel=1e-10)
+        values = report["minimizer"]["values"]
+        assert all(values[v] == 0.0 for v in ("v1", "v2", "v5", "v6"))
+        code = cli_main(["check", "--graph", str(gpath), "--state", str(spath),
+                         "--mode", "dirichlet"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["residual_inf"] <= 1e-10 * max(1.0, max(abs(x) for x in values.values()))
+        assert out["level"] == pytest.approx(E**3, rel=1e-10)
+
+    def test_bad_lambdas_list_exits_3(self, tmp_path, p6, capsys):
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        assert cli_main(["sweep", "--graph", str(gpath), "--lambdas", "1,x", "--starts", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad --lambdas list")
+
+    def test_failed_sweep_row_exits_2(self, tmp_path, p6, capsys, monkeypatch):
+        real = lab.solve_nodal
+
+        def failing_at_10(inst, opts=None):
+            if inst.lam == 10.0:
+                raise NonConvergence("no start")
+            return real(inst, opts)
+
+        monkeypatch.setattr(lab, "solve_nodal", failing_at_10)
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        assert cli_main(["sweep", "--graph", str(gpath), "--lambdas", "1,10", "--starts", "4"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == SWEEP_CSV_HEADER
+        assert lines[1].startswith("1.0,") and lines[2] == "10.0,FAILED,,,,,,"
+        summary = json.loads(captured.err)
+        assert summary["verdict"] is None and "u0" not in summary
+
+    @pytest.mark.parametrize("option", ["--mu", "--w"])
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    def test_bad_measure_or_weight_exits_3(self, capsys, option, value):
+        argv = ["generate", "--topology", "path", "--n", "6", "--well", "3..4", option, value]
+        assert cli_main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_usage_errors_exit_1(self, capsys):
         assert cli_main(["solve", "--graph", "x.json"]) == 1

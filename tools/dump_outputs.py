@@ -15,6 +15,13 @@ Groups, each hashed over its records in order:
 ``sweep``
     CLI ``sweep`` on p6 and grid5, lambda = 1..1e4, 16 starts, seed 0:
     exit code, CSV and stderr.
+``cli``
+    The fixture families through the CLI: ``generate``'s JSON (with its
+    validation report); ``solve --mode full|dirichlet --ground|--nodal``
+    at 8 starts, seed 0 (full at lambda = 10); ``check`` and ``project``
+    on each solve's output; and ``identity_suite(...).to_json()`` on a
+    seeded field of the full problem.  Each command gives its exit code,
+    stdout and stderr.
 ``random_mix``
     Seed 0: the first 200 random graphs, lambda = 10^U(-1, 5), x ground /
     nodal at 4 starts, with the error texts.
@@ -78,21 +85,72 @@ def fixtures(families=FIXTURE_FAMILIES, starts: int = 8):
                 yield f"{topology}{n} {inst.lam} {_solve_record(inst, kind, starts)}"
 
 
-def cli_sweep(graphs=SWEEP_GRAPHS, lambdas: str = SWEEP_LAMBDAS, starts: int = 16):
-    """Exit code, CSV and stderr of the CLI ``sweep`` on each graph."""
+def _run(*argv: str) -> str:
+    """Exit code, stdout and stderr of one CLI call."""
     from logschro.cli import main
 
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def _read(path: str) -> str:
+    """Text of a file a CLI call wrote, or "" when it wrote none."""
+    if not os.path.exists(path):
+        return ""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _generate(tmp: str, topology: str, n: int, well: str) -> tuple[str, str]:
+    """Path of a generated fixture graph, and its ``generate`` record."""
+    path = os.path.join(tmp, f"{topology}{n}.json")
+    record = _run("generate", "--topology", topology, "--n", str(n), "--well", well, "--out", path)
+    if not record.startswith("exit 0\n"):
+        raise RuntimeError(f"logschro generate {topology} {n} {well} failed: {record}")
+    return path, record + _read(path)
+
+
+def cli_sweep(graphs=SWEEP_GRAPHS, lambdas: str = SWEEP_LAMBDAS, starts: int = 16):
+    """Exit code, CSV and stderr of the CLI ``sweep`` on each graph."""
     with tempfile.TemporaryDirectory() as tmp:
         for topology, n, well in graphs:
-            path = os.path.join(tmp, f"{topology}{n}.json")
-            argv = ["generate", "--topology", topology, "--n", str(n), "--well", well, "--out", path]
-            if main(argv) != 0:
-                raise RuntimeError(f"logschro {' '.join(argv)} failed")
-            out, err = io.StringIO(), io.StringIO()
-            argv = ["sweep", "--graph", path, "--lambdas", lambdas, "--starts", str(starts), "--seed", "0"]
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            yield f"{topology}{n} exit {code}\n{out.getvalue()}{err.getvalue()}"
+            path, _ = _generate(tmp, topology, n, well)
+            yield f"{topology}{n} " + _run(
+                "sweep", "--graph", path, "--lambdas", lambdas, "--starts", str(starts), "--seed", "0"
+            )
+
+
+def cli_reports(families=FIXTURE_FAMILIES, starts: int = 8):
+    """The JSON reports of ``generate``, ``solve``, ``check`` and ``project``
+    on the fixture families, and the identity suite on a seeded field."""
+    import numpy as np
+    from conftest import random_field
+    from logschro import ProblemInstance, WeightedGraph, identity_suite
+
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        for topology, n, well in families:
+            name = f"{topology}{n}"
+            path, record = _generate(tmp, topology, n, well)
+            yield f"{name} generate {record}"
+            for mode, lam in (("full", ("--lambda", "10")), ("dirichlet", ())):
+                for kind in ("ground", "nodal"):
+                    state = os.path.join(tmp, f"{name}-{mode}-{kind}.json")
+                    solve = _run(
+                        "solve", "--graph", path, "--mode", mode, *lam, f"--{kind}",
+                        "--starts", str(starts), "--seed", "0", "--out", state,
+                    )
+                    check = _run("check", "--graph", path, "--state", state, "--mode", mode, *lam)
+                    project = _run("project", "--graph", path, "--state", state, "--lambda", "10")
+                    yield (
+                        f"{name} {mode} {kind} solve {solve}{_read(state)}"
+                        f" check {check} project {project}"
+                    )
+            graph = WeightedGraph.load(path)
+            suite = identity_suite(ProblemInstance.full(graph, 10.0), random_field(rng, graph.n))
+            yield f"{name} identity {suite.to_json()}"
 
 
 def random_mix(count: int = 200, starts: int = 4):
@@ -131,7 +189,13 @@ def projections(count: int = 1000):
         yield f"p{i:04d} pair {pair} ray {ray}"
 
 
-GROUPS = {"fixtures": fixtures, "sweep": cli_sweep, "random_mix": random_mix, "projections": projections}
+GROUPS = {
+    "fixtures": fixtures,
+    "sweep": cli_sweep,
+    "random_mix": random_mix,
+    "projections": projections,
+    "cli": cli_reports,
+}
 
 
 def digest(records) -> str:
