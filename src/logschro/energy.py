@@ -95,7 +95,8 @@ class ProblemInstance:
         ids = graph.vertex_ids if free is None else tuple(free)
         if not ids:
             raise ValueError("free vertex set is empty")
-        if not graph.is_connected(ids):
+        # WeightedGraph already checked that all of V is connected.
+        if free is not None and not graph.is_connected(ids):
             raise ValueError("free vertex set is not connected")
         self.graph = graph
         self.lam = lam

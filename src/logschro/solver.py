@@ -9,12 +9,16 @@ descent direction and its slope for all live rows in one array pass, and
 each line-search round projects only the rows still searching.  The
 stacked kernels give every row the floats it would get alone, so a start
 follows the same steps whatever else is in the stack, and results are
-collected in start order.  A line-search trial
-costs one projection and nothing else: the projection returns the level
-of its field in closed form (``J(w) = |w|_2^2 / 2`` on both Nehari
-sets), and the Armijo test compares that level with the level the row
-carries.  ``_energy`` evaluates a field on its own only to judge a
-polish and to report a level.
+collected in start order.  Each row starts its line search at its own
+Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988),
+clipped to ``[_STEP_MIN, _STEP_MAX]``, and halves its own step on each
+rejected trial.  A line-search trial costs one projection and nothing
+else: the projection returns the level of its field in closed form
+(``J(w) = |w|_2^2 / 2`` on both Nehari sets), and the nonmonotone Armijo
+test of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986)
+compares that level with the largest of the row's last ``_HISTORY``
+levels.  ``_energy`` evaluates a field on its own only to judge a polish
+and to report a level.
 
 A damped Newton polish on the pointwise residual system, run per row,
 ends a start early once it succeeds; descent tries it when the residual
@@ -27,7 +31,9 @@ been halved five times without lowering the residual, leaving the start
 to descent.  A brute-force oracle on instances with at most a few free
 vertices provides independent reference levels: a vectorized grid scan
 of the residual system, whose sign-change cells it polishes with the
-same damped Newton.
+same damped Newton.  The minimizer a solve reports gets up to
+``_FINAL_NEWTON_STEPS`` full Newton steps more, so that it sits at
+rounding level whatever path descent took to it.
 
 Seeds, descent, projections, polish and oracle all work on the free
 values of a field (see :class:`~logschro.energy.ProblemInstance`) and
@@ -72,11 +78,19 @@ _SIGN_EPS = 1e-8
 # Newton polish budget: steps per polish, and step halvings per step.
 _POLISH_MAX_ITER = 60
 _POLISH_HALVINGS = 5
-# Descent budget per start and Armijo backtracking line search.
+# Descent budget per start and nonmonotone Armijo line search: a row's
+# first trial step is its Barzilai-Borwein step clipped to
+# [_STEP_MIN, _STEP_MAX], or _STEP_INIT where there is none, and a trial
+# is judged against the largest of the row's last _HISTORY levels.
 _MAX_OUTER_ITERS = 5000
 _STEP_INIT = 0.5
+_STEP_MIN = 1e-3
+_STEP_MAX = 2.0
+_HISTORY = 10
 _ARMIJO = 1e-4
 _SHRINK = 0.5
+# Full Newton steps on the reported minimizer.
+_FINAL_NEWTON_STEPS = 8
 # Oracle budget: free vertices, and lattice cells per axis.
 _ORACLE_DOF_LIMIT = 3
 _ORACLE_GRID = 32
@@ -194,6 +208,36 @@ def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
             return None
 
 
+def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
+    """Up to ``_FINAL_NEWTON_STEPS`` full Newton steps on the free residual
+    system from ``uf``, stopping at the first step that is not finite,
+    changes the sign pattern or does not lower the sup residual.
+
+    Polishing a converged minimizer to rounding level makes the reported
+    field independent of where descent stopped; the sup residual of the
+    field returned is never above that of ``uf``.
+    """
+    r = _residual(inst, uf)
+    rnorm = float(np.abs(r).max())
+    signs = np.sign(uf)
+    for _ in range(_FINAL_NEWTON_STEPS):
+        try:
+            cand = uf + np.linalg.solve(_residual_jacobian(inst, uf), -r)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(cand)) or not np.array_equal(np.sign(cand), signs):
+            break
+        # A step along a near-singular direction may be huge; its residual
+        # then overflows and is rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cr = _residual(inst, cand)
+        cnorm = float(np.abs(cr).max())
+        if not cnorm < rnorm:
+            break
+        uf, r, rnorm = cand, cr, cnorm
+    return uf
+
+
 # -- stacked descent on the free values of the starts ----------------------
 
 
@@ -201,6 +245,23 @@ def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
     if nodal:
         return float(u.max()) > _SIGN_EPS and float(u.min()) < -_SIGN_EPS
     return float(np.abs(u).max()) > _SIGN_EPS
+
+
+def _step_starts(inst: ProblemInstance, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's first trial step from the change ``s`` of its field and
+    ``y`` of its residual over its last iteration.
+
+    The Barzilai-Borwein step ``<s, s/P>_mu / <s, y>_mu`` of the direction
+    ``-P r``, ``P = 1/(lam a + 1)``, clipped to ``[_STEP_MIN, _STEP_MAX]``;
+    ``_STEP_INIT`` where ``<s, y>_mu <= 0`` or the step is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sy = _dot(inst.mu, s * y)
+        bb = _dot(inst.mass, s * s) / sy
+    good = (sy > 0.0) & np.isfinite(bb)
+    alpha = np.full(len(s), _STEP_INIT)
+    alpha[good] = np.clip(bb[good], _STEP_MIN, _STEP_MAX)
+    return alpha
 
 
 def _descend(
@@ -211,10 +272,16 @@ def _descend(
     All rows take their iterations together, and each row follows the
     same steps as it would alone.  A row carries the level of its
     current field, which the projection returns in closed form; a
-    line-search trial is accepted on the Armijo test against that level,
-    so it costs one projection and no energy evaluation.  ``_energy`` is
-    called only to judge a polish.  Each line-search round projects the
-    rows still searching, and the step halves from round to round.
+    line-search trial is accepted when its level is at most the largest
+    of the row's last ``_HISTORY`` levels plus ``_ARMIJO * alpha *
+    slope``, so it costs one projection and no energy evaluation.
+    ``_energy`` is called only to judge a polish.
+
+    Each row has its own step.  On a row's first iteration it starts at
+    ``_STEP_INIT``, and after that at its Barzilai-Borwein step (see
+    ``_step_starts``).  Each line-search round projects the rows still
+    searching, a rejected row halves its own step, and a row whose step
+    falls to 1e-16 stops searching.
 
     A Newton polish is tried at tolerance, every 25th iteration, when the
     sup residual is at most 1e-2 of the field's scale, and on the
@@ -259,6 +326,10 @@ def _descend(
     u, level = u.copy(), level.copy()
     failed_at = np.full(len(u), math.inf)
     stalled = np.zeros(len(u), dtype=bool)
+    # Each row's last levels, and its field and residual one iteration back
+    # (for the step, from the second iteration on).
+    history = np.full((len(u), _HISTORY), -math.inf)
+    u_prev, r_prev = u, np.zeros_like(u)
     for it in range(_MAX_OUTER_ITERS + 1):
         if not idx.size:
             break
@@ -283,21 +354,28 @@ def _descend(
             fields[idx[retire]], converged[idx[retire]] = u[retire], done[retire]
             keep = ~retire
             idx, u, level, failed_at, r = idx[keep], u[keep], level[keep], failed_at[keep], r[keep]
+            history, u_prev, r_prev = history[keep], u_prev[keep], r_prev[keep]
 
         d = -r * precond
         slope = _dot(mu, r * d)
-        # Every row still searching has taken the same number of halvings,
-        # so the step is one number per round.
-        alpha = _STEP_INIT
+        # Every live row moved in the last iteration: the rows that did
+        # not were stalled and have retired.
+        alpha = _step_starts(inst, u - u_prev, r - r_prev) if it else np.full(len(idx), _STEP_INIT)
+        history[:, it % _HISTORY] = level
+        ref = history.max(axis=1)
+        u_prev, r_prev = u.copy(), r
+        stalled = np.ones(len(idx), dtype=bool)
         search = np.arange(len(idx))  # live rows still searching
-        while search.size and alpha > 1e-16:
-            w, w_level, ok = nehari._project(inst, u[search] + alpha * d[search], nodal)
-            ok &= w_level <= level[search] + _ARMIJO * alpha * slope[search]
+        while search.size:
+            w, w_level, ok = nehari._project(
+                inst, u[search] + alpha[search, None] * d[search], nodal
+            )
+            ok &= w_level <= ref[search] + _ARMIJO * alpha[search] * slope[search]
             u[search[ok]], level[search[ok]] = w[ok], w_level[ok]
+            stalled[search[ok]] = False
             search = search[~ok]
-            alpha *= _SHRINK
-        stalled = np.zeros(len(idx), dtype=bool)
-        stalled[search] = True
+            alpha[search] *= _SHRINK
+            search = search[alpha[search] > 1e-16]
     return fields, converged
 
 
@@ -430,6 +508,7 @@ def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveRepor
     best_level = min(level for level, _ in results)
     ties = [r for r in results if r[0] <= best_level + 1e-12 * max(1.0, abs(best_level))]
     _, u_best = min(ties, key=lambda r: tuple(r[1]))
+    u_best = _final_newton(inst, u_best)
     # Read off the reported minimizer; k is even under u -> -u.
     degenerate = nodal and _coupling_k(inst, u_best) >= 0.0
 

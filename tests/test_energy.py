@@ -116,6 +116,22 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="free vertex set is"):
             ProblemInstance(p6, 10.0, free)
 
+    def test_full_problem_skips_the_connectivity_check(self, p6, monkeypatch):
+        # WeightedGraph already checked that all of V is connected.
+        calls = []
+        is_connected = WeightedGraph.is_connected
+
+        def counted(graph, subset):
+            calls.append(tuple(subset))
+            return is_connected(graph, subset)
+
+        monkeypatch.setattr(WeightedGraph, "is_connected", counted)
+        ProblemInstance.full(p6, 10.0)
+        assert calls == []
+        with pytest.raises(ValueError, match="free vertex set is not connected"):
+            ProblemInstance(p6, 10.0, ["v1", "v3"])
+        assert calls == [("v1", "v3")]
+
 
 class TestFreeBlock:
     """Only the instance knows the free set: gather once, scatter once."""

@@ -34,25 +34,25 @@ OPTS = SolveOptions(starts=16, seed=0)
 # `logschro sweep --lambdas 1,10,100,1000,10000 --starts 16 --seed 0` on the
 # generated 6-path with well 3..4: CSV rows and the stderr summary.
 P6_SWEEP_ROWS = [
-    [1.0, 5.765838439032475, 2.332416752946876, 1.1010049331387233, 14.319698484155186,
-     6.6889449515858175, 11.54110069430991, 6.6889449515858175],
-    [10.0, 18.82430513652382, 2.568915935082376, 13.686473266359066, 1.261231786663842,
-     1.8256451289293731, 0.9498405059585031, 0.18256451289293732],
-    [100.0, 19.90274490715047, 2.693993851462937, 14.514757204224598, 0.1827920160371903,
-     0.3389261832555863, 0.1300426606448466, 0.0033892618325558634],
-    [1000.0, 20.06573538219289, 2.715607265207443, 14.634520851778005, 0.01980154099477005,
-     0.03912032764229027, 0.013984070311735465, 3.912032764229027e-05],
-    [10000.0, 20.083532163357155, 2.7180105678800146, 14.647511027597126,
-     0.0020047598305055203, 0.004002745382766531, 0.001414681190836358, 4.0027453827665316e-07],
+    [1.0, 5.765838439032475, 2.3324167529468767, 1.1010049331387215, 14.319698484155186,
+     6.6889449515858175, 11.541100694309906, 6.6889449515858175],
+    [10.0, 18.82430513652381, 2.5689159350823774, 13.686473266359057, 1.2612317866638492,
+     1.8256451289318858, 0.9498405059589206, 0.1825645128931886],
+    [100.0, 19.902744907150456, 2.6939938514629374, 14.514757204224582, 0.18279201603720452,
+     0.33892618325558715, 0.13004266064484307, 0.0033892618325558716],
+    [1000.0, 20.06573538219289, 2.7156072652074426, 14.634520851778007, 0.01980154099477005,
+     0.03912032764229027, 0.013984070311733779, 3.912032764229027e-05],
+    [10000.0, 20.083532163357162, 2.718010567880014, 14.647511027597133,
+     0.002004759830498415, 0.0040027453827665305, 0.0014146811908375995, 4.0027453827665305e-07],
 ]
 P6_SWEEP_SUMMARY = {
     "c_omega": 2.7182818284590446,
     "final_thresholds_ok": True,
     "m_omega": 20.08553692318766,
-    "sup_h_lambda_norm": 12.675339846027896,
+    "sup_h_lambda_norm": 12.675339846027892,
     "trend_ok": True,
-    "u0_h1_sq": 160.68429538550131,
-    "u0_l2_sq": 40.17107384637533,
+    "u0_h1_sq": 160.6842953855013,
+    "u0_l2_sq": 40.17107384637532,
     "verdict": True,
 }
 
@@ -502,8 +502,9 @@ class TestCli:
             parser.parse_args(shlex.split(command)[1:])
 
     def test_p6_sweep_values_pinned(self, tmp_path, capsys):
-        # The acceptance sweep's CSV and stderr summary, recorded before the
-        # solver moved onto the free block of the stiffness matrix.
+        # The acceptance sweep's CSV and stderr summary, recorded once the
+        # reported minimizers were polished to rounding level, so that the
+        # values no longer depend on the descent's path.
         gpath = tmp_path / "p6.json"
         cli_main(["generate", "--topology", "path", "--n", "6", "--well", "3..4",
                   "--out", str(gpath)])

@@ -384,7 +384,9 @@ class TestRatioNewton:
 
     def test_random_mix_weak_coupling_solve_never_stalls(self, monkeypatch):
         # Instance r002 of the seed-0 random mix: n = 10, lam ~ 7482.  Its
-        # nodal descent projects hundreds of weakly coupled fields.
+        # nodal descent projects hundreds of weakly coupled fields; it takes
+        # 16 starts to reach that many, since the descent's
+        # Barzilai-Borwein steps make few trials per start.
         rng = np.random.default_rng(0)
         for _ in range(3):
             g = random_graph(rng)
@@ -404,10 +406,10 @@ class TestRatioNewton:
             return root
 
         monkeypatch.setattr(nehari, "_pair_row", counted)
-        rep = solver.solve_nodal(inst, solver.SolveOptions(starts=4, seed=0))
+        rep = solver.solve_nodal(inst, solver.SolveOptions(starts=16, seed=0))
         assert "NonConvergence" not in outcomes
         assert outcomes.count("ok") >= 100
-        assert rep.starts_converged == 4
+        assert rep.starts_converged == 16
 
 
 class TestRootNearTopOfBox:

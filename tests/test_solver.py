@@ -142,8 +142,11 @@ class TestLineSearchCost:
         # _energy judges a polish (two calls), and gives each converged
         # start's level and the reported level; one call per trial would
         # exceed that many times over.
+        # At lambda = 100 the descent still makes many trials per polish;
+        # at lambda = 10 its Barzilai-Borwein steps leave too few for the
+        # factor below to tell one call per trial from none.
         g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
-        inst = ProblemInstance.full(g, 10.0)
+        inst = ProblemInstance.full(g, 100.0)
         opts = SolveOptions(starts=8, seed=0)
         calls = collections.Counter()
         for name in ("_energy", "_newton_root"):
@@ -178,6 +181,109 @@ class TestStackedDescent:
             # Each row takes the very steps it takes alone, so not only the
             # level (to 1e-13) but the field agrees to the last bit.
             np.testing.assert_array_equal(alone[0], fields[i])
+
+
+class TestStepStarts:
+    """Each row starts its line search at its own clipped Barzilai-Borwein step."""
+
+    def test_safeguards(self, p6):
+        inst = ProblemInstance.full(p6, 10.0)  # mass = mu (lam a + 1) differs from mu
+        s = np.array([[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0] * 6,
+                      [1e-3, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0, 0, 1.0, 0, 0, 0],
+                      [1e200, 0, 0, 0, 0, 0]])
+        y = np.array([[-1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [1.0] * 6,
+                      [1e4, 0, 0, 0, 0, 0], [1e-9, 0, 0, 0, 0, 0], [0.0, 0, 4.0, 0, 0, 0],
+                      [1e-200, 0, 0, 0, 0, 0]])
+        alpha = solver._step_starts(inst, s, y)
+        # <s, y> < 0, = 0, = 0; clipped below and above; the step itself,
+        # <s, s/P> / <s, y> = (0 + 1) / 4 in the well; not finite.
+        init, lo, hi = solver._STEP_INIT, solver._STEP_MIN, solver._STEP_MAX
+        np.testing.assert_array_equal(alpha, [init, init, init, lo, hi, 0.25, init])
+
+    @pytest.mark.parametrize("lam, nodal", [(10.0, False), (100.0, True)])
+    def test_every_start_in_bounds(self, p6, monkeypatch, lam, nodal):
+        inst = ProblemInstance.full(p6, lam)
+        seen = []
+        step_starts = solver._step_starts
+
+        def recorded(inst, s, y):
+            alpha = step_starts(inst, s, y)
+            seen.append((solver._dot(inst.mu, s * y), alpha.copy()))
+            return alpha
+
+        monkeypatch.setattr(solver, "_step_starts", recorded)
+        (solver.solve_nodal if nodal else solver.solve_ground)(inst, OPTS)
+        sy = np.concatenate([c for c, _ in seen])
+        alpha = np.concatenate([a for _, a in seen])
+        assert np.all((solver._STEP_MIN <= alpha) & (alpha <= solver._STEP_MAX))
+        assert np.all(alpha[sy <= 0.0] == solver._STEP_INIT)
+        # Not vacuous: both kinds of rows occur, and BB moves the step.
+        assert (sy <= 0.0).any() and (alpha != solver._STEP_INIT).any()
+
+    def test_first_iteration_starts_at_init(self, p6, monkeypatch):
+        inst = ProblemInstance.full(p6, 10.0)
+        opts = SolveOptions(starts=8, seed=0)
+        u, level, _ = solver._seed_stack(inst, opts, nodal=True)
+        trials = []
+        project = nehari._project
+
+        def recorded(inst, w, nodal):
+            trials.append(w.copy())
+            return project(inst, w, nodal)
+
+        monkeypatch.setattr(nehari, "_project", recorded)
+        solver._descend(inst, u, level, opts, nodal=True)
+        d = -solver._residual(inst, u) * (1.0 / (inst.lam_a + 1.0))
+        np.testing.assert_array_equal(trials[0], u + solver._STEP_INIT * d)
+
+
+class TestFinalNewton:
+    """The reported minimizer is polished to rounding level."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_never_raises_the_sup_residual(self, k):
+        rng = np.random.default_rng(k)
+        inst = ProblemInstance.full(random_graph(rng), float(10.0 ** rng.uniform(-1.0, 3.0)))
+        n = len(inst.mu)
+        rep = solve_nodal(inst, SolveOptions(starts=4, seed=k)) if n >= 2 else None
+        fields = [rng.uniform(0.5, 2.5, n) * rng.choice([-1.0, 1.0], n) for _ in range(4)]
+        if rep is not None:
+            u = inst.free_values(rep.minimizer)
+            fields += [u, u * (1.0 + 10.0 ** -rng.uniform(3, 12, n))]
+        for uf in fields:
+            out = solver._final_newton(inst, uf)
+            rinf = np.abs(solver._residual(inst, uf)).max()
+            assert np.abs(solver._residual(inst, out)).max() <= rinf
+            np.testing.assert_array_equal(np.sign(out), np.sign(uf))
+
+    def test_singular_jacobian(self, p6_dirichlet):
+        # At the root sqrt(e) (1, 1) the Jacobian S - 3I is singular and the
+        # residual is zero, so the root is kept; near it Newton is linear
+        # along the kernel (1, -1) but still lowers the residual.
+        root = np.full(2, math.exp(0.5))
+        np.testing.assert_array_equal(solver._final_newton(p6_dirichlet, root), root)
+        near = root * (1.0 + np.array([1e-6, -2e-6]))
+        out = solver._final_newton(p6_dirichlet, near)
+        rinf = np.abs(solver._residual(p6_dirichlet, near)).max()
+        assert np.abs(solver._residual(p6_dirichlet, out)).max() <= 1e-6 * rinf
+
+    @pytest.mark.parametrize(
+        "topology, n, well, nodal",
+        [("path", 6, "3..4", True), ("grid", 5, "v2-2,v2-3,v3-2,v3-3", False)],
+    )
+    def test_minimizer_does_not_depend_on_the_descent_path(
+        self, monkeypatch, topology, n, well, nodal
+    ):
+        inst = ProblemInstance.full(WeightedGraph.from_dict(generate_graph(topology, n, well)), 10.0)
+        solve = solve_nodal if nodal else solve_ground
+        bb = solve(inst, OPTS)
+        # Clipped to one value, the step is the fixed step of a plain descent.
+        monkeypatch.setattr(solver, "_STEP_MIN", solver._STEP_INIT)
+        monkeypatch.setattr(solver, "_STEP_MAX", solver._STEP_INIT)
+        fixed = solve(inst, OPTS)
+        scale = np.abs(fixed.minimizer).max()
+        assert np.abs(bb.minimizer - fixed.minimizer).max() <= 1e-13 * scale
+        assert bb.level == pytest.approx(fixed.level, rel=1e-13)
 
 
 def _counted(calls, name, func):
@@ -359,7 +465,10 @@ class TestIterationCap:
     """At the iteration cap each row is judged as it stands."""
 
     # (case, cap) -> (converged flags, SHA-256 prefix of the final fields),
-    # recorded before the stalled-row polish moved into the polish pass.
+    # recorded before the stalled-row polish moved into the polish pass;
+    # the cap-25 records again once the step became a row's own
+    # Barzilai-Borwein step, which leaves caps 0 and 1 alone since a row
+    # takes it from its second iteration on.
     # Cap 25 passes the polish every 25th iteration triggers.  r083's
     # row 2 is the one row of the first 200 seed-0 random-mix solves that
     # the line search cannot move: it stalls at iteration 0, so at cap 1
@@ -367,13 +476,13 @@ class TestIterationCap:
     RECORDED = {
         ("p6", 0): ("00000000", "04c9a2275e0811d1"),
         ("p6", 1): ("00000000", "ceea255d011e372f"),
-        ("p6", 25): ("11111111", "57f38a8772e7f2d2"),
+        ("p6", 25): ("11111111", "17156386845d735e"),
         ("grid5", 0): ("00000000", "7856d67e5864c283"),
         ("grid5", 1): ("00000000", "9a2717894aaa5746"),
-        ("grid5", 25): ("01000000", "f46c5f4dfad0ae7d"),
+        ("grid5", 25): ("01000010", "981fe4d6e48ae471"),
         ("r083", 0): ("0000", "c7c276f8039e2934"),
         ("r083", 1): ("0010", "ff4573a43cffbbcc"),
-        ("r083", 25): ("1111", "287ef27bde4f4bf6"),
+        ("r083", 25): ("1111", "220500938dec30e2"),
     }
 
     @staticmethod
