@@ -55,7 +55,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemInstance, _coupling_k, _dot, _energy, _residual, field_to_dict
+from .energy import (
+    ProblemInstance,
+    _coupling_k,
+    _dot,
+    _energy,
+    _norm_h_sq,
+    _residual,
+    field_to_dict,
+    sq_log_sq,
+)
 from .graphs import _json_fields, negative_part, positive_part
 from . import nehari
 from .nehari import NonConvergence
@@ -162,50 +171,89 @@ class VerificationReport:
 # -- residual Newton polish ----------------------------------------------
 
 
-def _residual_jacobian(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_residual`` at the free values ``uf``."""
-    jac = inst.stiffness / inst.mu[:, None]
+def _residual_jacobian(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_residual`` at the free values ``u``, or at each row
+    of a stack of them: shape ``u.shape[:-1] + (n, n)``."""
+    block = inst.stiffness / inst.mu[:, None]
+    diag = np.diag(block) + inst.lam_a
     # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so it
     # stays finite for |u| beyond 1e154; tiny |u| keep the floor log 1e-300.
-    log_term = 2.0 * np.log(np.maximum(np.abs(uf), 1e-150))
-    np.fill_diagonal(jac, np.diag(jac) + inst.lam_a - log_term - 2.0)
+    log_term = 2.0 * np.log(np.maximum(np.abs(u), 1e-150))
+    n = len(diag)
+    jac = np.broadcast_to(block, u.shape[:-1] + block.shape).copy()
+    # The diagonal of every matrix, as a strided view of the stack.
+    jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = diag - log_term - 2.0
     return jac
 
 
-def _newton_root(inst: ProblemInstance, uf: np.ndarray, rtol: float):
-    """Damped Newton on the free residual system; None when it fails to settle.
+def _newton_steps(jac: np.ndarray, r: np.ndarray):
+    """Newton steps ``-jac^-1 r`` of a stack of rows, and a mask of the
+    rows whose Jacobian LAPACK could factor.
 
-    It settles once the sup residual is at most ``rtol * max(1, max|uf|)``
-    at the current iterate.  Each Newton step tries ``alpha = 1, 1/2, ...,
-    2**-_POLISH_HALVINGS`` and takes the first trial that is finite and
-    lowers the sup residual.  When none does, or after
-    ``_POLISH_MAX_ITER`` steps, it gives up: a root that needs tinier steps
-    than these is stalled on an ill-conditioned Jacobian, not converging.
-    At most ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1`` residual
-    evaluations.
+    One batched solve gives each row the floats of its own solve; when a
+    matrix is singular the rows are solved one by one, so only that row
+    fails.
     """
-    r = _residual(inst, uf)
-    rnorm = float(np.abs(r).max())
-    for it in range(_POLISH_MAX_ITER + 1):
-        if rnorm <= rtol * max(1.0, float(np.abs(uf).max())):
-            return uf
-        if it == _POLISH_MAX_ITER:
-            return None
+    try:
+        return np.linalg.solve(jac, -r[..., None])[..., 0], np.ones(len(r), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    step, ok = np.zeros_like(r), np.ones(len(r), dtype=bool)
+    for i in range(len(r)):
         try:
-            step = np.linalg.solve(_residual_jacobian(inst, uf), -r)
+            step[i] = np.linalg.solve(jac[i], -r[i])
         except np.linalg.LinAlgError:
-            return None
+            ok[i] = False
+    return step, ok
+
+
+def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
+    """Damped Newton on the free residual system for each row of ``u``.
+
+    Returns (rows, ok): ``ok[i]`` marks a row that settled, and then
+    ``rows[i]`` is its root.  A row settles once its sup residual is at
+    most ``rtol * max(1, max|u_i|)`` at its current iterate.  Each Newton
+    step tries ``alpha = 1, 1/2, ..., 2**-_POLISH_HALVINGS`` and takes the
+    first trial that lowers the row's sup residual; a trial that is not
+    finite has a residual that compares false and is rejected.  When no
+    trial is taken, when the row's Jacobian is singular, or after
+    ``_POLISH_MAX_ITER`` steps, the row gives up: a root that needs tinier
+    steps than these is stalled on an ill-conditioned Jacobian, not
+    converging.  At most ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1``
+    residual evaluations per row.
+
+    All rows step together, and each round of halvings evaluates only the
+    rows still searching; the kernels give each row the floats it would
+    get alone, so a row's result does not depend on the rest of the stack.
+    """
+    u = u.copy()
+    r = _residual(inst, u)
+    rnorm = np.abs(r).max(axis=1)
+    ok = np.zeros(len(u), dtype=bool)
+    live = np.arange(len(u))
+    for it in range(_POLISH_MAX_ITER + 1):
+        settled = rnorm[live] <= rtol * np.maximum(1.0, np.abs(u[live]).max(axis=1))
+        ok[live[settled]] = True
+        live = live[~settled]
+        if not live.size or it == _POLISH_MAX_ITER:
+            break
+        step, solved = _newton_steps(_residual_jacobian(inst, u[live]), r[live])
+        search, step = live[solved], step[solved]
+        moved = np.zeros(len(u), dtype=bool)
         for k in range(_POLISH_HALVINGS + 1):
-            cand = uf + 0.5**k * step
-            if not np.all(np.isfinite(cand)):
-                continue
-            cr = _residual(inst, cand)
-            cnorm = float(np.abs(cr).max())
-            if cnorm < rnorm:
-                uf, r, rnorm = cand, cr, cnorm
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand = u[search] + 0.5**k * step
+                cr = _residual(inst, cand)
+                cnorm = np.abs(cr).max(axis=1)
+            better = cnorm < rnorm[search]
+            taken = search[better]
+            u[taken], r[taken], rnorm[taken] = cand[better], cr[better], cnorm[better]
+            moved[taken] = True
+            search, step = search[~better], step[~better]
+            if not search.size:
                 break
-        else:
-            return None
+        live = np.flatnonzero(moved)
+    return u, ok
 
 
 def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
@@ -241,10 +289,12 @@ def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
 # -- stacked descent on the free values of the starts ----------------------
 
 
-def _sign_ok(u: np.ndarray, nodal: bool) -> bool:
+def _sign_ok(u: np.ndarray, nodal: bool) -> np.ndarray:
+    """Whether a field, or each row of a stack, has the sign pattern its
+    Nehari set asks for."""
     if nodal:
-        return float(u.max()) > _SIGN_EPS and float(u.min()) < -_SIGN_EPS
-    return float(np.abs(u).max()) > _SIGN_EPS
+        return (u.max(axis=-1) > _SIGN_EPS) & (u.min(axis=-1) < -_SIGN_EPS)
+    return np.abs(u).max(axis=-1) > _SIGN_EPS
 
 
 def _step_starts(inst: ProblemInstance, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -309,15 +359,20 @@ def _descend(
     fields = u.copy()
     converged = np.zeros(len(u), dtype=bool)
 
-    def polished(cur: np.ndarray):
-        cand = _newton_root(inst, cur, rtol=0.1 * tol)
-        if cand is None or not _sign_ok(cand, nodal):
-            return None
-        j_cur = _energy(inst, cur)
-        # Written so that a NaN energy (|u| beyond 1e154) rejects the polish.
-        if not _energy(inst, cand) <= j_cur + 1e-9 * max(1.0, abs(j_cur)):
-            return None
-        return cand
+    def energies(w: np.ndarray) -> np.ndarray:
+        # ``_energy`` of each row, to the bit.
+        return 0.5 * _norm_h_sq(inst, w) - 0.5 * _dot(mu, sq_log_sq(w))
+
+    def polish(rows: np.ndarray) -> np.ndarray:
+        """Polish the live rows ``rows`` in place; the mask of those taken."""
+        cand, ok = _newton_roots(inst, u[rows], 0.1 * tol)
+        ok &= _sign_ok(cand, nodal)
+        # Only rows that passed so far are evaluated.  Written so that a
+        # NaN energy (|u| beyond 1e154) rejects the polish.
+        j_cur, j_cand = energies(u[rows[ok]]), energies(cand[ok])
+        ok[ok] = j_cand <= j_cur + 1e-9 * np.maximum(1.0, np.abs(j_cur))
+        u[rows[ok]] = cand[ok]
+        return ok
 
     # The live rows: their index in ``fields``, field, level, the sup
     # residual at their last failed polish in the loop, and whether the
@@ -343,12 +398,12 @@ def _descend(
         trigger = stalled if cap else (
             stalled | done | (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at) | (it % 25 == 24)
         )
-        for j in np.flatnonzero(trigger).tolist():
-            cand = polished(u[j])
-            if cand is not None:
-                u[j], done[j] = cand, True
-            elif not done[j]:
-                failed_at[j] = rinf[j]
+        rows = np.flatnonzero(trigger)
+        if rows.size:
+            taken = polish(rows)
+            failed = rows[~taken & ~done[rows]]
+            done[rows[taken]] = True
+            failed_at[failed] = rinf[failed]
         retire = done | stalled | cap
         if retire.any():
             fields[idx[retire]], converged[idx[retire]] = u[retire], done[retire]
@@ -619,11 +674,10 @@ def oracle_enumerate(inst: ProblemInstance) -> OracleResult:
     # polish aims near rounding (about 1e-15 of the field's scale), and
     # copies of such a root that pass the 1e-9 test may still lie about
     # its square root apart: merge at that distance.
+    polished, ok = _newton_roots(inst, np.array(candidates), 1e-14)
+    settled = polished[ok]
     roots: list[np.ndarray] = [np.zeros(d)]
-    for x0 in candidates:
-        uf = _newton_root(inst, x0, rtol=1e-14)
-        if uf is None or float(np.max(np.abs(_residual(inst, uf)))) > 1e-9:
-            continue
+    for uf in settled[np.abs(_residual(inst, settled)).max(axis=1) <= 1e-9]:
         if not any(np.max(np.abs(uf - r)) <= 1e-4 * max(1.0, np.max(np.abs(r))) for r in roots):
             roots.extend((uf, -uf))
 

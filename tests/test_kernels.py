@@ -138,8 +138,10 @@ class TestKernelsMatchReference:
         stack[1] = np.abs(stack[1])
         norms, up, um = nehari._split_stats(inst, stack)
         residuals = solver._residual(inst, stack)
+        jacobians = solver._residual_jacobian(inst, stack)
         for i, row in enumerate(stack):
             np.testing.assert_array_equal(residuals[i], solver._residual(inst, row))
+            np.testing.assert_array_equal(jacobians[i], solver._residual_jacobian(inst, row))
             assert nehari._norm_h_sq(inst, stack)[i] == nehari._norm_h_sq(inst, row)
             norms_alone, up_alone, um_alone = nehari._split_stats(inst, row[None, :])
             assert norms[i].tolist() == norms_alone[0].tolist()

@@ -121,17 +121,14 @@ class TestPolishRetry:
 
     def test_grid5_ground_polish_count(self, monkeypatch):
         g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
-        calls = []
-        polish = solver._newton_root
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return polish(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_newton_root", counted)
+        calls = collections.Counter()
+        # A polish call takes a stack: count the rows it polishes.
+        monkeypatch.setattr(
+            solver, "_newton_roots", _counted_rows(calls, "rows", solver._newton_roots)
+        )
         rep = solve_ground(ProblemInstance.full(g, 10.0), SolveOptions(starts=8, seed=0))
-        # Retrying at every small-residual iterate made 1,054 calls here.
-        assert len(calls) <= 120
+        # Retrying at every small-residual iterate made 1,054 polishes here.
+        assert 0 < calls["rows"] <= 120
         assert rep.starts_converged == 8
         assert rep.level == pytest.approx(13.134618343915474, rel=1e-10)
 
@@ -139,9 +136,9 @@ class TestPolishRetry:
 class TestLineSearchCost:
     def test_trials_make_no_energy_call(self, monkeypatch):
         # Trials are judged by the level their projection returns.
-        # _energy judges a polish (two calls), and gives each converged
-        # start's level and the reported level; one call per trial would
-        # exceed that many times over.
+        # _energy gives each converged start's level and the reported
+        # level, and a polish costs at most two energies per row; one call
+        # per trial would exceed that many times over.
         # At lambda = 100 the descent still makes many trials per polish;
         # at lambda = 10 its Barzilai-Borwein steps leave too few for the
         # factor below to tell one call per trial from none.
@@ -149,13 +146,16 @@ class TestLineSearchCost:
         inst = ProblemInstance.full(g, 100.0)
         opts = SolveOptions(starts=8, seed=0)
         calls = collections.Counter()
-        for name in ("_energy", "_newton_root"):
-            monkeypatch.setattr(solver, name, _counted(calls, name, getattr(solver, name)))
-        # A projection call takes a stack: count the rows it projects.
+        monkeypatch.setattr(solver, "_energy", _counted(calls, "_energy", solver._energy))
+        # Projection and polish calls take stacks: count the rows.
         monkeypatch.setattr(nehari, "_project", _counted_rows(calls, "_project", nehari._project))
+        monkeypatch.setattr(
+            solver, "_newton_roots", _counted_rows(calls, "_newton_roots", solver._newton_roots)
+        )
         solve_ground(inst, opts)
         solve_nodal(inst, opts)
-        bound = 2 * calls["_newton_root"] + 2 * opts.starts + 2
+        assert calls["_newton_roots"] > 0
+        bound = 2 * calls["_newton_roots"] + 2 * opts.starts + 2
         assert calls["_project"] > 5 * bound
         assert calls["_energy"] <= bound
 
@@ -295,9 +295,11 @@ def _counted(calls, name, func):
 
 
 def _counted_rows(calls, name, func):
-    def counted(inst, u, nodal):
+    """``func(inst, u, arg)`` that adds the number of rows of ``u`` to ``calls[name]``."""
+
+    def counted(inst, u, arg):
         calls[name] += len(u)
-        return func(inst, u, nodal)
+        return func(inst, u, arg)
 
     return counted
 
@@ -306,26 +308,27 @@ POLISH_EVAL_BOUND = solver._POLISH_MAX_ITER * (solver._POLISH_HALVINGS + 1) + 1
 
 
 def _count_residuals(mp):
-    """Count the ``solver._residual`` calls made inside ``solver._newton_root``
-    while ``mp`` is active; descent's own residuals are not counted."""
+    """Count the rows of the ``solver._residual`` calls made inside
+    ``solver._newton_roots`` while ``mp`` is active; descent's own residuals
+    are not counted."""
     evals = [0]
     inside = [False]
-    residual, newton_root = solver._residual, solver._newton_root
+    residual, newton_roots = solver._residual, solver._newton_roots
 
-    def counted(*args):
+    def counted(inst, u):
         if inside[0]:
-            evals[0] += 1
-        return residual(*args)
+            evals[0] += len(u) if u.ndim == 2 else 1
+        return residual(inst, u)
 
     def polish(*args, **kwargs):
         inside[0] = True
         try:
-            return newton_root(*args, **kwargs)
+            return newton_roots(*args, **kwargs)
         finally:
             inside[0] = False
 
     mp.setattr(solver, "_residual", counted)
-    mp.setattr(solver, "_newton_root", polish)
+    mp.setattr(solver, "_newton_roots", polish)
     return evals
 
 
@@ -333,23 +336,22 @@ def _count_residuals(mp):
 def grid5_polishes():
     """grid5 ground at lambda = 10 with every polish and residual counted.
 
-    Returns the report, the total polish residual evaluations, and one
-    ``(rtol, result, evaluations)`` entry per polish.
+    Returns the report, the total row-residuals the polish evaluated, and
+    one ``(rtol, rows in, rows out, ok)`` entry per polish call.
     """
     g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
     inst = ProblemInstance.full(g, 10.0)
     polishes = []
 
     def recorded_polish(inst, u, rtol):
-        before = evals[0]
-        out = polish(inst, u, rtol)
-        polishes.append((rtol, out, evals[0] - before))
-        return out
+        out, ok = polish(inst, u, rtol)
+        polishes.append((rtol, u.copy(), out, ok))
+        return out, ok
 
     with pytest.MonkeyPatch.context() as mp:
         evals = _count_residuals(mp)
-        polish = solver._newton_root
-        mp.setattr(solver, "_newton_root", recorded_polish)
+        polish = solver._newton_roots
+        mp.setattr(solver, "_newton_roots", recorded_polish)
         rep = solve_ground(inst, SolveOptions(starts=8, seed=0))
     return inst, rep, evals[0], polishes
 
@@ -369,27 +371,115 @@ class TestNewtonPolish:
         assert rep.starts_converged == 8
         assert rep.level == pytest.approx(13.134618343915474, rel=1e-10)
 
-    def test_every_polish_settles_or_gives_up_in_budget(self, grid5_polishes):
+    def test_every_polish_settles_or_gives_up_in_budget(self, grid5_polishes, monkeypatch):
         inst, _, _, polishes = grid5_polishes
-        assert any(out is None for _, out, _ in polishes)
-        for rtol, out, evals in polishes:
-            assert evals <= POLISH_EVAL_BOUND
-            assert out is None or _settled(inst, out, rtol)
+        assert not all(ok.all() for _, _, _, ok in polishes)
+        evals = _count_residuals(monkeypatch)
+        for rtol, rows, out, ok in polishes:
+            for row, got, settled in zip(rows, out, ok):
+                # Each row alone: its own residual budget, and the very
+                # result it got in the stack.
+                before = evals[0]
+                alone, ok_alone = solver._newton_roots(inst, row[None, :], rtol)
+                assert evals[0] - before <= POLISH_EVAL_BOUND
+                assert ok_alone[0] == settled
+                np.testing.assert_array_equal(alone[0], got)
+                assert not settled or _settled(inst, got, rtol)
 
     def test_settles_from_perturbed_minimizer(self, grid5_polishes):
         inst, rep, _, _ = grid5_polishes
         rng = np.random.default_rng(3)
         u = rep.minimizer + np.where(inst.free, 1e-4 * rng.standard_normal(inst.graph.n), 0.0)
-        out = solver._newton_root(inst, inst.free_values(u), 1e-11)
-        assert out is not None and _settled(inst, out, 1e-11)
-        assert np.max(np.abs(inst.extend(out) - rep.minimizer)) <= 1e-8
+        out, ok = solver._newton_roots(inst, inst.free_values(u)[None, :], 1e-11)
+        assert ok[0] and _settled(inst, out[0], 1e-11)
+        assert np.max(np.abs(inst.extend(out[0]) - rep.minimizer)) <= 1e-8
 
     def test_gives_up_on_unreachable_tolerance(self, grid5_polishes, monkeypatch):
         # A zero residual is below rounding, so no polish can reach it.
         inst, rep, _, _ = grid5_polishes
         evals = _count_residuals(monkeypatch)
-        assert solver._newton_root(inst, inst.free_values(rep.minimizer), 0.0) is None
+        _, ok = solver._newton_roots(inst, inst.free_values(rep.minimizer)[None, :], 0.0)
+        assert not ok[0]
         assert 1 <= evals[0] <= POLISH_EVAL_BOUND
+
+
+def _reference_newton_root(inst, uf, rtol):
+    """One row polished by the loop the stacked kernel replaced.
+
+    Returns (root or None, why): "settled", "singular", "halvings" when
+    no finite trial lowered the residual, "non-finite" when no trial was
+    finite, or "budget".
+    """
+    r = solver._residual(inst, uf)
+    rnorm = float(np.abs(r).max())
+    for it in range(solver._POLISH_MAX_ITER + 1):
+        if rnorm <= rtol * max(1.0, float(np.abs(uf).max())):
+            return uf, "settled"
+        if it == solver._POLISH_MAX_ITER:
+            return None, "budget"
+        try:
+            step = np.linalg.solve(solver._residual_jacobian(inst, uf), -r)
+        except np.linalg.LinAlgError:
+            return None, "singular"
+        finite = False
+        for k in range(solver._POLISH_HALVINGS + 1):
+            cand = uf + 0.5**k * step
+            if not np.all(np.isfinite(cand)):
+                continue
+            finite = True
+            cr = solver._residual(inst, cand)
+            cnorm = float(np.abs(cr).max())
+            if cnorm < rnorm:
+                uf, r, rnorm = cand, cr, cnorm
+                break
+        else:
+            return None, "halvings" if finite else "non-finite"
+
+
+class TestNewtonRoots:
+    """Each row of the stacked polish is the row polished alone."""
+
+    def test_mixed_stack_matches_each_row_alone(self, k2):
+        # On k2 at lambda = 1 the Jacobian at |u| = (1, 1) is exactly
+        # [[-1, -1], [-1, -1]], and near it Newton steps are huge.
+        inst = ProblemInstance.full(k2, 1.0)
+        rows = np.array([
+            [E * (1.0 + 1e-6), -E * (1.0 - 2e-6)],  # settles at (e, -e)
+            [1.0, -(1.0 + 1e-12)],  # a step of 1e12: every halving fails
+            [1.0, -1.0],  # singular Jacobian
+            [1e307, -1e307],  # residual and step overflow
+            [0.5, 2.0],
+            [-3.0, 0.1],
+        ])
+        rtol = 1e-14
+        # The non-finite row overflows by design.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, ok = solver._newton_roots(inst, rows, rtol)
+            reference = [_reference_newton_root(inst, row, rtol) for row in rows]
+            for i, (root, why) in enumerate(reference):
+                alone, ok_alone = solver._newton_roots(inst, rows[i : i + 1], rtol)
+                assert ok[i] == ok_alone[0] == (root is not None), why
+                np.testing.assert_array_equal(out[i], alone[0])
+                if root is not None:
+                    np.testing.assert_array_equal(out[i], root)
+        assert [why for _, why in reference[:4]] == ["settled", "halvings", "singular", "non-finite"]
+        np.testing.assert_allclose(out[0], [E, -E], rtol=1e-14)
+
+    def test_batched_solve_matches_each_matrix(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 50):
+            jac = rng.standard_normal((3, n, n)) + n * np.eye(n)
+            r = rng.standard_normal((3, n))
+            step, ok = solver._newton_steps(jac, r)
+            assert ok.all()
+            for i in range(3):
+                np.testing.assert_array_equal(step[i], np.linalg.solve(jac[i], -r[i]))
+            # A singular matrix fails its own row only.
+            jac[1] = 0.0
+            step, ok = solver._newton_steps(jac, r)
+            assert ok.tolist() == [True, False, True]
+            for i in (0, 2):
+                np.testing.assert_array_equal(step[i], np.linalg.solve(jac[i], -r[i]))
 
 
 class TestSolveOptions:
