@@ -11,27 +11,30 @@ stacked kernels give every row the floats it would get alone, so a start
 follows the same steps whatever else is in the stack, and results are
 collected in start order.  Each row starts its line search at its own
 Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988),
-clipped to ``[_STEP_MIN, _STEP_MAX]``, and halves its own step on each
-rejected trial.  A line-search trial costs one projection and nothing
+clipped to ``[_STEP_MIN, _STEP_MAX_NODAL]`` on nodal rows and to the far
+wider ``[_STEP_MIN, _STEP_MAX_GROUND]`` on ground rows, and halves its own
+step on each rejected trial.  A line-search trial costs one projection and nothing
 else: the projection returns the level of its field in closed form
 (``J(w) = |w|_2^2 / 2`` on both Nehari sets), and the nonmonotone Armijo
 test of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986)
 compares that level with the largest of the row's last ``_HISTORY``
-levels.  ``_energy`` evaluates a field on its own only to judge a polish
-and to report a level.
+levels.  ``_energy`` evaluates a field on its own only to report a level.
 
-A damped Newton polish on the pointwise residual system, run per row,
-ends a start early once it succeeds; descent tries it when the residual
-is small, every 25 iterations, at tolerance, and on the iteration after
-the line search cannot move a row.  Rows leave the stack in one place:
+A damped Newton polish on the pointwise residual system ends a start
+early once it succeeds; descent tries it when the residual is small,
+every 25 iterations, at tolerance, and on the iteration after the line
+search cannot move a row, and polishes all the rows it triggers in one
+iteration as one stack (``_newton_roots``: one batched linear solve per
+Newton step, and each halving round evaluates only the rows still
+searching).  Rows leave the stack in one place:
 at tolerance, after the polish of a row that stalled, or at the
 iteration cap.  The polish aims at a tenth of the descent stopping test,
-relative to the field's sup norm, and gives up once a Newton step has
-been halved five times without lowering the residual, leaving the start
-to descent.  A brute-force oracle on instances with at most a few free
-vertices provides independent reference levels: a vectorized grid scan
-of the residual system, whose sign-change cells it polishes with the
-same damped Newton.  The minimizer a solve reports gets up to
+relative to the field's sup norm, and a row gives up once a Newton step
+has been halved five times without lowering its residual, leaving the
+start to descent.  A brute-force oracle on instances with at most a few
+free vertices provides independent reference levels: a vectorized grid
+scan of the residual system, whose sign-change cells it polishes in one
+stack with the same damped Newton.  The minimizer a solve reports gets up to
 ``_FINAL_NEWTON_STEPS`` full Newton steps more, so that it sits at
 rounding level whatever path descent took to it.
 
@@ -88,13 +91,17 @@ _SIGN_EPS = 1e-8
 _POLISH_MAX_ITER = 60
 _POLISH_HALVINGS = 5
 # Descent budget per start and nonmonotone Armijo line search: a row's
-# first trial step is its Barzilai-Borwein step clipped to
-# [_STEP_MIN, _STEP_MAX], or _STEP_INIT where there is none, and a trial
-# is judged against the largest of the row's last _HISTORY levels.
+# first trial step is its Barzilai-Borwein step clipped to [_STEP_MIN,
+# _STEP_MAX_GROUND] or [_STEP_MIN, _STEP_MAX_NODAL], or _STEP_INIT where
+# there is none, and a trial is judged against the largest of the row's
+# last _HISTORY levels.  Long nodal steps fail the pair projection; the
+# ray projection has a closed form, and a ground row near a degenerate
+# minimizer needs steps of order 1/eig to cross its flat directions.
 _MAX_OUTER_ITERS = 5000
 _STEP_INIT = 0.5
 _STEP_MIN = 1e-3
-_STEP_MAX = 2.0
+_STEP_MAX_GROUND = 1e5
+_STEP_MAX_NODAL = 2.0
 _HISTORY = 10
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -297,12 +304,13 @@ def _sign_ok(u: np.ndarray, nodal: bool) -> np.ndarray:
     return np.abs(u).max(axis=-1) > _SIGN_EPS
 
 
-def _step_starts(inst: ProblemInstance, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _step_starts(inst: ProblemInstance, s: np.ndarray, y: np.ndarray, nodal: bool) -> np.ndarray:
     """Each row's first trial step from the change ``s`` of its field and
     ``y`` of its residual over its last iteration.
 
     The Barzilai-Borwein step ``<s, s/P>_mu / <s, y>_mu`` of the direction
-    ``-P r``, ``P = 1/(lam a + 1)``, clipped to ``[_STEP_MIN, _STEP_MAX]``;
+    ``-P r``, ``P = 1/(lam a + 1)``, clipped to ``[_STEP_MIN, _STEP_MAX_NODAL]``
+    for nodal rows and to ``[_STEP_MIN, _STEP_MAX_GROUND]`` for ground rows;
     ``_STEP_INIT`` where ``<s, y>_mu <= 0`` or the step is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -310,7 +318,7 @@ def _step_starts(inst: ProblemInstance, s: np.ndarray, y: np.ndarray) -> np.ndar
         bb = _dot(inst.mass, s * s) / sy
     good = (sy > 0.0) & np.isfinite(bb)
     alpha = np.full(len(s), _STEP_INIT)
-    alpha[good] = np.clip(bb[good], _STEP_MIN, _STEP_MAX)
+    alpha[good] = np.clip(bb[good], _STEP_MIN, _STEP_MAX_NODAL if nodal else _STEP_MAX_GROUND)
     return alpha
 
 
@@ -325,7 +333,7 @@ def _descend(
     line-search trial is accepted when its level is at most the largest
     of the row's last ``_HISTORY`` levels plus ``_ARMIJO * alpha *
     slope``, so it costs one projection and no energy evaluation.
-    ``_energy`` is called only to judge a polish.
+    Energies are evaluated only to judge a polish.
 
     Each row has its own step.  On a row's first iteration it starts at
     ``_STEP_INIT``, and after that at its Barzilai-Borwein step (see
@@ -343,8 +351,9 @@ def _descend(
     fails, the small-residual trigger waits until the residual has
     halved since that failure: a row drifting along a flat part of the
     Nehari set would otherwise rerun the same failing polish on every
-    iteration.  A polish counts only if it keeps the sign pattern and
-    does not raise the energy.  Both the stopping test and the polish
+    iteration.  The rows triggered in one iteration are polished as one
+    stack, and a polish counts only if it keeps the sign pattern and does
+    not raise the energy.  Both the stopping test and the polish
     tolerance scale with ``max(1, max|u|)`` of the field they judge:
     descent stops at ``tol_residual`` times that and the polish aims at a
     tenth of it, so a field far above 1 is held to the digits a double
@@ -415,7 +424,9 @@ def _descend(
         slope = _dot(mu, r * d)
         # Every live row moved in the last iteration: the rows that did
         # not were stalled and have retired.
-        alpha = _step_starts(inst, u - u_prev, r - r_prev) if it else np.full(len(idx), _STEP_INIT)
+        alpha = (
+            _step_starts(inst, u - u_prev, r - r_prev, nodal) if it else np.full(len(idx), _STEP_INIT)
+        )
         history[:, it % _HISTORY] = level
         ref = history.max(axis=1)
         u_prev, r_prev = u.copy(), r

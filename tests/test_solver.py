@@ -184,9 +184,11 @@ class TestStackedDescent:
 
 
 class TestStepStarts:
-    """Each row starts its line search at its own clipped Barzilai-Borwein step."""
+    """Each row starts its line search at its own clipped Barzilai-Borwein
+    step, with a nodal row's step clipped far below a ground row's."""
 
-    def test_safeguards(self, p6):
+    @pytest.mark.parametrize("nodal", [False, True])
+    def test_safeguards(self, p6, nodal):
         inst = ProblemInstance.full(p6, 10.0)  # mass = mu (lam a + 1) differs from mu
         s = np.array([[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0] * 6,
                       [1e-3, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0, 0, 1.0, 0, 0, 0],
@@ -194,10 +196,12 @@ class TestStepStarts:
         y = np.array([[-1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [1.0] * 6,
                       [1e4, 0, 0, 0, 0, 0], [1e-9, 0, 0, 0, 0, 0], [0.0, 0, 4.0, 0, 0, 0],
                       [1e-200, 0, 0, 0, 0, 0]])
-        alpha = solver._step_starts(inst, s, y)
-        # <s, y> < 0, = 0, = 0; clipped below and above; the step itself,
-        # <s, s/P> / <s, y> = (0 + 1) / 4 in the well; not finite.
-        init, lo, hi = solver._STEP_INIT, solver._STEP_MIN, solver._STEP_MAX
+        alpha = solver._step_starts(inst, s, y, nodal)
+        # <s, y> < 0, = 0, = 0; clipped below and above (the step is about
+        # 1e9); the step itself, <s, s/P> / <s, y> = (0 + 1) / 4 in the
+        # well; not finite.
+        init, lo = solver._STEP_INIT, solver._STEP_MIN
+        hi = solver._STEP_MAX_NODAL if nodal else solver._STEP_MAX_GROUND
         np.testing.assert_array_equal(alpha, [init, init, init, lo, hi, 0.25, init])
 
     @pytest.mark.parametrize("lam, nodal", [(10.0, False), (100.0, True)])
@@ -206,8 +210,8 @@ class TestStepStarts:
         seen = []
         step_starts = solver._step_starts
 
-        def recorded(inst, s, y):
-            alpha = step_starts(inst, s, y)
+        def recorded(inst, s, y, nodal):
+            alpha = step_starts(inst, s, y, nodal)
             seen.append((solver._dot(inst.mu, s * y), alpha.copy()))
             return alpha
 
@@ -215,10 +219,13 @@ class TestStepStarts:
         (solver.solve_nodal if nodal else solver.solve_ground)(inst, OPTS)
         sy = np.concatenate([c for c, _ in seen])
         alpha = np.concatenate([a for _, a in seen])
-        assert np.all((solver._STEP_MIN <= alpha) & (alpha <= solver._STEP_MAX))
+        hi = solver._STEP_MAX_NODAL if nodal else solver._STEP_MAX_GROUND
+        assert np.all((solver._STEP_MIN <= alpha) & (alpha <= hi))
         assert np.all(alpha[sy <= 0.0] == solver._STEP_INIT)
         # Not vacuous: both kinds of rows occur, and BB moves the step.
         assert (sy <= 0.0).any() and (alpha != solver._STEP_INIT).any()
+        # Ground rows do take steps beyond the nodal bound.
+        assert nodal or (alpha > solver._STEP_MAX_NODAL).any()
 
     def test_first_iteration_starts_at_init(self, p6, monkeypatch):
         inst = ProblemInstance.full(p6, 10.0)
@@ -278,8 +285,8 @@ class TestFinalNewton:
         solve = solve_nodal if nodal else solve_ground
         bb = solve(inst, OPTS)
         # Clipped to one value, the step is the fixed step of a plain descent.
-        monkeypatch.setattr(solver, "_STEP_MIN", solver._STEP_INIT)
-        monkeypatch.setattr(solver, "_STEP_MAX", solver._STEP_INIT)
+        for name in ("_STEP_MIN", "_STEP_MAX_GROUND", "_STEP_MAX_NODAL"):
+            monkeypatch.setattr(solver, name, solver._STEP_INIT)
         fixed = solve(inst, OPTS)
         scale = np.abs(fixed.minimizer).max()
         assert np.abs(bb.minimizer - fixed.minimizer).max() <= 1e-13 * scale
@@ -558,7 +565,8 @@ class TestIterationCap:
     # recorded before the stalled-row polish moved into the polish pass;
     # the cap-25 records again once the step became a row's own
     # Barzilai-Borwein step, which leaves caps 0 and 1 alone since a row
-    # takes it from its second iteration on.
+    # takes it from its second iteration on; and grid5's cap-25 record
+    # once ground rows were clipped to [1e-3, 1e5] instead of [1e-3, 2].
     # Cap 25 passes the polish every 25th iteration triggers.  r083's
     # row 2 is the one row of the first 200 seed-0 random-mix solves that
     # the line search cannot move: it stalls at iteration 0, so at cap 1
@@ -569,7 +577,7 @@ class TestIterationCap:
         ("p6", 25): ("11111111", "17156386845d735e"),
         ("grid5", 0): ("00000000", "7856d67e5864c283"),
         ("grid5", 1): ("00000000", "9a2717894aaa5746"),
-        ("grid5", 25): ("01000010", "981fe4d6e48ae471"),
+        ("grid5", 25): ("11000111", "b1c6a84d39c21de7"),
         ("r083", 0): ("0000", "c7c276f8039e2934"),
         ("r083", 1): ("0010", "ff4573a43cffbbcc"),
         ("r083", 25): ("1111", "220500938dec30e2"),
@@ -598,6 +606,18 @@ class TestIterationCap:
         rinf = np.abs(solver._residual(inst, fields)).max(axis=1)
         scale = np.maximum(1.0, np.abs(fields).max(axis=1))
         assert np.all(rinf[converged] <= opts.tol_residual * scale[converged])
+
+
+class TestGroundStepClip:
+    """Long Barzilai-Borwein steps carry ground rows across the flat
+    directions of a nearly degenerate minimizer."""
+
+    def test_grid5_ground_at_large_lambda_converges_every_start(self):
+        # The minimizer's Jacobian has two eigenvalues near 2e-4 here; with
+        # steps clipped at 2, 12 of the 16 starts ran to the iteration cap.
+        g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
+        rep = solve_ground(ProblemInstance.full(g, 1e3), SolveOptions(starts=16, seed=0))
+        assert rep.starts_converged == 16
 
 
 class TestLargeField:
