@@ -12,10 +12,10 @@ The instance stores the free block of every coefficient (``mu``, ``lam *
 a`` and the stiffness block ``S[F, F]``), and the private kernels
 (``_norm_h_sq``, ``_energy``, ``_residual``, ``_dir_deriv``,
 ``_coupling_k``) run on the free values of a field alone;
-``_norm_h_sq`` and ``_residual`` also take a stack of fields as rows and
-give each row the floats of that field alone.  ``S[F, F]`` is
-the Dirichlet operator: its diagonal still counts every edge to the
-boundary, so ``u_F^T S[F, F] u_F`` is the gradient energy of the zero
+``_norm_h_sq``, ``_residual`` and ``_energies`` (``_energy`` of each row)
+also take a stack of fields as rows and give each row the floats of that
+field alone.  ``S[F, F]`` is the Dirichlet operator: its diagonal still
+counts every edge to the boundary, so ``u_F^T S[F, F] u_F`` is the gradient energy of the zero
 extension and ``(S[F, F] u_F) / mu_F`` its ``-Laplacian`` on ``F``.  The
 kernels use ``integral of Gamma(u, v) dmu = v^T S u`` and trust their
 arrays.
@@ -169,8 +169,12 @@ def _norm_h_sq(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     return _dot(u, _matvec(inst.stiffness, u)) + _dot(inst.mass, u * u)
 
 
+def _energies(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
+    return 0.5 * _norm_h_sq(inst, u) - 0.5 * _dot(inst.mu, sq_log_sq(u))
+
+
 def _energy(inst: ProblemInstance, u: np.ndarray) -> float:
-    return 0.5 * float(_norm_h_sq(inst, u)) - 0.5 * float(inst.mu @ sq_log_sq(u))
+    return float(_energies(inst, u))
 
 
 def _residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:

@@ -12,29 +12,30 @@ follows the same steps whatever else is in the stack, and results are
 collected in start order.  Each row starts its line search at its own
 Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988),
 clipped to ``[_STEP_MIN, _STEP_MAX_NODAL]`` on nodal rows and to the far
-wider ``[_STEP_MIN, _STEP_MAX_GROUND]`` on ground rows, and halves its own
-step on each rejected trial.  A line-search trial costs one projection and nothing
-else: the projection returns the level of its field in closed form
-(``J(w) = |w|_2^2 / 2`` on both Nehari sets), and the nonmonotone Armijo
-test of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986)
-compares that level with the largest of the row's last ``_HISTORY``
-levels.  ``_energy`` evaluates a field on its own only to report a level.
+wider ``[_STEP_MIN, _STEP_MAX_GROUND]`` on ground rows, and halves its
+own step on each rejected trial.  A line-search trial costs one
+projection and nothing else: the projection returns the level of its
+field in closed form (``J(w) = |w|_2^2 / 2`` on both Nehari sets), and
+the nonmonotone Armijo test of Grippo, Lampariello & Lucidi (SIAM J.
+Numer. Anal. 23, 1986) compares that level with the largest of the
+row's last ``_HISTORY`` levels.  Energies are evaluated on their own
+only to judge a polish and to report a level.
 
 A damped Newton polish on the pointwise residual system ends a start
 early once it succeeds; descent tries it when the residual is small,
 every 25 iterations, at tolerance, and on the iteration after the line
-search cannot move a row, and polishes all the rows it triggers in one
-iteration as one stack (``_newton_roots``: one batched linear solve per
-Newton step, and each halving round evaluates only the rows still
-searching).  Rows leave the stack in one place:
-at tolerance, after the polish of a row that stalled, or at the
-iteration cap.  The polish aims at a tenth of the descent stopping test,
-relative to the field's sup norm, and a row gives up once a Newton step
-has been halved five times without lowering its residual, leaving the
-start to descent.  A brute-force oracle on instances with at most a few
-free vertices provides independent reference levels: a vectorized grid
-scan of the residual system, whose sign-change cells it polishes in one
-stack with the same damped Newton.  The minimizer a solve reports gets up to
+search cannot move a row.  All the rows due a polish in one iteration
+are polished as one stack (``_newton_roots``): one batched linear solve
+per Newton step, and each halving round evaluates only the rows still
+searching.  Rows leave the stack in one place: at tolerance, after the
+polish of a row that stalled, or at the iteration cap.  The polish aims
+at a tenth of the descent stopping test, relative to the field's sup
+norm, and a row gives up once a Newton step has been halved five times
+without lowering its residual, leaving the start to descent.  A
+brute-force oracle on instances with at most a few free vertices
+provides independent reference levels: a vectorized grid scan of the
+residual system, whose sign-change cells it polishes in one stack with
+the same damped Newton.  The minimizer a solve reports gets up to
 ``_FINAL_NEWTON_STEPS`` full Newton steps more, so that it sits at
 rounding level whatever path descent took to it.
 
@@ -62,11 +63,10 @@ from .energy import (
     ProblemInstance,
     _coupling_k,
     _dot,
+    _energies,
     _energy,
-    _norm_h_sq,
     _residual,
     field_to_dict,
-    sq_log_sq,
 )
 from .graphs import _json_fields, negative_part, positive_part
 from . import nehari
@@ -368,17 +368,13 @@ def _descend(
     fields = u.copy()
     converged = np.zeros(len(u), dtype=bool)
 
-    def energies(w: np.ndarray) -> np.ndarray:
-        # ``_energy`` of each row, to the bit.
-        return 0.5 * _norm_h_sq(inst, w) - 0.5 * _dot(mu, sq_log_sq(w))
-
     def polish(rows: np.ndarray) -> np.ndarray:
         """Polish the live rows ``rows`` in place; the mask of those taken."""
         cand, ok = _newton_roots(inst, u[rows], 0.1 * tol)
         ok &= _sign_ok(cand, nodal)
         # Only rows that passed so far are evaluated.  Written so that a
         # NaN energy (|u| beyond 1e154) rejects the polish.
-        j_cur, j_cand = energies(u[rows[ok]]), energies(cand[ok])
+        j_cur, j_cand = _energies(inst, u[rows[ok]]), _energies(inst, cand[ok])
         ok[ok] = j_cand <= j_cur + 1e-9 * np.maximum(1.0, np.abs(j_cur))
         u[rows[ok]] = cand[ok]
         return ok

@@ -23,7 +23,7 @@ from logschro import (
     verify,
 )
 from logschro import nehari, solver
-from logschro.energy import sq_log_sq, u_log_sq
+from logschro.energy import _energies, sq_log_sq, u_log_sq
 
 from conftest import random_field, random_graph
 
@@ -139,9 +139,15 @@ class TestKernelsMatchReference:
         norms, up, um = nehari._split_stats(inst, stack)
         residuals = solver._residual(inst, stack)
         jacobians = solver._residual_jacobian(inst, stack)
+        energies = _energies(inst, stack)
         for i, row in enumerate(stack):
             np.testing.assert_array_equal(residuals[i], solver._residual(inst, row))
             np.testing.assert_array_equal(jacobians[i], solver._residual_jacobian(inst, row))
+            # The solver's polish judges energies as rows; each is the
+            # energy of that field evaluated alone.
+            assert energies[i] == 0.5 * float(nehari._norm_h_sq(inst, row)) - 0.5 * float(
+                inst.mu @ sq_log_sq(row)
+            )
             assert nehari._norm_h_sq(inst, stack)[i] == nehari._norm_h_sq(inst, row)
             norms_alone, up_alone, um_alone = nehari._split_stats(inst, row[None, :])
             assert norms[i].tolist() == norms_alone[0].tolist()
