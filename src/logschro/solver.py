@@ -178,89 +178,114 @@ class VerificationReport:
 # -- residual Newton polish ----------------------------------------------
 
 
-def _residual_jacobian(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_residual`` at the free values ``u``, or at each row
-    of a stack of them: shape ``u.shape[:-1] + (n, n)``."""
+def _residual_jacobian(inst: ProblemInstance):
+    """The Jacobian of ``_residual`` as a function of the free values ``u``,
+    or of each row of a stack of them: shape ``u.shape[:-1] + (n, n)``.
+
+    The ``S/mu`` block and its diagonal plus ``lam a`` do not depend on
+    the field and are built once, here.
+    """
     block = inst.stiffness / inst.mu[:, None]
     diag = np.diag(block) + inst.lam_a
-    # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so it
-    # stays finite for |u| beyond 1e154; tiny |u| keep the floor log 1e-300.
-    log_term = 2.0 * np.log(np.maximum(np.abs(u), 1e-150))
     n = len(diag)
-    jac = np.broadcast_to(block, u.shape[:-1] + block.shape).copy()
-    # The diagonal of every matrix, as a strided view of the stack.
-    jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = diag - log_term - 2.0
-    return jac
+
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        jac = np.empty(u.shape[:-1] + block.shape)
+        jac[...] = block
+        # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so
+        # it stays finite for |u| beyond 1e154; tiny |u| keep the floor
+        # log 1e-300.  The diagonals are written through a strided view.
+        log_term = 2.0 * np.log(np.maximum(np.abs(u), 1e-150))
+        jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = diag - log_term - 2.0
+        return jac
+
+    return jacobian
 
 
-def _newton_steps(jac: np.ndarray, r: np.ndarray):
-    """Newton steps ``-jac^-1 r`` of a stack of rows, and a mask of the
-    rows whose Jacobian LAPACK could factor.
+def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Newton steps ``-jac^-1 r`` of a stack of rows; NaN for a row whose
+    Jacobian LAPACK finds singular.
 
     One batched solve gives each row the floats of its own solve; when a
     matrix is singular the rows are solved one by one, so only that row
     fails.
     """
     try:
-        return np.linalg.solve(jac, -r[..., None])[..., 0], np.ones(len(r), dtype=bool)
+        return np.linalg.solve(jac, -r[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    step, ok = np.zeros_like(r), np.ones(len(r), dtype=bool)
+    step = np.full_like(r, np.nan)
     for i in range(len(r)):
         try:
             step[i] = np.linalg.solve(jac[i], -r[i])
         except np.linalg.LinAlgError:
-            ok[i] = False
-    return step, ok
+            pass
+    return step
 
 
 def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
     """Damped Newton on the free residual system for each row of ``u``.
 
     Returns (rows, ok): ``ok[i]`` marks a row that settled, and then
-    ``rows[i]`` is its root.  A row settles once its sup residual is at
-    most ``rtol * max(1, max|u_i|)`` at its current iterate.  Each Newton
-    step tries ``alpha = 1, 1/2, ..., 2**-_POLISH_HALVINGS`` and takes the
-    first trial that lowers the row's sup residual; a trial that is not
-    finite has a residual that compares false and is rejected.  When no
-    trial is taken, when the row's Jacobian is singular, or after
-    ``_POLISH_MAX_ITER`` steps, the row gives up: a root that needs tinier
-    steps than these is stalled on an ill-conditioned Jacobian, not
-    converging.  At most ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1``
-    residual evaluations per row.
+    ``rows[i]`` is its root; any other row is returned as given.  A row
+    settles once its sup residual is at most ``rtol * max(1, max|u_i|)``
+    at its current iterate.  Each Newton step tries ``alpha = 1, 1/2,
+    ..., 2**-_POLISH_HALVINGS`` and takes the first trial that lowers the
+    row's sup residual; a trial that is not finite, such as the step of a
+    singular Jacobian, has a residual that compares false and is rejected.
+    When no trial is taken, or after ``_POLISH_MAX_ITER`` steps, the row
+    gives up: a root that needs tinier steps than these is stalled on an
+    ill-conditioned Jacobian, not converging.  At most
+    ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1`` residual evaluations
+    per row.
 
-    All rows step together, and each round of halvings evaluates only the
-    rows still searching; the kernels give each row the floats it would
-    get alone, so a row's result does not depend on the rest of the stack.
+    The live rows step together: one Jacobian stack and one batched solve
+    per step, one residual for every row's full step, and each halving
+    round evaluates only the rows still searching.  The kernels give each
+    row the floats it would get alone, so a row's result does not depend
+    on the rest of the stack.
     """
-    u = u.copy()
+    jacobian = _residual_jacobian(inst)
+    roots, ok = u.copy(), np.zeros(len(u), dtype=bool)
+    # The live rows: their index in ``roots``, iterate, residual and sup
+    # residual; ``search`` holds those that gave up in the last step.
+    live, u = np.arange(len(u)), u.copy()
     r = _residual(inst, u)
     rnorm = np.abs(r).max(axis=1)
-    ok = np.zeros(len(u), dtype=bool)
-    live = np.arange(len(u))
-    for it in range(_POLISH_MAX_ITER + 1):
-        settled = rnorm[live] <= rtol * np.maximum(1.0, np.abs(u[live]).max(axis=1))
-        ok[live[settled]] = True
-        live = live[~settled]
-        if not live.size or it == _POLISH_MAX_ITER:
-            break
-        step, solved = _newton_steps(_residual_jacobian(inst, u[live]), r[live])
-        search, step = live[solved], step[solved]
-        moved = np.zeros(len(u), dtype=bool)
-        for k in range(_POLISH_HALVINGS + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                cand = u[search] + 0.5**k * step
-                cr = _residual(inst, cand)
-                cnorm = np.abs(cr).max(axis=1)
-            better = cnorm < rnorm[search]
-            taken = search[better]
-            u[taken], r[taken], rnorm[taken] = cand[better], cr[better], cnorm[better]
-            moved[taken] = True
-            search, step = search[~better], step[~better]
-            if not search.size:
+    search = live[:0]
+
+    def trial(w, step, alpha):
+        cand = w + alpha * step
+        cr = _residual(inst, cand)
+        return cand, cr, np.abs(cr).max(axis=1)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(_POLISH_MAX_ITER + 1):
+            settled = rnorm <= rtol * np.maximum(1.0, np.abs(u).max(axis=1))
+            if search.size or settled.any():
+                roots[live[settled]], ok[live[settled]] = u[settled], True
+                keep = ~settled
+                keep[search] = False
+                live, u, r, rnorm = live[keep], u[keep], r[keep], rnorm[keep]
+            if not live.size or it == _POLISH_MAX_ITER:
                 break
-        live = np.flatnonzero(moved)
-    return u, ok
+            step = _newton_steps(jacobian(u), r)
+            cand, cr, cnorm = trial(u, step, 1.0)
+            better = cnorm < rnorm
+            if better.all():
+                u, r, rnorm, search = cand, cr, cnorm, search[:0]
+                continue
+            u[better], r[better], rnorm[better] = cand[better], cr[better], cnorm[better]
+            search = np.flatnonzero(~better)
+            for k in range(1, _POLISH_HALVINGS + 1):
+                cand, cr, cnorm = trial(u[search], step[search], 0.5**k)
+                better = cnorm < rnorm[search]
+                taken = search[better]
+                u[taken], r[taken], rnorm[taken] = cand[better], cr[better], cnorm[better]
+                search = search[~better]
+                if not search.size:
+                    break
+    return roots, ok
 
 
 def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
@@ -272,12 +297,13 @@ def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
     field independent of where descent stopped; the sup residual of the
     field returned is never above that of ``uf``.
     """
+    jacobian = _residual_jacobian(inst)
     r = _residual(inst, uf)
     rnorm = float(np.abs(r).max())
     signs = np.sign(uf)
     for _ in range(_FINAL_NEWTON_STEPS):
         try:
-            cand = uf + np.linalg.solve(_residual_jacobian(inst, uf), -r)
+            cand = uf + np.linalg.solve(jacobian(uf), -r)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(cand)) or not np.array_equal(np.sign(cand), signs):
