@@ -15,10 +15,10 @@ a`` and the stiffness block ``S[F, F]``), and the private kernels
 ``_norm_h_sq``, ``_residual`` and ``_energies`` (``_energy`` of each row)
 also take a stack of fields as rows and give each row the floats of that
 field alone.  ``S[F, F]`` is the Dirichlet operator: its diagonal still
-counts every edge to the boundary, so ``u_F^T S[F, F] u_F`` is the gradient energy of the zero
-extension and ``(S[F, F] u_F) / mu_F`` its ``-Laplacian`` on ``F``.  The
-kernels use ``integral of Gamma(u, v) dmu = v^T S u`` and trust their
-arrays.
+counts every edge to the boundary, so ``u_F^T S[F, F] u_F`` is the
+gradient energy of the zero extension and ``(S[F, F] u_F) / mu_F`` its
+``-Laplacian`` on ``F``.  The kernels use ``integral of Gamma(u, v) dmu =
+v^T S u`` and trust their arrays.
 
 Full-length fields appear only at the public API: a public function
 validates and gathers its field arguments once (``free_values``) and

@@ -137,8 +137,8 @@ class TestLineSearchCost:
     def test_trials_make_no_energy_call(self, monkeypatch):
         # Trials are judged by the level their projection returns.
         # _energy gives each converged start's level and the reported
-        # level, and a polish costs at most two energies per row; one call
-        # per trial would exceed that many times over.
+        # level (a polish judges its rows through _energies); one call per
+        # trial would exceed the bound below many times over.
         # At lambda = 100 the descent still makes many trials per polish;
         # at lambda = 10 its Barzilai-Borwein steps leave too few for the
         # factor below to tell one call per trial from none.
@@ -454,19 +454,22 @@ def _reference_newton_root(inst, uf, rtol):
 class TestNewtonRoots:
     """Each row of the stacked polish is the row polished alone."""
 
+    # On k2 at lambda = 1 the Jacobian at |u| = (1, 1) is exactly
+    # [[-1, -1], [-1, -1]], and near it Newton steps are huge.
+    ROWS = np.array([
+        [E * (1.0 + 1e-6), -E * (1.0 - 2e-6)],  # settles at (e, -e)
+        [1.0, -(1.0 + 1e-12)],  # a step of 1e12: every halving fails
+        [1.0, -1.0],  # singular Jacobian
+        [1e307, -1e307],  # residual and step overflow
+        [2.0, -0.2],  # halves most steps five times, out of steps
+        [0.5, 2.0],  # takes a step at 1/16 on its way to (1, 1)
+        [-3.0, 0.1],
+    ])
+    FINITE = [0, 1, 4, 5, 6]  # rows whose every trial and step is finite
+
     def test_mixed_stack_matches_each_row_alone(self, k2):
-        # On k2 at lambda = 1 the Jacobian at |u| = (1, 1) is exactly
-        # [[-1, -1], [-1, -1]], and near it Newton steps are huge.
         inst = ProblemInstance.full(k2, 1.0)
-        rows = np.array([
-            [E * (1.0 + 1e-6), -E * (1.0 - 2e-6)],  # settles at (e, -e)
-            [1.0, -(1.0 + 1e-12)],  # a step of 1e12: every halving fails
-            [1.0, -1.0],  # singular Jacobian
-            [1e307, -1e307],  # residual and step overflow
-            [0.5, 2.0],
-            [-3.0, 0.1],
-        ])
-        rtol = 1e-14
+        rows, rtol = self.ROWS, 1e-14
         # The non-finite row overflows by design.
         with np.errstate(over="ignore", invalid="ignore"):
             out, ok = solver._newton_roots(inst, rows, rtol)
@@ -477,8 +480,28 @@ class TestNewtonRoots:
                 np.testing.assert_array_equal(out[i], alone[0])
                 if root is not None:
                     np.testing.assert_array_equal(out[i], root)
-        assert [why for _, why in reference[:4]] == ["settled", "halvings", "singular", "non-finite"]
+        assert [why for _, why in reference[:6]] == [
+            "settled", "halvings", "singular", "non-finite", "budget", "settled"
+        ]
         np.testing.assert_allclose(out[0], [E, -E], rtol=1e-14)
+
+    def test_evaluates_what_the_per_row_loop_evaluates(self, k2, monkeypatch):
+        # Same steps and halvings row by row: the same residual rows.
+        inst = ProblemInstance.full(k2, 1.0)
+        rows = self.ROWS[self.FINITE]
+        evals = [0]
+        residual = solver._residual
+
+        def counted(inst, u):
+            evals[0] += len(u) if u.ndim == 2 else 1
+            return residual(inst, u)
+
+        monkeypatch.setattr(solver, "_residual", counted)
+        solver._newton_roots(inst, rows, 1e-14)
+        stacked, evals[0] = evals[0], 0
+        for row in rows:
+            _reference_newton_root(inst, row, 1e-14)
+        assert stacked == evals[0]
 
     def test_batched_solve_matches_each_matrix(self):
         rng = np.random.default_rng(0)
