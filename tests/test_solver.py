@@ -187,8 +187,7 @@ class TestStepStarts:
     """Each row starts its line search at its own clipped Barzilai-Borwein
     step, with a nodal row's step clipped far below a ground row's."""
 
-    @pytest.mark.parametrize("nodal", [False, True])
-    def test_safeguards(self, p6, nodal):
+    def test_safeguards(self, p6):
         inst = ProblemInstance.full(p6, 10.0)  # mass = mu (lam a + 1) differs from mu
         s = np.array([[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0] * 6,
                       [1e-3, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0, 0, 1.0, 0, 0, 0],
@@ -196,13 +195,13 @@ class TestStepStarts:
         y = np.array([[-1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [1.0] * 6,
                       [1e4, 0, 0, 0, 0, 0], [1e-9, 0, 0, 0, 0, 0], [0.0, 0, 4.0, 0, 0, 0],
                       [1e-200, 0, 0, 0, 0, 0]])
-        alpha = solver._step_starts(inst, s, y, nodal)
         # <s, y> < 0, = 0, = 0; clipped below and above (the step is about
         # 1e9); the step itself, <s, s/P> / <s, y> = (0 + 1) / 4 in the
-        # well; not finite.
+        # well; not finite.  Each kind of row has its own upper bound.
         init, lo = solver._STEP_INIT, solver._STEP_MIN
-        hi = solver._STEP_MAX_NODAL if nodal else solver._STEP_MAX_GROUND
-        np.testing.assert_array_equal(alpha, [init, init, init, lo, hi, 0.25, init])
+        for nodal, hi in ((False, solver._STEP_MAX_GROUND), (True, solver._STEP_MAX_NODAL)):
+            alpha = solver._step_starts(inst, s, y, nodal)
+            np.testing.assert_array_equal(alpha, [init, init, init, lo, hi, 0.25, init])
 
     @pytest.mark.parametrize("lam, nodal", [(10.0, False), (100.0, True)])
     def test_every_start_in_bounds(self, p6, monkeypatch, lam, nodal):
