@@ -3,13 +3,14 @@
 All starts of a solve descend together as the rows of one stack.  Each
 start draws a seed (deterministic seeds first, then random fields from
 its own stream ``default_rng([seed, i])``), and every seed is projected
-onto the relevant Nehari set before descent begins.  Each outer
-iteration then takes the residual, the stopping and polish tests, the
-descent direction and its slope for all live rows in one array pass, and
-each line-search round projects only the rows still searching.  The
-stacked kernels give every row the floats it would get alone, so a start
-follows the same steps whatever else is in the stack, and results are
-collected in start order.  Each row starts its line search at its own
+onto the relevant Nehari set before descent begins.  Each row counts its
+own iterations.  A pass of the stack takes the residual, the stopping
+and polish tests, the descent direction and its slope for all live rows
+in one array pass; the first line-search round projects every live row,
+and each later round only the rows still searching.  The stacked
+kernels give every row the floats it would get alone, so a start follows
+the same steps whatever else is in the stack, and results are collected
+in start order.  Each row starts its line search at its own
 Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988),
 clipped to ``[_STEP_MIN, _STEP_MAX_NODAL]`` on nodal rows and to the far
 wider ``[_STEP_MIN, _STEP_MAX_GROUND]`` on ground rows, and halves its
@@ -23,12 +24,16 @@ only to judge a polish and to report a level.
 
 A damped Newton polish on the pointwise residual system ends a start
 early once it succeeds; descent tries it when the residual is small,
-every 25 iterations, at tolerance, and on the iteration after the line
-search cannot move a row.  All the rows due a polish in one iteration
-are polished as one stack (``_newton_roots``): one batched linear solve
-per Newton step, and each halving round evaluates only the rows still
-searching.  Rows leave the stack in one place: at tolerance, after the
-polish of a row that stalled, or at the iteration cap.  The polish aims
+every 25 iterations of the row, at tolerance, and on the iteration after
+the line search cannot move a row.  A row due a polish leaves the stack
+("parks") until no row is left descending; then every parked row is
+polished as one stack (``_newton_roots``): one batched linear solve per
+Newton step, and each halving round evaluates only the rows still
+searching.  Near a degenerate minimizer each polish converges only
+linearly, so rows that come due on nearby iterations share those steps.
+After that polish a row leaves for good at tolerance, when its polish is
+taken, when it stalled, or at the iteration cap; the others rejoin the
+stack and finish the iteration they parked in.  The polish aims
 at a tenth of the descent stopping test, relative to the field's sup
 norm, and a row gives up once a Newton step has been halved five times
 without lowering its residual, leaving the start to descent.  A
@@ -353,8 +358,8 @@ def _descend(
 ):
     """Projected descent from a stack of projected fields and their levels.
 
-    All rows take their iterations together, and each row follows the
-    same steps as it would alone.  A row carries the level of its
+    Each row counts its own iterations and follows the same steps as it
+    would alone, whatever else is in the stack.  A row carries the level of its
     current field, which the projection returns in closed form; a
     line-search trial is accepted when its level is at most the largest
     of the row's last ``_HISTORY`` levels plus ``_ARMIJO * alpha *
@@ -363,23 +368,28 @@ def _descend(
 
     Each row has its own step.  On a row's first iteration it starts at
     ``_STEP_INIT``, and after that at its Barzilai-Borwein step (see
-    ``_step_starts``).  Each line-search round projects the rows still
-    searching, a rejected row halves its own step, and a row whose step
-    falls to 1e-16 stops searching.
+    ``_step_starts``; on the first iteration the field has not changed,
+    which gives ``_STEP_INIT``).  The first line-search round projects
+    every live row and each later round the rows still searching; a
+    rejected row halves its own step, and a row whose step falls to 1e-16
+    stops searching.
 
-    A Newton polish is tried at tolerance, every 25th iteration, when the
-    sup residual is at most 1e-2 of the field's scale, and on the
-    iteration after the line search cannot move a row; such a row is
-    marked stalled.  One block retires rows: a row at tolerance, a
-    stalled row after its polish (converged only if the polish
-    succeeds), and at the iteration cap every row, judged as it stands
-    but for the polish a row that stalled last is owed.  After a polish
-    fails, the small-residual trigger waits until the residual has
-    halved since that failure: a row drifting along a flat part of the
-    Nehari set would otherwise rerun the same failing polish on every
-    iteration.  The rows triggered in one iteration are polished as one
-    stack, and a polish counts only if it keeps the sign pattern and does
-    not raise the energy.  Both the stopping test and the polish
+    A Newton polish is due at tolerance, on a row's every 25th iteration,
+    when the sup residual is at most 1e-2 of the field's scale, and on
+    the iteration after the line search cannot move a row; such a row is
+    marked stalled.  A row due a polish parks: it leaves the live stack
+    with its residual and test flags.  Once no row is left descending,
+    every parked row is polished in one ``_newton_roots`` call, and a
+    polish is taken only if it keeps the sign pattern and does not raise
+    the energy.  A parked row then retires at tolerance, when its polish
+    was taken, when it stalled (converged only if the polish was taken)
+    or at the iteration cap; the others rejoin the stack and finish the
+    iteration they parked in.  At the cap a row that did not stall
+    retires at once, judged as it stands.  After a polish fails, the
+    small-residual trigger waits until the residual has halved since that
+    failure: a row drifting along a flat part of the Nehari set would
+    otherwise rerun the same failing polish on every iteration.  Both the
+    stopping test and the polish
     tolerance scale with ``max(1, max|u|)`` of the field they judge:
     descent stops at ``tol_residual`` times that and the polish aims at a
     tenth of it, so a field far above 1 is held to the digits a double
@@ -391,70 +401,90 @@ def _descend(
     mu = inst.mu
     tol = opts.tol_residual
     precond = 1.0 / (inst.lam_a + 1.0)
+    n = len(u)
     fields = u.copy()
-    converged = np.zeros(len(u), dtype=bool)
-
-    def polish(rows: np.ndarray) -> np.ndarray:
-        """Polish the live rows ``rows`` in place; the mask of those taken."""
-        cand, ok = _newton_roots(inst, u[rows], 0.1 * tol)
-        ok &= _sign_ok(cand, nodal)
-        # Only rows that passed so far are evaluated.  Written so that a
-        # NaN energy (|u| beyond 1e154) rejects the polish.
-        j_cur, j_cand = _energies(inst, u[rows[ok]]), _energies(inst, cand[ok])
-        ok[ok] = j_cand <= j_cur + 1e-9 * np.maximum(1.0, np.abs(j_cur))
-        u[rows[ok]] = cand[ok]
-        return ok
-
-    # The live rows: their index in ``fields``, field, level, the sup
-    # residual at their last failed polish in the loop, and whether the
-    # line search could not move them.
-    idx = np.arange(len(u))
-    u, level = u.copy(), level.copy()
-    failed_at = np.full(len(u), math.inf)
-    stalled = np.zeros(len(u), dtype=bool)
-    # Each row's last levels, and its field and residual one iteration back
-    # (for the step, from the second iteration on).
-    history = np.full((len(u), _HISTORY), -math.inf)
-    u_prev, r_prev = u, np.zeros_like(u)
-    for it in range(_MAX_OUTER_ITERS + 1):
+    converged = np.zeros(n, dtype=bool)
+    # The live rows: their index in ``fields``, iteration count, field,
+    # level, sup residual at their last failed polish, whether the line
+    # search could not move them, last levels, and field and residual one
+    # iteration back (which give the step; the first step is _STEP_INIT,
+    # since the change of the field is zero).
+    live = (
+        np.arange(n), np.zeros(n, dtype=int), u.copy(), level.copy(), np.full(n, math.inf),
+        np.zeros(n, dtype=bool), np.full((n, _HISTORY), -math.inf), u.copy(), np.zeros_like(u),
+    )
+    # The parked rows, in chunks: their live state plus residual, sup
+    # residual and whether they are at tolerance.
+    parked = []
+    while True:
+        idx, its, u, level, failed_at, stalled, history, u_prev, r_prev = live
+        if idx.size:
+            r = _residual(inst, u)
+            rinf = np.abs(r).max(axis=1)
+            scale = np.maximum(1.0, np.abs(u).max(axis=1))
+            done = rinf <= tol * scale
+            # At the iteration cap each row is judged as it stands, once a
+            # row that stalled has had its polish.
+            cap = its == _MAX_OUTER_ITERS
+            due = stalled | ~cap & (
+                done | (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at) | (its % 25 == 24)
+            )
+            keep = ~due & ~cap
+            if not keep.all():
+                if due.any():
+                    parked.append(tuple(a[due] for a in (*live, r, rinf, done)))
+                out = cap & ~due
+                fields[idx[out]], converged[idx[out]] = u[out], done[out]
+                idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, r = (
+                    a[keep] for a in (*live, r)
+                )
         if not idx.size:
-            break
-        r = _residual(inst, u)
-        rinf = np.abs(r).max(axis=1)
-        scale = np.maximum(1.0, np.abs(u).max(axis=1))
-        done = rinf <= tol * scale
-        # At the iteration cap each row is judged as it stands, once a row
-        # that stalled has had its polish.
-        cap = it == _MAX_OUTER_ITERS
-        trigger = stalled if cap else (
-            stalled | done | (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at) | (it % 25 == 24)
-        )
-        rows = np.flatnonzero(trigger)
-        if rows.size:
-            taken = polish(rows)
-            failed = rows[~taken & ~done[rows]]
-            done[rows[taken]] = True
-            failed_at[failed] = rinf[failed]
-        retire = done | stalled | cap
-        if retire.any():
-            fields[idx[retire]], converged[idx[retire]] = u[retire], done[retire]
-            keep = ~retire
-            idx, u, level, failed_at, r = idx[keep], u[keep], level[keep], failed_at[keep], r[keep]
-            history, u_prev, r_prev = history[keep], u_prev[keep], r_prev[keep]
+            if not parked:
+                break
+            # The stack has drained: polish every parked row as one stack.
+            idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, r, rinf, done = (
+                np.concatenate(chunk) for chunk in zip(*parked)
+            )
+            parked = []
+            cand, ok = _newton_roots(inst, u, 0.1 * tol)
+            ok &= _sign_ok(cand, nodal)
+            # Only rows that passed so far are evaluated.  Written so that
+            # a NaN energy (|u| beyond 1e154) rejects the polish.
+            j_cur, j_cand = _energies(inst, u[ok]), _energies(inst, cand[ok])
+            ok[ok] = j_cand <= j_cur + 1e-9 * np.maximum(1.0, np.abs(j_cur))
+            u[ok] = cand[ok]
+            failed_at[~ok & ~done] = rinf[~ok & ~done]
+            done |= ok
+            # The other rows rejoin the stack and finish their iteration.
+            out = done | stalled | (its == _MAX_OUTER_ITERS)
+            fields[idx[out]], converged[idx[out]] = u[out], done[out]
+            idx, its, u, level, failed_at, history, u_prev, r_prev, r = (
+                a[~out] for a in (idx, its, u, level, failed_at, history, u_prev, r_prev, r)
+            )
+            if not idx.size:
+                break
 
+        # The rest of each live row's iteration: every live row moved in
+        # its last iteration, since the rows that did not were stalled and
+        # have retired.
         d = -r * precond
         slope = _dot(mu, r * d)
-        # Every live row moved in the last iteration: the rows that did
-        # not were stalled and have retired.
-        alpha = (
-            _step_starts(inst, u - u_prev, r - r_prev, nodal) if it else np.full(len(idx), _STEP_INIT)
-        )
-        history[:, it % _HISTORY] = level
+        alpha = _step_starts(inst, u - u_prev, r - r_prev, nodal)
+        history[np.arange(len(idx)), its % _HISTORY] = level
         ref = history.max(axis=1)
         u_prev, r_prev = u.copy(), r
-        stalled = np.ones(len(idx), dtype=bool)
-        search = np.arange(len(idx))  # live rows still searching
+        # The first line-search round takes every live row, each later
+        # round the rows still searching.
+        w, w_level, ok = nehari._project(inst, u + alpha[:, None] * d, nodal)
+        ok &= w_level <= ref + _ARMIJO * alpha * slope
+        u[ok], level[ok] = w[ok], w_level[ok]
+        stalled = ~ok
+        search = np.flatnonzero(stalled)
         while search.size:
+            alpha[search] *= _SHRINK
+            search = search[alpha[search] > 1e-16]
+            if not search.size:
+                break
             w, w_level, ok = nehari._project(
                 inst, u[search] + alpha[search, None] * d[search], nodal
             )
@@ -462,8 +492,7 @@ def _descend(
             u[search[ok]], level[search[ok]] = w[ok], w_level[ok]
             stalled[search[ok]] = False
             search = search[~ok]
-            alpha[search] *= _SHRINK
-            search = search[alpha[search] > 1e-16]
+        live = (idx, its + 1, u, level, failed_at, stalled, history, u_prev, r_prev)
     return fields, converged
 
 

@@ -163,14 +163,24 @@ class TestLineSearchCost:
 class TestStackedDescent:
     """All starts descend as one stack, and each row as it would alone."""
 
+    # lam None is the Dirichlet problem, solved at 16 starts: its rows come
+    # due a polish at their iterations 0, 2, 3 and 4 and are polished in
+    # one stack.  On path24 the four polishes due at the rows' iteration 24
+    # fail, and two of the four at iteration 49, so those rows resume
+    # descent after the stack's polish.
     @pytest.mark.parametrize(
         "topology, n, well, lam, nodal",
-        [("path", 6, "3..4", 100.0, True), ("grid", 5, "v2-2,v2-3,v3-2,v3-3", 10.0, False)],
+        [
+            ("path", 6, "3..4", 100.0, True),
+            ("grid", 5, "v2-2,v2-3,v3-2,v3-3", 10.0, False),
+            ("path", 6, "3..4", None, False),
+            ("path", 24, "10..15", 10.0, True),
+        ],
     )
     def test_stack_matches_each_seed_alone(self, topology, n, well, lam, nodal):
         graph = WeightedGraph.from_dict(generate_graph(topology, n, well))
-        inst = ProblemInstance.full(graph, lam)
-        opts = SolveOptions(starts=8, seed=0)
+        inst = ProblemInstance.dirichlet(graph) if lam is None else ProblemInstance.full(graph, lam)
+        opts = SolveOptions(starts=16 if lam is None else 8, seed=0)
         u, level, seeded = solver._seed_stack(inst, opts, nodal)
         assert seeded.all()
         fields, converged = solver._descend(inst, u, level, opts, nodal)
@@ -181,6 +191,27 @@ class TestStackedDescent:
             # Each row takes the very steps it takes alone, so not only the
             # level (to 1e-13) but the field agrees to the last bit.
             np.testing.assert_array_equal(alone[0], fields[i])
+
+
+class TestParkedPolish:
+    """Rows due a polish wait until no row is left descending, and are then
+    polished as one stack."""
+
+    @pytest.mark.parametrize("lam", [None, 1e3, 1e4])
+    def test_degenerate_ground_polishes_in_one_call(self, p6, monkeypatch, lam):
+        # Each row's polish converges only linearly here, 13-58 Newton
+        # steps.  Polishing the rows due in each iteration on their own made
+        # 4, 7 and 6 calls.
+        inst = ProblemInstance.dirichlet(p6) if lam is None else ProblemInstance.full(p6, lam)
+        calls = collections.Counter()
+        monkeypatch.setattr(
+            solver,
+            "_newton_roots",
+            _counted(calls, "calls", _counted_rows(calls, "rows", solver._newton_roots)),
+        )
+        rep = solve_ground(inst, OPTS)
+        assert (calls["calls"], calls["rows"]) == (1, 16)
+        assert rep.starts_converged == 16
 
 
 class TestStepStarts:
