@@ -359,20 +359,19 @@ def _descend(
     """Projected descent from a stack of projected fields and their levels.
 
     Each row counts its own iterations and follows the same steps as it
-    would alone, whatever else is in the stack.  A row carries the level of its
-    current field, which the projection returns in closed form; a
+    would alone, whatever else is in the stack.  A row carries the level
+    of its current field, which the projection returns in closed form; a
     line-search trial is accepted when its level is at most the largest
     of the row's last ``_HISTORY`` levels plus ``_ARMIJO * alpha *
     slope``, so it costs one projection and no energy evaluation.
     Energies are evaluated only to judge a polish.
 
-    Each row has its own step.  On a row's first iteration it starts at
-    ``_STEP_INIT``, and after that at its Barzilai-Borwein step (see
-    ``_step_starts``; on the first iteration the field has not changed,
-    which gives ``_STEP_INIT``).  The first line-search round projects
-    every live row and each later round the rows still searching; a
-    rejected row halves its own step, and a row whose step falls to 1e-16
-    stops searching.
+    Each row has its own step: its Barzilai-Borwein step (see
+    ``_step_starts``), which is ``_STEP_INIT`` on the row's first
+    iteration, where its field has not changed yet.  The first
+    line-search round projects every live row and each later round the
+    rows still searching; a rejected row halves its own step, and a row
+    whose step falls to 1e-16 stops searching.
 
     A Newton polish is due at tolerance, on a row's every 25th iteration,
     when the sup residual is at most 1e-2 of the field's scale, and on
@@ -407,8 +406,7 @@ def _descend(
     # The live rows: their index in ``fields``, iteration count, field,
     # level, sup residual at their last failed polish, whether the line
     # search could not move them, last levels, and field and residual one
-    # iteration back (which give the step; the first step is _STEP_INIT,
-    # since the change of the field is zero).
+    # iteration back (for the step).
     live = (
         np.arange(n), np.zeros(n, dtype=int), u.copy(), level.copy(), np.full(n, math.inf),
         np.zeros(n, dtype=bool), np.full((n, _HISTORY), -math.inf), u.copy(), np.zeros_like(u),
@@ -432,7 +430,7 @@ def _descend(
             keep = ~due & ~cap
             if not keep.all():
                 if due.any():
-                    parked.append(tuple(a[due] for a in (*live, r, rinf, done)))
+                    parked.append([a[due] for a in (*live, r, rinf, done)])
                 out = cap & ~due
                 fields[idx[out]], converged[idx[out]] = u[out], done[out]
                 idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, r = (
