@@ -453,8 +453,9 @@ def _descend(
             u[ok] = cand[ok]
             failed_at[~ok & ~done] = rinf[~ok & ~done]
             done |= ok
-            # The other rows rejoin the stack and finish their iteration.
-            out = done | stalled | (its == _MAX_OUTER_ITERS)
+            # The other rows rejoin the stack and finish their iteration;
+            # a row parks at the cap only when it stalled.
+            out = done | stalled
             fields[idx[out]], converged[idx[out]] = u[out], done[out]
             idx, its, u, level, failed_at, history, u_prev, r_prev, r = (
                 a[~out] for a in (idx, its, u, level, failed_at, history, u_prev, r_prev, r)
@@ -478,7 +479,7 @@ def _descend(
         u[ok], level[ok] = w[ok], w_level[ok]
         stalled = ~ok
         search = np.flatnonzero(stalled)
-        while search.size:
+        while True:
             alpha[search] *= _SHRINK
             search = search[alpha[search] > 1e-16]
             if not search.size:
