@@ -199,9 +199,10 @@ class TestParkedPolish:
 
     @pytest.mark.parametrize("lam", [None, 1e3, 1e4])
     def test_degenerate_ground_polishes_in_one_call(self, p6, monkeypatch, lam):
-        # Each row's polish converges only linearly here, 13-58 Newton
-        # steps.  Polishing the rows due in each iteration on their own made
-        # 4, 7 and 6 calls.
+        # Near these degenerate, or nearly degenerate, minimizers each
+        # polish converges only linearly, taking up to 58 Newton steps.
+        # Polishing the rows due in each iteration on their own made 4, 7
+        # and 6 calls.
         inst = ProblemInstance.dirichlet(p6) if lam is None else ProblemInstance.full(p6, lam)
         calls = collections.Counter()
         monkeypatch.setattr(
