@@ -65,6 +65,7 @@ _MAX_STEPS = 200
 # Scalings within 2^(+-e), box ends and ray roots alike, have normal squares,
 # so log(s * s) is finite.
 _MAX_BOX_EXP = min(sys.float_info.max_exp - 1, 1 - sys.float_info.min_exp) // 2
+_LN4 = 2.0 * math.log(2.0)
 _PAIR_TOL = 1e-10  # pair residuals, relative to the projected field
 _MEMBERSHIP_TOL = 1e-8  # fiber formula's sign-changing Nehari membership
 # Projected fields beyond this sup norm fail: below it their squares,
@@ -180,15 +181,6 @@ def _g_pair(norms: list[float], s: float, t: float) -> tuple[float, float]:
     return g1, g2
 
 
-def _g_scaled(norms: list[float], s: float, t: float) -> tuple[float, float]:
-    """(g1 / s^2, g2 / t^2): the pair residuals without the factors s^2 and
-    t^2, whose products with a+- overflow near the top of the box."""
-    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
-    e1 = a_pos - l_pos - b_pos - math.log(s * s) * b_pos
-    e2 = a_neg - l_neg - b_neg - math.log(t * t) * b_neg
-    return e1 - 0.5 * (t / s) * k, e2 - 0.5 * (s / t) * k
-
-
 def pair_residuals(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> tuple[float, float]:
     """Closed-form values of (g1, g2) at the scaling pair (s, t).
 
@@ -219,12 +211,12 @@ def _bracket_from_stats(norms: list[float]) -> tuple[float, float]:
     exactly when log r^2 is below its level (a - l - b - k/2) / b.
     """
     a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
-    levels = [(a_pos - l_pos - b_pos - 0.5 * k) / b_pos, (a_neg - l_neg - b_neg - 0.5 * k) / b_neg]
-    if not all(math.isfinite(lv) for lv in levels):
+    lv_pos = (a_pos - l_pos - b_pos - 0.5 * k) / b_pos
+    lv_neg = (a_neg - l_neg - b_neg - 0.5 * k) / b_neg
+    if not (math.isfinite(lv_pos) and math.isfinite(lv_neg)):
         raise NoBracket("sign-change level of a pair residual is not finite")
-    ln4 = 2.0 * math.log(2.0)
-    i = max(0, math.floor(-min(levels) / ln4) + 1)
-    j = max(0, math.floor(max(levels) / ln4) + 1)
+    i = max(0, math.floor(-min(lv_pos, lv_neg) / _LN4) + 1)
+    j = max(0, math.floor(max(lv_pos, lv_neg) / _LN4) + 1)
     if max(i, j) > _MAX_BOX_EXP:
         raise NoBracket(f"bracketing box [2^{-i}, 2^{j}] is beyond float range")
     return 2.0**-i, 2.0**j
@@ -258,17 +250,6 @@ def fiber_energy(inst: ProblemInstance, u: np.ndarray, s: float, t: float) -> Fi
         + 0.25 * (s - t) ** 2 * k
     )
     return FiberValue(s=s, t=t, value=value)
-
-
-def _ratio_eq(ka: float, kb: float, d: float, x: float) -> tuple[float, float, float]:
-    """G(x) = ka x - kb / x + 2 log x - d, G'(x), and the rounding band of G.
-
-    The band, 4 ulp of ka x + kb / x + |2 log x| + |d| + 2, bounds G's
-    rounding and exceeds 4 ulp of G'(x) x, so a Newton step taken while
-    G < -band moves x by at least 4 ulp.
-    """
-    lin, inv, lg = ka * x, kb / x, 2.0 * math.log(x)
-    return lin - inv + lg - d, ka + (inv + 2.0) / x, 4.0 * _EPS * (lin + inv + abs(lg) + abs(d) + 2.0)
 
 
 def project_pair(
@@ -319,7 +300,9 @@ def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
     ``NonConvergence``, or when its projected row exceeds ``_FIELD_MAX``.
     """
     # A row that is not finite projects as the zero row, which fails.
-    u = np.where(np.isfinite(u).all(axis=1)[:, None], u, 0.0)
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        u = np.where(finite[:, None], u, 0.0)
     if nodal:
         norms, up, um = _split_stats(inst, u)
     else:
@@ -361,55 +344,70 @@ def _pair_row(norms: list[float], initial: tuple[float, float] | None = None):
     # g1 / (s^2 b+) = 0 and g2 / (t^2 b-) = 0 in the ratio p = t / s:
     # log s^2 = c+ + k+ p and log t^2 = c- + k- / p, consistent exactly
     # where G(p) = k+ p - k- / p + 2 log p - (c- - c+) vanishes.
-    c_pos = (a_pos - l_pos - b_pos) / b_pos
-    c_neg = (a_neg - l_neg - b_neg) / b_neg
+    h_pos, h_neg = a_pos - l_pos - b_pos, a_neg - l_neg - b_neg
+    c_pos, c_neg = h_pos / b_pos, h_neg / b_neg
     k_pos, k_neg = -0.5 * k / b_pos, -0.5 * k / b_neg
     d = c_neg - c_pos
     # Starts: 1, the ratio of the two ray roots (the root at zero
     # coupling) and the caller's ratio, each clamped to the root's range
-    # [lo / hi, hi / lo]; Newton leaves from the one with the least |G|.
+    # [lo / hi, hi / lo]; Newton leaves from the first with the least |G|.
     # From a far start where a k+- term dominates G, each step would only
     # double or halve p.
     span = math.log(hi / lo)
     starts = [1.0, math.exp(min(max(0.5 * d, -span), span))]
     if initial is not None:
         starts.append(min(max(initial[1] / initial[0], lo / hi), hi / lo))
-    g, dg, band, x = min(
-        (_ratio_eq(k_pos, k_neg, d, p) + (p,) for p in starts), key=lambda e: abs(e[0])
-    )
+    g = None
+    for p in starts:
+        gp = k_pos * p - k_neg / p + 2.0 * math.log(p) - d
+        if g is None or abs(gp) < abs(g):
+            g, x = gp, p
     # G is increasing and concave, so Newton from where G < 0 climbs to the
     # root without passing it.  Where G > 0, -G(1 / q) has the same form
     # in q = 1 / p with k+- swapped and d negated.
     flip = g > 0.0
-    eq = (k_neg, k_pos, -d) if flip else (k_pos, k_neg, d)
+    ka, kb, dd = (k_neg, k_pos, -d) if flip else (k_pos, k_neg, d)
     if flip:
         x = 1.0 / x
-        g, dg, band = _ratio_eq(*eq, x)
+    # Newton on G(x) = ka x - kb / x + 2 log x - dd.  It stops once G is
+    # within its rounding band, 4 ulp of ka x + kb / x + |2 log x| + |dd|
+    # + 2, which exceeds 4 ulp of G'(x) x, so a step taken while G < -band
+    # moves x by at least 4 ulp.
     iterations = 0
-    while g < -band:
+    while True:
+        lin, inv, lg = ka * x, kb / x, 2.0 * math.log(x)
+        g = lin - inv + lg - dd
+        if not g < -4.0 * _EPS * (lin + inv + abs(lg) + abs(dd) + 2.0):
+            break
         if iterations == _MAX_STEPS:
             raise NonConvergence(f"pair projection stalled at G = {g:.3e} after {iterations} steps")
-        x -= g / dg
+        x -= g / (ka + (inv + 2.0) / x)
         iterations += 1
-        g, dg, band = _ratio_eq(*eq, x)
     p = 1.0 / x if flip else x
     s = math.exp(0.5 * (c_pos + k_pos * p))
     t = math.exp(0.5 * (c_neg + k_neg / p))
 
-    g1, g2 = _g_pair(norms, s, t)
+    # g1, g2 and the scaled residuals e1 = g1 / s^2, e2 = g2 / t^2, whose
+    # forms drop the factors s^2 and t^2 whose products with a+- overflow
+    # near the top of the box.
+    ss, tt = s * s, t * t
+    ls2, lt2 = math.log(ss), math.log(tt)
+    g1 = ss * h_pos - ss * ls2 * b_pos - 0.5 * s * t * k
+    g2 = tt * h_neg - tt * lt2 * b_neg - 0.5 * s * t * k
+    r, q = t / s, s / t
+    e1 = h_pos - ls2 * b_pos - 0.5 * r * k
+    e2 = h_neg - lt2 * b_neg - 0.5 * q * k
     # The test |g| <= 1e-10 max(s^2 a+, t^2 a-, 1), divided through by
     # s^2 for g1 and by t^2 for g2, so that it holds at roots where
     # s^2 a+ or t^2 a- overflows.  The box bounds the root, so s^2 and t^2
     # are positive normal numbers.  Written so that a NaN anywhere fails
     # the test.
-    e1, e2 = _g_scaled(norms, s, t)
-    r, q = t / s, s / t
     ok = (
-        abs(e1) <= _PAIR_TOL * max(a_pos, r * r * a_neg, 1.0 / (s * s))
-        and abs(e2) <= _PAIR_TOL * max(q * q * a_pos, a_neg, 1.0 / (t * t))
+        abs(e1) <= _PAIR_TOL * max(a_pos, r * r * a_neg, 1.0 / ss)
+        and abs(e2) <= _PAIR_TOL * max(q * q * a_pos, a_neg, 1.0 / tt)
     )
-    g1 = g1 if math.isfinite(g1) else s * s * e1
-    g2 = g2 if math.isfinite(g2) else t * t * e2
+    g1 = g1 if math.isfinite(g1) else ss * e1
+    g2 = g2 if math.isfinite(g2) else tt * e2
     if not ok:
         raise NonConvergence(
             f"pair projection stalled at (g1, g2) = ({g1:.3e}, {g2:.3e}) "

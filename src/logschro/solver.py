@@ -92,6 +92,7 @@ __all__ = [
 ]
 
 _SIGN_EPS = 1e-8
+_SIGNS = np.array([-1.0, 1.0])
 # Newton polish budget: steps per polish, and step halvings per step.
 _POLISH_MAX_ITER = 60
 _POLISH_HALVINGS = 5
@@ -476,10 +477,13 @@ def _descend(
         # round the rows still searching.
         w, w_level, ok = nehari._project(inst, u + alpha[:, None] * d, nodal)
         ok &= w_level <= ref + _ARMIJO * alpha * slope
-        u[ok], level[ok] = w[ok], w_level[ok]
         stalled = ~ok
+        if ok.all():
+            u, level = w, w_level
+        else:
+            u[ok], level[ok] = w[ok], w_level[ok]
         search = np.flatnonzero(stalled)
-        while True:
+        while search.size:
             alpha[search] *= _SHRINK
             search = search[alpha[search] > 1e-16]
             if not search.size:
@@ -530,8 +534,7 @@ def _spike_order(inst: ProblemInstance) -> np.ndarray:
     return keep[np.argsort(score[keep], kind="stable")]
 
 
-def _deterministic_seeds(inst: ProblemInstance, nodal: bool) -> list[np.ndarray]:
-    taper = _seed_taper(inst)
+def _deterministic_seeds(inst: ProblemInstance, taper: np.ndarray, nodal: bool) -> list[np.ndarray]:
     m = len(taper)
     spikes = _spike_order(inst)
     if not nodal:
@@ -552,11 +555,11 @@ def _deterministic_seeds(inst: ProblemInstance, nodal: bool) -> list[np.ndarray]
     return seeds
 
 
-def _random_seed_field(inst: ProblemInstance, rng: np.random.Generator, nodal: bool) -> np.ndarray:
-    taper = _seed_taper(inst)
+def _random_seed_field(taper: np.ndarray, rng: np.random.Generator, nodal: bool) -> np.ndarray:
     mags = rng.uniform(0.5, 2.5, size=len(taper))
     if nodal:
-        signs = rng.choice([-1.0, 1.0], size=len(taper))
+        # The draws of rng.choice([-1.0, 1.0]), without its overhead.
+        signs = _SIGNS[rng.integers(0, 2, size=len(taper))]
         if np.all(signs > 0) or np.all(signs < 0):
             signs[0] = -signs[0]
         mags = mags * signs
@@ -588,14 +591,17 @@ def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
     random field, for at most 4 tries; ``ok`` marks the starts that got a
     projected seed.
     """
-    seeds = _deterministic_seeds(inst, nodal)
-    rngs = [np.random.default_rng([opts.seed, i]) for i in range(opts.starts)]
-    u0 = np.array(
-        [
-            seeds[i] if i < len(seeds) else _random_seed_field(inst, rng, nodal)
-            for i, rng in enumerate(rngs)
-        ]
-    )
+    taper = _seed_taper(inst)
+    seeds = _deterministic_seeds(inst, taper, nodal)
+    # A start's stream is created the first time it draws.
+    rngs = {}
+
+    def draw(i):
+        if i not in rngs:
+            rngs[i] = np.random.default_rng([opts.seed, i])
+        return _random_seed_field(taper, rngs[i], nodal)
+
+    u0 = np.array([seeds[i] if i < len(seeds) else draw(i) for i in range(opts.starts)])
     u, level = np.zeros_like(u0), np.zeros(opts.starts)
     ok = np.zeros(opts.starts, dtype=bool)
     todo = np.arange(opts.starts)
@@ -606,7 +612,7 @@ def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
         u[todo[got]], level[todo[got]], ok[todo[got]] = w[got], w_level[got], True
         todo = todo[~got]
         for i in todo.tolist():
-            u0[i] = _random_seed_field(inst, rngs[i], nodal)
+            u0[i] = draw(i)
     return u, level, ok
 
 
@@ -614,9 +620,8 @@ def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveRepor
     u, level, seeded = _seed_stack(inst, opts, nodal)
     fields, converged = _descend(inst, u[seeded], level[seeded], opts, nodal)
     # In start order, so that ties and the histogram do not depend on the stacking.
-    results = [
-        (_energy(inst, f), _normalize_sign(f)) for f, ok in zip(fields, converged) if ok
-    ]
+    fields = fields[converged]
+    results = list(zip(_energies(inst, fields).tolist(), map(_normalize_sign, fields)))
     if not results:
         mode = "nodal" if nodal else "ground"
         raise NonConvergence(f"no {mode} start reached tolerance (starts={opts.starts})")
