@@ -10,11 +10,17 @@ in one array pass; the first line-search round projects every live row,
 and each later round only the rows still searching.  The stacked
 kernels give every row the floats it would get alone, so a start follows
 the same steps whatever else is in the stack, and results are collected
-in start order.  Each row starts its line search at its own
-Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988),
+in start order.  A row descends along ``-P r``, its residual scaled by
+the diagonal preconditioner ``P = 1/max(D(u), lam a + 1)``, where ``D``
+is the residual Jacobian's diagonal: its log term makes ``D`` large
+where ``|u|`` is small, so that those vertices no longer limit the
+step of the whole row.  Each row starts its line search at its own
+Barzilai-Borwein step in the metric of ``P`` (Barzilai & Borwein, IMA
+J. Numer. Anal. 8, 1988; Molina & Raydan, Numer. Algorithms 13, 1996),
 clipped to ``[_STEP_MIN, _STEP_MAX_NODAL]`` on nodal rows and to the far
-wider ``[_STEP_MIN, _STEP_MAX_GROUND]`` on ground rows, and halves its
-own step on each rejected trial.  A line-search trial costs one
+wider ``[_STEP_MIN, _STEP_MAX_GROUND]`` on ground rows; a ground row
+that met negative curvature doubles its last accepted step instead.  It
+halves its own step on each rejected trial.  A line-search trial costs one
 projection and nothing else: the projection returns the level of its
 field in closed form (``J(w) = |w|_2^2 / 2`` on both Nehari sets), and
 the nonmonotone Armijo test of Grippo, Lampariello & Lucidi (SIAM J.
@@ -98,9 +104,10 @@ _POLISH_MAX_ITER = 60
 _POLISH_HALVINGS = 5
 # Descent budget per start and nonmonotone Armijo line search: a row's
 # first trial step is its Barzilai-Borwein step clipped to [_STEP_MIN,
-# _STEP_MAX_GROUND] or [_STEP_MIN, _STEP_MAX_NODAL], or _STEP_INIT where
-# there is none, and a trial is judged against the largest of the row's
-# last _HISTORY levels.  Long nodal steps fail the pair projection; the
+# _STEP_MAX_GROUND] or [_STEP_MIN, _STEP_MAX_NODAL] (on a ground row
+# past negative curvature, twice its last step, clipped), or _STEP_INIT
+# where there is none, and a trial is judged against the largest of the
+# row's last _HISTORY levels.  Long nodal steps fail the pair projection; the
 # ray projection has a closed form, and a ground row near a degenerate
 # minimizer needs steps of order 1/eig to cross its flat directions.
 _MAX_OUTER_ITERS = 5000
@@ -184,25 +191,41 @@ class VerificationReport:
 # -- residual Newton polish ----------------------------------------------
 
 
+def _jacobian_diagonal(inst: ProblemInstance):
+    """The diagonal ``S_ii / mu_i + lam a_i - log u_i^2 - 2`` of the
+    Jacobian of ``_residual`` as a function of the free values ``u``, or of
+    each row of a stack of them.
+
+    ``S_ii / mu_i + lam a_i`` does not depend on the field and is built
+    once, here.
+    """
+    base = np.diag(inst.stiffness) / inst.mu + inst.lam_a
+
+    def diagonal(u: np.ndarray) -> np.ndarray:
+        # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so
+        # it stays finite for |u| beyond 1e154; tiny |u| keep the floor
+        # log 1e-300.
+        return base - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
+
+    return diagonal
+
+
 def _residual_jacobian(inst: ProblemInstance):
     """The Jacobian of ``_residual`` as a function of the free values ``u``,
     or of each row of a stack of them: shape ``u.shape[:-1] + (n, n)``.
 
-    The ``S/mu`` block and its diagonal plus ``lam a`` do not depend on
-    the field and are built once, here.
+    The ``S/mu`` block does not depend on the field and is built once,
+    here; the diagonal is ``_jacobian_diagonal``'s.
     """
     block = inst.stiffness / inst.mu[:, None]
-    diag = np.diag(block) + inst.lam_a
-    n = len(diag)
+    diagonal = _jacobian_diagonal(inst)
+    n = len(block)
 
     def jacobian(u: np.ndarray) -> np.ndarray:
         jac = np.empty(u.shape[:-1] + block.shape)
         jac[...] = block
-        # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so
-        # it stays finite for |u| beyond 1e154; tiny |u| keep the floor
-        # log 1e-300.  The diagonals are written through a strided view.
-        log_term = 2.0 * np.log(np.maximum(np.abs(u), 1e-150))
-        jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = diag - log_term - 2.0
+        # The diagonals are written through a strided view.
+        jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = diagonal(u)
         return jac
 
     return jacobian
@@ -336,21 +359,37 @@ def _sign_ok(u: np.ndarray, nodal: bool) -> np.ndarray:
     return np.abs(u).max(axis=-1) > _SIGN_EPS
 
 
-def _step_starts(inst: ProblemInstance, s: np.ndarray, y: np.ndarray, nodal: bool) -> np.ndarray:
+def _step_starts(
+    inst: ProblemInstance,
+    s: np.ndarray,
+    y: np.ndarray,
+    metric: np.ndarray,
+    alpha_prev: np.ndarray,
+    nodal: bool,
+) -> np.ndarray:
     """Each row's first trial step from the change ``s`` of its field and
     ``y`` of its residual over its last iteration.
 
     The Barzilai-Borwein step ``<s, s/P>_mu / <s, y>_mu`` of the direction
-    ``-P r``, ``P = 1/(lam a + 1)``, clipped to ``[_STEP_MIN, _STEP_MAX_NODAL]``
-    for nodal rows and to ``[_STEP_MIN, _STEP_MAX_GROUND]`` for ground rows;
-    ``_STEP_INIT`` where ``<s, y>_mu <= 0`` or the step is not finite.
+    ``-P r``, where ``metric`` holds each row's ``1/P``, clipped to
+    ``[_STEP_MIN, _STEP_MAX_NODAL]`` for nodal rows and to ``[_STEP_MIN,
+    _STEP_MAX_GROUND]`` for ground rows.  Where ``<s, y>_mu < 0`` a ground
+    row takes twice the step ``alpha_prev`` it accepted in its last
+    iteration, clipped the same way, so that it leaves a saddle at a
+    growing step; a nodal row, whose long steps fail the pair projection,
+    takes ``_STEP_INIT``.  ``_STEP_INIT`` also where ``<s, y>_mu = 0`` (a
+    row's first iteration) or the step is not finite.
     """
+    hi = _STEP_MAX_NODAL if nodal else _STEP_MAX_GROUND
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sy = _dot(inst.mu, s * y)
-        bb = _dot(inst.mass, s * s) / sy
+        bb = _dot(inst.mu, metric * s * s) / sy
     good = (sy > 0.0) & np.isfinite(bb)
     alpha = np.full(len(s), _STEP_INIT)
-    alpha[good] = np.clip(bb[good], _STEP_MIN, _STEP_MAX_NODAL if nodal else _STEP_MAX_GROUND)
+    alpha[good] = np.clip(bb[good], _STEP_MIN, hi)
+    if not nodal:
+        negative = sy < 0.0
+        alpha[negative] = np.clip(2.0 * alpha_prev[negative], _STEP_MIN, hi)
     return alpha
 
 
@@ -367,9 +406,14 @@ def _descend(
     slope``, so it costs one projection and no energy evaluation.
     Energies are evaluated only to judge a polish.
 
-    Each row has its own step: its Barzilai-Borwein step (see
-    ``_step_starts``), which is ``_STEP_INIT`` on the row's first
-    iteration, where its field has not changed yet.  The first
+    A row's direction is ``-P r`` with ``P = 1/max(D(u), lam a + 1)``
+    and ``D`` the residual Jacobian's diagonal (``_jacobian_diagonal``),
+    so its step is never longer than under ``1/(lam a + 1)`` and shorter
+    only where ``D`` is larger.  Each row has its own step: its
+    Barzilai-Borwein step in the metric of ``P`` (see ``_step_starts``),
+    which is ``_STEP_INIT`` on the row's first iteration, where its field
+    has not changed yet; a ground row whose last iteration met negative
+    curvature doubles the step it accepted there.  The first
     line-search round projects every live row and each later round the
     rows still searching; a rejected row halves its own step, and a row
     whose step falls to 1e-16 stops searching.
@@ -400,23 +444,25 @@ def _descend(
     """
     mu = inst.mu
     tol = opts.tol_residual
-    precond = 1.0 / (inst.lam_a + 1.0)
+    diagonal = _jacobian_diagonal(inst)
+    floor = inst.lam_a + 1.0
     n = len(u)
     fields = u.copy()
     converged = np.zeros(n, dtype=bool)
     # The live rows: their index in ``fields``, iteration count, field,
     # level, sup residual at their last failed polish, whether the line
-    # search could not move them, last levels, and field and residual one
-    # iteration back (for the step).
+    # search could not move them, last levels, and field, residual and
+    # accepted step one iteration back (for the step).
     live = (
         np.arange(n), np.zeros(n, dtype=int), u.copy(), level.copy(), np.full(n, math.inf),
         np.zeros(n, dtype=bool), np.full((n, _HISTORY), -math.inf), u.copy(), np.zeros_like(u),
+        np.full(n, _STEP_INIT),
     )
     # The parked rows, in chunks: their live state plus residual, sup
     # residual and whether they are at tolerance.
     parked = []
     while True:
-        idx, its, u, level, failed_at, stalled, history, u_prev, r_prev = live
+        idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev = live
         if idx.size:
             r = _residual(inst, u)
             rinf = np.abs(r).max(axis=1)
@@ -434,16 +480,17 @@ def _descend(
                     parked.append([a[due] for a in (*live, r, rinf, done)])
                 out = cap & ~due
                 fields[idx[out]], converged[idx[out]] = u[out], done[out]
-                idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, r = (
+                idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev, r = (
                     a[keep] for a in (*live, r)
                 )
         if not idx.size:
             if not parked:
                 break
             # The stack has drained: polish every parked row as one stack.
-            idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, r, rinf, done = (
-                np.concatenate(chunk) for chunk in zip(*parked)
-            )
+            (
+                idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev,
+                r, rinf, done,
+            ) = (np.concatenate(chunk) for chunk in zip(*parked))
             parked = []
             cand, ok = _newton_roots(inst, u, 0.1 * tol)
             ok &= _sign_ok(cand, nodal)
@@ -458,8 +505,9 @@ def _descend(
             # a row parks at the cap only when it stalled.
             out = done | stalled
             fields[idx[out]], converged[idx[out]] = u[out], done[out]
-            idx, its, u, level, failed_at, history, u_prev, r_prev, r = (
-                a[~out] for a in (idx, its, u, level, failed_at, history, u_prev, r_prev, r)
+            idx, its, u, level, failed_at, history, u_prev, r_prev, a_prev, r = (
+                a[~out]
+                for a in (idx, its, u, level, failed_at, history, u_prev, r_prev, a_prev, r)
             )
             if not idx.size:
                 break
@@ -467,9 +515,13 @@ def _descend(
         # The rest of each live row's iteration: every live row moved in
         # its last iteration, since the rows that did not were stalled and
         # have retired.
-        d = -r * precond
+        # The preconditioner P = 1 / max(D(u), lam a + 1), with D the
+        # residual Jacobian's diagonal: where |u| is small the log term
+        # makes D large, and P shortens the step there.
+        metric = np.maximum(diagonal(u), floor)
+        d = -r * (1.0 / metric)
         slope = _dot(mu, r * d)
-        alpha = _step_starts(inst, u - u_prev, r - r_prev, nodal)
+        alpha = _step_starts(inst, u - u_prev, r - r_prev, metric, a_prev, nodal)
         history[np.arange(len(idx)), its % _HISTORY] = level
         ref = history.max(axis=1)
         u_prev, r_prev = u.copy(), r
@@ -495,7 +547,7 @@ def _descend(
             u[search[ok]], level[search[ok]] = w[ok], w_level[ok]
             stalled[search[ok]] = False
             search = search[~ok]
-        live = (idx, its + 1, u, level, failed_at, stalled, history, u_prev, r_prev)
+        live = (idx, its + 1, u, level, failed_at, stalled, history, u_prev, r_prev, alpha)
     return fields, converged
 
 

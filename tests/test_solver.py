@@ -223,17 +223,27 @@ class TestStepStarts:
         inst = ProblemInstance.full(p6, 10.0)  # mass = mu (lam a + 1) differs from mu
         s = np.array([[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0] * 6,
                       [1e-3, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0, 0, 1.0, 0, 0, 0],
-                      [1e200, 0, 0, 0, 0, 0]])
+                      [1e200, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]])
         y = np.array([[-1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [1.0] * 6,
                       [1e4, 0, 0, 0, 0, 0], [1e-9, 0, 0, 0, 0, 0], [0.0, 0, 4.0, 0, 0, 0],
-                      [1e-200, 0, 0, 0, 0, 0]])
+                      [1e-200, 0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0, 0]])
+        # Each row's 1/P: lam a + 1, except 3 in the well on row 5.
+        metric = np.tile(inst.lam_a + 1.0, (len(s), 1))
+        metric[5, 2] = 3.0
+        alpha_prev = np.array([0.3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e5, 1e-4])
         # <s, y> < 0, = 0, = 0; clipped below and above (the step is about
-        # 1e9); the step itself, <s, s/P> / <s, y> = (0 + 1) / 4 in the
-        # well; not finite.  Each kind of row has its own upper bound.
+        # 1e9); the step itself, <s, s/P> / <s, y> = (0 + 3) / 4 in the
+        # well; not finite; < 0 after steps whose double is above and below
+        # the bounds.
+        # Each kind of row has its own upper bound, and where <s, y> < 0 a
+        # ground row doubles its last step, clipped, and a nodal row
+        # restarts.
         init, lo = solver._STEP_INIT, solver._STEP_MIN
         for nodal, hi in ((False, solver._STEP_MAX_GROUND), (True, solver._STEP_MAX_NODAL)):
-            alpha = solver._step_starts(inst, s, y, nodal)
-            np.testing.assert_array_equal(alpha, [init, init, init, lo, hi, 0.25, init])
+            alpha = solver._step_starts(inst, s, y, metric, alpha_prev, nodal)
+            negative = [init] * 3 if nodal else [0.6, hi, lo]
+            expected = [negative[0], init, init, lo, hi, 0.75, init, negative[1], negative[2]]
+            np.testing.assert_array_equal(alpha, expected)
 
     @pytest.mark.parametrize("lam, nodal", [(10.0, False), (100.0, True)])
     def test_every_start_in_bounds(self, p6, monkeypatch, lam, nodal):
@@ -241,20 +251,27 @@ class TestStepStarts:
         seen = []
         step_starts = solver._step_starts
 
-        def recorded(inst, s, y, nodal):
-            alpha = step_starts(inst, s, y, nodal)
-            seen.append((solver._dot(inst.mu, s * y), alpha.copy()))
+        def recorded(inst, s, y, metric, alpha_prev, nodal):
+            alpha = step_starts(inst, s, y, metric, alpha_prev, nodal)
+            seen.append((solver._dot(inst.mu, s * y), alpha_prev.copy(), alpha.copy()))
             return alpha
 
         monkeypatch.setattr(solver, "_step_starts", recorded)
         (solver.solve_nodal if nodal else solver.solve_ground)(inst, OPTS)
-        sy = np.concatenate([c for c, _ in seen])
-        alpha = np.concatenate([a for _, a in seen])
+        sy, alpha_prev, alpha = (np.concatenate(c) for c in zip(*seen))
+        lo = solver._STEP_MIN
         hi = solver._STEP_MAX_NODAL if nodal else solver._STEP_MAX_GROUND
-        assert np.all((solver._STEP_MIN <= alpha) & (alpha <= hi))
-        assert np.all(alpha[sy <= 0.0] == solver._STEP_INIT)
-        # Not vacuous: both kinds of rows occur, and BB moves the step.
-        assert (sy <= 0.0).any() and (alpha != solver._STEP_INIT).any()
+        assert np.all((lo <= alpha) & (alpha <= hi))
+        assert np.all(alpha[sy == 0.0] == solver._STEP_INIT)
+        negative = sy < 0.0
+        if nodal:
+            assert np.all(alpha[negative] == solver._STEP_INIT)
+        else:
+            np.testing.assert_array_equal(
+                alpha[negative], np.clip(2.0 * alpha_prev[negative], lo, hi)
+            )
+        # Not vacuous: every kind of row occurs, and BB moves the step.
+        assert (sy == 0.0).any() and negative.any() and (alpha != solver._STEP_INIT).any()
         # Ground rows do take steps beyond the nodal bound.
         assert nodal or (alpha > solver._STEP_MAX_NODAL).any()
 
@@ -271,8 +288,34 @@ class TestStepStarts:
 
         monkeypatch.setattr(nehari, "_project", recorded)
         solver._descend(inst, u, level, opts, nodal=True)
-        d = -solver._residual(inst, u) * (1.0 / (inst.lam_a + 1.0))
+        # P = 1 / max(D(u), lam a + 1), D the residual Jacobian's diagonal.
+        floor = inst.lam_a + 1.0
+        diag = np.diag(inst.stiffness) / inst.mu + inst.lam_a
+        diag = diag - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
+        assert (diag > floor).any()
+        d = -solver._residual(inst, u) * (1.0 / np.maximum(diag, floor))
         np.testing.assert_array_equal(trials[0], u + solver._STEP_INIT * d)
+
+    def test_ground_row_leaves_a_saddle_at_a_growing_step(self, p6, monkeypatch):
+        # Restarted at 0.5 wherever <s, y> < 0, the last rows of this solve
+        # crept away from a saddle: 70 stacked iterations.
+        calls = collections.Counter()
+        monkeypatch.setattr(solver, "_step_starts", _counted(calls, "its", solver._step_starts))
+        rep = solve_ground(ProblemInstance.full(p6, 1.0), OPTS)
+        assert calls["its"] <= 45
+        assert rep.starts_converged == 16
+
+
+class TestPreconditioner:
+    """The descent's preconditioner keeps the log term of the residual
+    Jacobian's diagonal."""
+
+    def test_grid5_nodal_at_lambda_1_reaches_the_least_level(self):
+        # With P = 1 / (lam a + 1) the 16 starts found 13.666431372812884
+        # at best; that preconditioner reaches this level only at 64.
+        g = WeightedGraph.from_dict(generate_graph("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
+        rep = solve_nodal(ProblemInstance.full(g, 1.0), OPTS)
+        assert rep.level == pytest.approx(13.57264219636761, rel=1e-10)
 
 
 class TestFinalNewton:
@@ -626,22 +669,26 @@ class TestIterationCap:
     # recorded before the stalled-row polish moved into the polish pass;
     # the cap-25 records again once the step became a row's own
     # Barzilai-Borwein step, which leaves caps 0 and 1 alone since a row
-    # takes it from its second iteration on; and grid5's cap-25 record
-    # once ground rows were clipped to [1e-3, 1e5] instead of [1e-3, 2].
+    # takes it from its second iteration on; grid5's cap-25 record
+    # once ground rows were clipped to [1e-3, 1e5] instead of [1e-3, 2];
+    # and the cap-1 and cap-25 records of p6 and grid5, and r083's cap-25
+    # record, once the preconditioner kept the Jacobian's log term.  r083's
+    # cap-1 record stands: its seeds' P is 1 / (lam a + 1) except on row 2,
+    # which the line search cannot move under either P.
     # Cap 25 passes the polish every 25th iteration triggers.  r083's
     # row 2 is the one row of the first 200 seed-0 random-mix solves that
     # the line search cannot move: it stalls at iteration 0, so at cap 1
     # it stalled in the last iteration and converges by its polish alone.
     RECORDED = {
         ("p6", 0): ("00000000", "04c9a2275e0811d1"),
-        ("p6", 1): ("00000000", "ceea255d011e372f"),
-        ("p6", 25): ("11111111", "17156386845d735e"),
+        ("p6", 1): ("00000000", "0f72329b4a706aea"),
+        ("p6", 25): ("11111111", "b45836a3f55bf674"),
         ("grid5", 0): ("00000000", "7856d67e5864c283"),
-        ("grid5", 1): ("00000000", "9a2717894aaa5746"),
-        ("grid5", 25): ("11000111", "b1c6a84d39c21de7"),
+        ("grid5", 1): ("00000000", "6f938d30d6da880a"),
+        ("grid5", 25): ("11000010", "523b408c78d935b0"),
         ("r083", 0): ("0000", "c7c276f8039e2934"),
         ("r083", 1): ("0010", "ff4573a43cffbbcc"),
-        ("r083", 25): ("1111", "220500938dec30e2"),
+        ("r083", 25): ("1111", "d82838c3adfb31f9"),
     }
 
     @staticmethod
