@@ -515,9 +515,8 @@ def _descend(
         # The rest of each live row's iteration: every live row moved in
         # its last iteration, since the rows that did not were stalled and
         # have retired.
-        # The preconditioner P = 1 / max(D(u), lam a + 1), with D the
-        # residual Jacobian's diagonal: where |u| is small the log term
-        # makes D large, and P shortens the step there.
+        # 1/P: where |u| is small the log term makes D large, and P
+        # shortens the step there.
         metric = np.maximum(diagonal(u), floor)
         d = -r * (1.0 / metric)
         slope = _dot(mu, r * d)
