@@ -28,27 +28,29 @@ Numer. Anal. 23, 1986) compares that level with the largest of the
 row's last ``_HISTORY`` levels.  Energies are evaluated on their own
 only to judge a polish and to report a level.
 
-A damped Newton polish on the pointwise residual system ends a start
-early once it succeeds; descent tries it when the residual is small,
-every 25 iterations of the row, at tolerance, and on the iteration after
-the line search cannot move a row.  A row due a polish leaves the stack
-("parks") until no row is left descending; then every parked row is
-polished as one stack (``_newton_roots``): one batched linear solve per
-Newton step, and each halving round evaluates only the rows still
-searching.  Near a degenerate minimizer each polish converges only
-linearly, so rows that come due on nearby iterations share those steps.
-After that polish a row leaves for good at tolerance, when its polish is
-taken, when it stalled, or at the iteration cap; the others rejoin the
-stack and finish the iteration they parked in.  The polish aims
-at a tenth of the descent stopping test, relative to the field's sup
-norm, and a row gives up once a Newton step has been halved five times
-without lowering its residual, leaving the start to descent.  A
-brute-force oracle on instances with at most a few free vertices
-provides independent reference levels: a vectorized grid scan of the
+A row at tolerance retires at once.  A damped Newton polish on the
+pointwise residual system ends a start early once it succeeds; descent
+tries it when the residual is small, every 25 iterations of the row, and
+on the iteration after the line search cannot move a row.  A row due a
+polish leaves the stack ("parks") until no row is left descending; then
+every parked row is polished as one stack (``_newton_roots``): one
+batched linear solve per Newton step, and each halving round evaluates
+only the rows still searching.  Near a degenerate minimizer each polish
+converges only linearly, so rows that come due on nearby iterations
+share those steps.  After that polish a row leaves for good when its
+polish is taken or when it stalled; the others rejoin the stack and
+finish the iteration they parked in.  The polish aims at a tenth of the
+descent stopping test, relative to the field's sup norm, and a row gives
+up once a Newton step has been halved five times without lowering its
+residual, leaving the start to descent.  A brute-force oracle on
+instances with at most a few free vertices provides independent
+reference levels: a vectorized grid scan of the
 residual system, whose sign-change cells it polishes in one stack with
 the same damped Newton.  The minimizer a solve reports gets up to
-``_FINAL_NEWTON_STEPS`` full Newton steps more, so that it sits at
-rounding level whatever path descent took to it.
+``_FINAL_NEWTON_STEPS`` full Newton steps more, on the same linear solve
+(``_newton_steps``), so that it sits at rounding level whatever path
+descent took to it; a singular or non-finite step is rejected by its
+residual comparison.
 
 Seeds, descent, projections, polish and oracle all work on the free
 values of a field (see :class:`~logschro.energy.ProblemInstance`) and
@@ -319,8 +321,14 @@ def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
 
 def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
     """Up to ``_FINAL_NEWTON_STEPS`` full Newton steps on the free residual
-    system from ``uf``, stopping at the first step that is not finite,
-    changes the sign pattern or does not lower the sup residual.
+    system from ``uf``, stopping at the first step that changes the sign
+    pattern or does not lower the sup residual.
+
+    The step comes from ``_newton_steps``, the polish's linear solve: a
+    singular Jacobian gives a NaN step, and a step along a near-singular
+    direction may be huge enough that its residual overflows.  A NaN or
+    infinite residual compares false, so such a step is rejected like any
+    other that does not lower the residual.
 
     Polishing a converged minimizer to rounding level makes the reported
     field independent of where descent stopped; the sup residual of the
@@ -330,21 +338,14 @@ def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
     r = _residual(inst, uf)
     rnorm = float(np.abs(r).max())
     signs = np.sign(uf)
-    for _ in range(_FINAL_NEWTON_STEPS):
-        try:
-            cand = uf + np.linalg.solve(jacobian(uf), -r)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(cand)) or not np.array_equal(np.sign(cand), signs):
-            break
-        # A step along a near-singular direction may be huge; its residual
-        # then overflows and is rejected below.
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_FINAL_NEWTON_STEPS):
+            cand = uf + _newton_steps(jacobian(uf[None]), r[None])[0]
             cr = _residual(inst, cand)
-        cnorm = float(np.abs(cr).max())
-        if not cnorm < rnorm:
-            break
-        uf, r, rnorm = cand, cr, cnorm
+            cnorm = float(np.abs(cr).max())
+            if not (cnorm < rnorm and np.array_equal(np.sign(cand), signs)):
+                break
+            uf, r, rnorm = cand, cr, cnorm
     return uf
 
 
@@ -418,26 +419,25 @@ def _descend(
     rows still searching; a rejected row halves its own step, and a row
     whose step falls to 1e-16 stops searching.
 
-    A Newton polish is due at tolerance, on a row's every 25th iteration,
-    when the sup residual is at most 1e-2 of the field's scale, and on
-    the iteration after the line search cannot move a row; such a row is
-    marked stalled.  A row due a polish parks: it leaves the live stack
-    with its residual and test flags.  Once no row is left descending,
-    every parked row is polished in one ``_newton_roots`` call, and a
-    polish is taken only if it keeps the sign pattern and does not raise
-    the energy.  A parked row then retires at tolerance, when its polish
-    was taken, when it stalled (converged only if the polish was taken)
-    or at the iteration cap; the others rejoin the stack and finish the
-    iteration they parked in.  At the cap a row that did not stall
-    retires at once, judged as it stands.  After a polish fails, the
-    small-residual trigger waits until the residual has halved since that
-    failure: a row drifting along a flat part of the Nehari set would
-    otherwise rerun the same failing polish on every iteration.  Both the
-    stopping test and the polish
-    tolerance scale with ``max(1, max|u|)`` of the field they judge:
-    descent stops at ``tol_residual`` times that and the polish aims at a
-    tenth of it, so a field far above 1 is held to the digits a double
-    carries, not to an absolute bound.
+    A row at tolerance retires at once, converged.  Any other row is due
+    a Newton polish on its every 25th iteration, when the sup residual is
+    at most 1e-2 of the field's scale, and on the iteration after the
+    line search cannot move it; such a row is marked stalled.  A row due
+    a polish parks: it leaves the live stack with its residual.  Once no
+    row is left descending, every parked row is polished in one
+    ``_newton_roots`` call, and a polish is taken only if it keeps the
+    sign pattern and does not raise the energy.  A parked row then
+    retires, converged, when its polish was taken, and unconverged when
+    it stalled; the others rejoin the stack and finish the iteration they
+    parked in.  At the cap a row that did not stall retires at once,
+    judged as it stands.  After a polish fails, the small-residual trigger
+    waits until the residual has halved since that failure: a row
+    drifting along a flat part of the Nehari set would otherwise rerun the
+    same failing polish on every iteration.  Both the stopping test and
+    the polish tolerance scale with ``max(1, max|u|)`` of the field they
+    judge: descent stops at ``tol_residual`` times that and the polish
+    aims at a tenth of it, so a field far above 1 is held to the digits a
+    double carries, not to an absolute bound.
 
     Returns (fields, converged): the final field of each row and whether
     it reached tolerance.
@@ -458,8 +458,8 @@ def _descend(
         np.zeros(n, dtype=bool), np.full((n, _HISTORY), -math.inf), u.copy(), np.zeros_like(u),
         np.full(n, _STEP_INIT),
     )
-    # The parked rows, in chunks: their live state plus residual, sup
-    # residual and whether they are at tolerance.
+    # The parked rows, in chunks: their live state plus residual and sup
+    # residual.
     parked = []
     while True:
         idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev = live
@@ -468,17 +468,17 @@ def _descend(
             rinf = np.abs(r).max(axis=1)
             scale = np.maximum(1.0, np.abs(u).max(axis=1))
             done = rinf <= tol * scale
-            # At the iteration cap each row is judged as it stands, once a
-            # row that stalled has had its polish.
+            # A row at tolerance retires at once; at the iteration cap each
+            # row is judged as it stands, once a row that stalled has had
+            # its polish.
             cap = its == _MAX_OUTER_ITERS
-            due = stalled | ~cap & (
-                done | (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at) | (its % 25 == 24)
-            )
-            keep = ~due & ~cap
+            small = (rinf <= 1e-2 * scale) & (rinf <= 0.5 * failed_at)
+            due = ~done & (stalled | ~cap & (small | (its % 25 == 24)))
+            out = done | cap & ~due
+            keep = ~(due | out)
             if not keep.all():
                 if due.any():
-                    parked.append([a[due] for a in (*live, r, rinf, done)])
-                out = cap & ~due
+                    parked.append([a[due] for a in (*live, r, rinf)])
                 fields[idx[out]], converged[idx[out]] = u[out], done[out]
                 idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev, r = (
                     a[keep] for a in (*live, r)
@@ -489,7 +489,7 @@ def _descend(
             # The stack has drained: polish every parked row as one stack.
             (
                 idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev,
-                r, rinf, done,
+                r, rinf,
             ) = (np.concatenate(chunk) for chunk in zip(*parked))
             parked = []
             cand, ok = _newton_roots(inst, u, 0.1 * tol)
@@ -498,13 +498,11 @@ def _descend(
             # a NaN energy (|u| beyond 1e154) rejects the polish.
             j_cur, j_cand = _energies(inst, u[ok]), _energies(inst, cand[ok])
             ok[ok] = j_cand <= j_cur + 1e-9 * np.maximum(1.0, np.abs(j_cur))
-            u[ok] = cand[ok]
-            failed_at[~ok & ~done] = rinf[~ok & ~done]
-            done |= ok
+            u[ok], failed_at[~ok] = cand[ok], rinf[~ok]
             # The other rows rejoin the stack and finish their iteration;
             # a row parks at the cap only when it stalled.
-            out = done | stalled
-            fields[idx[out]], converged[idx[out]] = u[out], done[out]
+            out = ok | stalled
+            fields[idx[out]], converged[idx[out]] = u[out], ok[out]
             idx, its, u, level, failed_at, history, u_prev, r_prev, a_prev, r = (
                 a[~out]
                 for a in (idx, its, u, level, failed_at, history, u_prev, r_prev, a_prev, r)
@@ -556,10 +554,9 @@ def _descend(
 def _max_coupling_signs(inst: ProblemInstance) -> np.ndarray:
     """Sign pattern cutting many edges: top eigenvector of the free block of S."""
     _, vecs = np.linalg.eigh(inst.stiffness)
+    # Both signs: on a connected block of 2+ vertices it is orthogonal to the positive lowest one.
     signs = np.sign(vecs[:, -1])
     signs[signs == 0] = 1.0
-    if np.all(signs > 0) or np.all(signs < 0):
-        signs = np.where(np.arange(len(signs)) % 2 == 0, 1.0, -1.0)
     return signs
 
 

@@ -163,11 +163,13 @@ class TestLineSearchCost:
 class TestStackedDescent:
     """All starts descend as one stack, and each row as it would alone."""
 
-    # lam None is the Dirichlet problem, solved at 16 starts: its rows come
-    # due a polish at their iterations 0, 2, 3 and 4 and are polished in
-    # one stack.  On path24 the four polishes due at the rows' iteration 24
-    # fail, and two of the four at iteration 49, so those rows resume
-    # descent after the stack's polish.
+    # lam None is the Dirichlet problem, solved at 16 starts: its first row
+    # (the taper seed, which lands on the root sqrt(e) (1, 1)) retires at
+    # tolerance at once, and the others come due a polish at their
+    # iterations 0, 2, 3, 4 and 7 and are polished in one stack.  On path24
+    # the four polishes due at the rows' iteration 24 fail, so those rows
+    # resume descent after the stack's polish and are polished again at
+    # their iterations 39, 46, 46 and 49.
     @pytest.mark.parametrize(
         "topology, n, well, lam, nodal",
         [
@@ -202,7 +204,8 @@ class TestParkedPolish:
         # Near these degenerate, or nearly degenerate, minimizers each
         # polish converges only linearly, taking up to 58 Newton steps.
         # Polishing the rows due in each iteration on their own made 4, 7
-        # and 6 calls.
+        # and 6 calls.  On the Dirichlet problem the taper seed lands on
+        # the root sqrt(e) (1, 1) with residual 0 and is not polished.
         inst = ProblemInstance.dirichlet(p6) if lam is None else ProblemInstance.full(p6, lam)
         calls = collections.Counter()
         monkeypatch.setattr(
@@ -211,8 +214,26 @@ class TestParkedPolish:
             _counted(calls, "calls", _counted_rows(calls, "rows", solver._newton_roots)),
         )
         rep = solve_ground(inst, OPTS)
-        assert (calls["calls"], calls["rows"]) == (1, 16)
+        assert (calls["calls"], calls["rows"]) == (1, 15 if lam is None else 16)
         assert rep.starts_converged == 16
+
+    def test_rows_at_tolerance_are_not_polished(self, p6_dirichlet, monkeypatch):
+        # Every nodal seed and the ground taper seed project onto a root:
+        # polishing them made 17 of the 32 rows handed to the polish here.
+        tol = OPTS.tol_residual
+        handed = []
+        newton_roots = solver._newton_roots
+
+        def recorded(inst, u, rtol):
+            rinf = np.abs(solver._residual(inst, u)).max(axis=1)
+            handed.append(rinf / (tol * np.maximum(1.0, np.abs(u).max(axis=1))))
+            return newton_roots(inst, u, rtol)
+
+        monkeypatch.setattr(solver, "_newton_roots", recorded)
+        assert solve_ground(p6_dirichlet, OPTS).starts_converged == 16
+        assert solve_nodal(p6_dirichlet, OPTS).starts_converged == 16
+        ratio = np.concatenate(handed)
+        assert ratio.size and np.all(ratio > 1.0)
 
 
 class TestStepStarts:
@@ -874,6 +895,42 @@ class TestOracle:
     def test_dof_limit(self, p6):
         with pytest.raises(DofLimitExceeded):
             oracle_enumerate(ProblemInstance.full(p6, 1.0))
+
+
+FIXTURE_FAMILIES = (
+    ("path", 12, "5..8"),
+    ("path", 24, "10..15"),
+    ("cycle", 10, "4..6"),
+    ("star", 8, "1..2"),
+    ("grid", 4, "v2-2,v2-3,v3-2,v3-3"),
+    ("grid", 5, "v2-2,v2-3,v3-2,v3-3"),
+    ("grid", 7, "v3-3,v3-4,v4-3,v4-4,v3-5,v4-5"),
+)
+
+
+def test_max_coupling_signs_has_both_signs():
+    # On a connected free block of 2 or more vertices S has nonpositive
+    # off-diagonals, so its lowest eigenvector is positive (Perron-Frobenius)
+    # and the top one, orthogonal to it, changes sign.
+    graphs = [WeightedGraph.from_dict(generate_graph(*family)) for family in FIXTURE_FAMILIES]
+    rng = np.random.default_rng(0)
+    graphs += [random_graph(rng) for _ in range(50)]
+    kinds = collections.Counter()
+    for g in graphs:
+        insts = [("full", ProblemInstance.full(g, 10.0))]
+        try:
+            insts.append(("dirichlet", ProblemInstance.dirichlet(g)))
+        except ValueError:  # the well is empty or not connected
+            pass
+        for kind, inst in insts:
+            if len(inst.free_index) < 2:
+                continue
+            signs = solver._max_coupling_signs(inst)
+            assert (signs > 0).any() and (signs < 0).any()
+            kinds[kind] += 1
+    # Not vacuous: 11 of the random graphs have a connected well of 2 or
+    # more vertices.
+    assert kinds == {"full": 57, "dirichlet": 18}
 
 
 @pytest.mark.parametrize("case", ["k2", "p6", "p6_dirichlet", "p5_dirichlet", "grid4"])
