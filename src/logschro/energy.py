@@ -103,8 +103,11 @@ class ProblemInstance:
         self.free = np.zeros(graph.n, dtype=bool)
         self.free[[graph.index(vid) for vid in ids]] = True
         f = self.free_index = np.flatnonzero(self.free)
-        self.stiffness = graph.stiffness[np.ix_(f, f)]
-        self.mu = graph.mu[f]
+        # The full problem shares the graph's read-only arrays.
+        if f.size == graph.n:
+            self.stiffness, self.mu = graph.stiffness, graph.mu
+        else:
+            self.stiffness, self.mu = graph.stiffness[np.ix_(f, f)], graph.mu[f]
         self.lam_a = (0.0 if lam is None else lam) * graph.potential_a[f]
         self.mass = self.mu * (self.lam_a + 1.0)
         for arr in (self.free, f, self.stiffness, self.mu, self.lam_a, self.mass):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ProblemInstance, _dot, _energy, _matvec, _norm_h_sq, sq_log_sq
-from .graphs import _json_fields, negative_part, positive_part
+from .graphs import _json_fields
 
 __all__ = [
     "NoBracket",
@@ -120,15 +120,19 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray):
     """
     mu, mass, stiff = inst.mu, inst.mass, inst.stiffness
     # The two parts as one stack, so that each kernel below is one call.
-    parts = np.stack((positive_part(u), negative_part(u)))
+    parts = np.empty((2,) + u.shape)
+    np.maximum(u, 0.0, out=parts[0])
+    np.minimum(u, 0.0, out=parts[1])
     sq = parts * parts
     s_parts = _matvec(stiff, parts)
-    a = _dot(parts, s_parts) + _dot(mass, sq)
-    b = _dot(mu, sq)
+    norms = np.empty((len(u), 7))
+    # Columns 0, 3: |u+-|_H^2; 1, 4: int u+-^2 log u+-^2; 2, 5: |u+-|_2^2.
+    norms[:, 0:6:3] = (_dot(parts, s_parts) + _dot(mass, sq)).T
     # A part is nonzero exactly where u has its sign.
-    lg = _dot(mu, np.where(parts != 0.0, sq_log_sq(u), 0.0))
-    k = -2.0 * _dot(parts[0], s_parts[1])
-    return np.stack((a[0], lg[0], b[0], a[1], lg[1], b[1], k), axis=1), parts[0], parts[1]
+    norms[:, 1:6:3] = _dot(mu, np.where(parts != 0.0, sq_log_sq(u), 0.0)).T
+    norms[:, 2:6:3] = _dot(mu, sq).T
+    norms[:, 6] = -2.0 * _dot(parts[0], s_parts[1])
+    return norms, parts[0], parts[1]
 
 
 def _field_norms(inst: ProblemInstance, uf: np.ndarray) -> list[float]:
@@ -157,7 +161,11 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
 def _ray_norms(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
     """(|w|_2^2, |w|_H^2, int w^2 log w^2) of each row of a stack, as rows."""
     mu = inst.mu
-    return np.stack((_dot(mu, w * w), _norm_h_sq(inst, w), _dot(mu, sq_log_sq(w))), axis=1)
+    norms = np.empty((len(w), 3))
+    norms[:, 0] = _dot(mu, w * w)
+    norms[:, 1] = _norm_h_sq(inst, w)
+    norms[:, 2] = _dot(mu, sq_log_sq(w))
+    return norms
 
 
 def _ray_scaling(b: float, h: float, lg: float) -> float:
@@ -307,8 +315,8 @@ def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
         norms, up, um = _split_stats(inst, u)
     else:
         norms = _ray_norms(inst, u)
-    s, t = np.zeros(len(u)), np.zeros(len(u))
-    ok = np.zeros(len(u), dtype=bool)
+    # Filled as lists: a scalar store into an array costs more.
+    s, t, ok = [0.0] * len(u), [0.0] * len(u), [False] * len(u)
     for i, row in enumerate(norms.tolist()):
         try:
             if nodal:
@@ -318,6 +326,7 @@ def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
         except (ValueError, NoBracket, NonConvergence):
             continue
         ok[i] = True
+    s, t, ok = np.array(s), np.array(t), np.array(ok, dtype=bool)
     # A row projected beyond float range overflows to inf here, and a failed
     # row of infinite norm gets a NaN level.
     with np.errstate(over="ignore", invalid="ignore"):

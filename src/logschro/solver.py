@@ -35,7 +35,10 @@ on the iteration after the line search cannot move a row.  A row due a
 polish leaves the stack ("parks") until no row is left descending; then
 every parked row is polished as one stack (``_newton_roots``): one
 batched linear solve per Newton step, and each halving round evaluates
-only the rows still searching.  Near a degenerate minimizer each polish
+only the rows still searching.  A full step is taken when it lowers the
+sup residual or, by Deuflhard's natural monotonicity test, when the
+simplified Newton correction at its end is shorter than the step; only
+otherwise is it halved.  Near a degenerate minimizer each polish
 converges only linearly, so rows that come due on nearby iterations
 share those steps.  After that polish a row leaves for good when its
 polish is taken or when it stalled; the others rejoin the stack and
@@ -57,6 +60,9 @@ values of a field (see :class:`~logschro.energy.ProblemInstance`) and
 share one residual kernel; ``solve_*`` and ``oracle_enumerate`` extend
 the fields they return to full length, and ``verify`` checks a
 full-length field once before it gathers its free values.
+The random seed fields of a start come from a bounded memo keyed on the
+solver seed, the start, the free-vertex count, the kind and the field's
+place in the stream, so repeated solves do not rebuild the streams.
 Seeds and line-search trials go through the one stacked projection,
 ``nehari._project``, which returns the projected rows, their levels and
 a mask of the rows that succeeded.  A seed that fails is redrawn from its
@@ -65,6 +71,7 @@ Armijo test rejects.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -152,7 +159,7 @@ class SolveOptions:
             raise ValueError("tol_residual must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     minimizer: np.ndarray
     level: float
@@ -262,19 +269,28 @@ def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
     settles once its sup residual is at most ``rtol * max(1, max|u_i|)``
     at its current iterate.  Each Newton step tries ``alpha = 1, 1/2,
     ..., 2**-_POLISH_HALVINGS`` and takes the first trial that lowers the
-    row's sup residual; a trial that is not finite, such as the step of a
-    singular Jacobian, has a residual that compares false and is rejected.
-    When no trial is taken, or after ``_POLISH_MAX_ITER`` steps, the row
-    gives up: a root that needs tinier steps than these is stalled on an
-    ill-conditioned Jacobian, not converging.  At most
-    ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1) + 1`` residual evaluations
-    per row.
+    row's sup residual.  The full step ``d`` is also taken when the
+    simplified Newton correction ``-J(u)^-1 r(u + d)``, on the same
+    Jacobian, is shorter than ``d`` in sup norm: Deuflhard's natural
+    monotonicity test (Newton Methods for Nonlinear Problems, Springer
+    2004).  Near a singular root, such as the Dirichlet ground state
+    ``sqrt(e) (1, 1)`` of a two-vertex well, the error shrinks along the
+    Jacobian's kernel while the residual may not, and the residual test
+    alone would damp those steps.  A trial that is not finite, such as
+    the step of a singular Jacobian, has a residual and a correction that
+    compare false and is rejected.  When no trial is taken, or after
+    ``_POLISH_MAX_ITER`` steps, the row gives up: a root that needs
+    tinier steps than these is stalled on an ill-conditioned Jacobian,
+    not converging.  At most ``_POLISH_MAX_ITER * (_POLISH_HALVINGS + 1)
+    + 1`` residual evaluations per row.
 
     The live rows step together: one Jacobian stack and one batched solve
-    per step, one residual for every row's full step, and each halving
-    round evaluates only the rows still searching.  The kernels give each
-    row the floats it would get alone, so a row's result does not depend
-    on the rest of the stack.
+    per step, one residual for every row's full step, one more batched
+    solve for the simplified corrections of the rows whose full step did
+    not lower the residual, and each halving round evaluates only the
+    rows still searching.  The kernels give each row the floats it would
+    get alone, so a row's result does not depend on the rest of the
+    stack.
     """
     jacobian = _residual_jacobian(inst)
     roots, ok = u.copy(), np.zeros(len(u), dtype=bool)
@@ -300,9 +316,16 @@ def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
                 live, u, r, rnorm = live[keep], u[keep], r[keep], rnorm[keep]
             if not live.size or it == _POLISH_MAX_ITER:
                 break
-            step = _newton_steps(jacobian(u), r)
+            jac = jacobian(u)
+            step = _newton_steps(jac, r)
             cand, cr, cnorm = trial(u, step, 1.0)
             better = cnorm < rnorm
+            if not better.all():
+                # Natural monotonicity: a full step is also taken when the
+                # simplified correction at its end is shorter than it.
+                rej = np.flatnonzero(~better)
+                simple = _newton_steps(jac[rej], cr[rej])
+                better[rej] = np.abs(simple).max(axis=1) < np.abs(step[rej]).max(axis=1)
             if better.all():
                 u, r, rnorm, search = cand, cr, cnorm, search[:0]
                 continue
@@ -385,12 +408,9 @@ def _step_starts(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sy = _dot(inst.mu, s * y)
         bb = _dot(inst.mu, metric * s * s) / sy
-    good = (sy > 0.0) & np.isfinite(bb)
-    alpha = np.full(len(s), _STEP_INIT)
-    alpha[good] = np.clip(bb[good], _STEP_MIN, hi)
+        alpha = np.where((sy > 0.0) & np.isfinite(bb), np.clip(bb, _STEP_MIN, hi), _STEP_INIT)
     if not nodal:
-        negative = sy < 0.0
-        alpha[negative] = np.clip(2.0 * alpha_prev[negative], _STEP_MIN, hi)
+        alpha = np.where(sy < 0.0, np.clip(2.0 * alpha_prev, _STEP_MIN, hi), alpha)
     return alpha
 
 
@@ -603,15 +623,28 @@ def _deterministic_seeds(inst: ProblemInstance, taper: np.ndarray, nodal: bool) 
     return seeds
 
 
-def _random_seed_field(taper: np.ndarray, rng: np.random.Generator, nodal: bool) -> np.ndarray:
-    mags = rng.uniform(0.5, 2.5, size=len(taper))
-    if nodal:
-        # The draws of rng.choice([-1.0, 1.0]), without its overhead.
-        signs = _SIGNS[rng.integers(0, 2, size=len(taper))]
-        if np.all(signs > 0) or np.all(signs < 0):
-            signs[0] = -signs[0]
-        mags = mags * signs
-    return mags * taper
+@functools.lru_cache(maxsize=4096)
+def _random_field(seed: int, i: int, n: int, nodal: bool, k: int) -> np.ndarray:
+    """The ``k``-th random seed field of start ``i``'s stream
+    ``default_rng([seed, i])`` on ``n`` free vertices, before its taper;
+    read-only.
+
+    Each field draws its magnitudes from ``U(0.5, 2.5)`` and, when
+    ``nodal``, its signs, flipping the first when all agree.  The memo
+    spares a solve the stream's creation; a field past the first replays
+    the stream from its start.
+    """
+    rng = np.random.default_rng([seed, i])
+    for _ in range(k + 1):
+        field = rng.uniform(0.5, 2.5, size=n)
+        if nodal:
+            # The draws of rng.choice([-1.0, 1.0]), without its overhead.
+            signs = _SIGNS[rng.integers(0, 2, size=n)]
+            if np.all(signs > 0) or np.all(signs < 0):
+                signs[0] = -signs[0]
+            field = field * signs
+    field.setflags(write=False)
+    return field
 
 
 def _normalize_sign(u: np.ndarray) -> np.ndarray:
@@ -635,19 +668,19 @@ def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
 
     Start ``i`` takes deterministic seed ``i`` while there is one and
     otherwise a random field from its own stream ``default_rng([seed,
-    i])``.  A seed whose projection fails is replaced by the stream's next
-    random field, for at most 4 tries; ``ok`` marks the starts that got a
+    i])``, read from the memo ``_random_field`` and scaled by the taper.
+    A seed whose projection fails is replaced by the stream's next random
+    field, for at most 4 tries; ``ok`` marks the starts that got a
     projected seed.
     """
     taper = _seed_taper(inst)
     seeds = _deterministic_seeds(inst, taper, nodal)
-    # A start's stream is created the first time it draws.
-    rngs = {}
+    # The random fields each start has drawn so far.
+    drawn = [0] * opts.starts
 
     def draw(i):
-        if i not in rngs:
-            rngs[i] = np.random.default_rng([opts.seed, i])
-        return _random_seed_field(taper, rngs[i], nodal)
+        drawn[i] += 1
+        return _random_field(opts.seed, i, len(taper), nodal, drawn[i] - 1) * taper
 
     u0 = np.array([seeds[i] if i < len(seeds) else draw(i) for i in range(opts.starts)])
     u, level = np.zeros_like(u0), np.zeros(opts.starts)
