@@ -57,9 +57,11 @@ residual comparison.
 
 Seeds, descent, projections, polish and oracle all work on the free
 values of a field (see :class:`~logschro.energy.ProblemInstance`) and
-share one residual kernel; ``solve_*`` and ``oracle_enumerate`` extend
-the fields they return to full length, and ``verify`` checks a
-full-length field once before it gathers its free values.
+share one residual kernel and its Jacobian (``_residual_jacobian``);
+``solve_*`` and ``oracle_enumerate`` extend the fields they return to
+full length.  ``verify`` checks a full-length field once, gathers its
+free values and hands them to ``_verification``, which a solve calls on
+its own minimizer directly.
 The random seed fields of a start come from a bounded memo keyed on the
 solver seed, the start, the free-vertex count, the kind and the field's
 place in the stream, so repeated solves do not rebuild the streams.
@@ -200,44 +202,25 @@ class VerificationReport:
 # -- residual Newton polish ----------------------------------------------
 
 
-def _jacobian_diagonal(inst: ProblemInstance):
+def _jacobian_diagonal(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     """The diagonal ``S_ii / mu_i + lam a_i - log u_i^2 - 2`` of the
-    Jacobian of ``_residual`` as a function of the free values ``u``, or of
-    each row of a stack of them.
-
-    ``S_ii / mu_i + lam a_i`` does not depend on the field and is built
-    once, here.
-    """
-    base = np.diag(inst.stiffness) / inst.mu + inst.lam_a
-
-    def diagonal(u: np.ndarray) -> np.ndarray:
-        # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so
-        # it stays finite for |u| beyond 1e154; tiny |u| keep the floor
-        # log 1e-300.
-        return base - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
-
-    return diagonal
+    Jacobian of ``_residual`` at the free values ``u``, or at each row of a
+    stack of them; its field-independent part is ``inst.jac_base``."""
+    # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so it
+    # stays finite for |u| beyond 1e154; tiny |u| keep the floor log 1e-300.
+    return inst.jac_base - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
 
 
-def _residual_jacobian(inst: ProblemInstance):
-    """The Jacobian of ``_residual`` as a function of the free values ``u``,
-    or of each row of a stack of them: shape ``u.shape[:-1] + (n, n)``.
-
-    The ``S/mu`` block does not depend on the field and is built once,
-    here; the diagonal is ``_jacobian_diagonal``'s.
-    """
-    block = inst.stiffness / inst.mu[:, None]
-    diagonal = _jacobian_diagonal(inst)
-    n = len(block)
-
-    def jacobian(u: np.ndarray) -> np.ndarray:
-        jac = np.empty(u.shape[:-1] + block.shape)
-        jac[...] = block
-        # The diagonals are written through a strided view.
-        jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = diagonal(u)
-        return jac
-
-    return jacobian
+def _residual_jacobian(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
+    """The Jacobian of ``_residual`` at the free values ``u``, or at each
+    row of a stack of them: shape ``u.shape[:-1] + (n, n)``, the block
+    ``S/mu`` with ``_jacobian_diagonal``'s diagonal."""
+    n = len(inst.mu)
+    jac = np.empty(u.shape[:-1] + (n, n))
+    np.divide(inst.stiffness, inst.mu[:, None], out=jac)
+    # The diagonals are written through a strided view.
+    jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = _jacobian_diagonal(inst, u)
+    return jac
 
 
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -292,7 +275,6 @@ def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
     get alone, so a row's result does not depend on the rest of the
     stack.
     """
-    jacobian = _residual_jacobian(inst)
     roots, ok = u.copy(), np.zeros(len(u), dtype=bool)
     # The live rows: their index in ``roots``, iterate, residual and sup
     # residual; ``search`` holds those that gave up in the last step.
@@ -316,7 +298,7 @@ def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
                 live, u, r, rnorm = live[keep], u[keep], r[keep], rnorm[keep]
             if not live.size or it == _POLISH_MAX_ITER:
                 break
-            jac = jacobian(u)
+            jac = _residual_jacobian(inst, u)
             step = _newton_steps(jac, r)
             cand, cr, cnorm = trial(u, step, 1.0)
             better = cnorm < rnorm
@@ -357,13 +339,12 @@ def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
     field independent of where descent stopped; the sup residual of the
     field returned is never above that of ``uf``.
     """
-    jacobian = _residual_jacobian(inst)
     r = _residual(inst, uf)
     rnorm = float(np.abs(r).max())
     signs = np.sign(uf)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_FINAL_NEWTON_STEPS):
-            cand = uf + _newton_steps(jacobian(uf[None]), r[None])[0]
+            cand = uf + _newton_steps(_residual_jacobian(inst, uf[None]), r[None])[0]
             cr = _residual(inst, cand)
             cnorm = float(np.abs(cr).max())
             if not (cnorm < rnorm and np.array_equal(np.sign(cand), signs)):
@@ -464,7 +445,6 @@ def _descend(
     """
     mu = inst.mu
     tol = opts.tol_residual
-    diagonal = _jacobian_diagonal(inst)
     floor = inst.lam_a + 1.0
     n = len(u)
     fields = u.copy()
@@ -535,7 +515,7 @@ def _descend(
         # have retired.
         # 1/P: where |u| is small the log term makes D large, and P
         # shortens the step there.
-        metric = np.maximum(diagonal(u), floor)
+        metric = np.maximum(_jacobian_diagonal(inst, u), floor)
         d = -r * (1.0 / metric)
         slope = _dot(mu, r * d)
         alpha = _step_starts(inst, u - u_prev, r - r_prev, metric, a_prev, nodal)
@@ -590,12 +570,11 @@ def _spike_order(inst: ProblemInstance) -> np.ndarray:
     """Free vertices sorted by the level of their ray-projected indicator.
 
     The scaled indicator at x lands on the Nehari manifold at level
-    (mu/2) exp((deg + lam a mu)/mu); low scores mark vertices where a
-    localized state is cheap, which delocalized seeds tend to miss.
-    The diagonal of the free block of S is ``deg``.
+    (mu/2) exp(S_xx/mu + lam a), which is (mu/2) exp(``jac_base``); low
+    scores mark vertices where a localized state is cheap, which
+    delocalized seeds tend to miss.
     """
-    mu = inst.mu
-    score = (np.diag(inst.stiffness) + inst.lam_a * mu) / mu + np.log(mu)
+    score = inst.jac_base + np.log(inst.mu)
     # Spikes at heavily penalized vertices are never competitive and their
     # ray projection overflows; drop them.
     keep = np.flatnonzero(score <= 100.0)
@@ -714,8 +693,8 @@ def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveRepor
     # Read off the reported minimizer; k is even under u -> -u.
     degenerate = nodal and _coupling_k(inst, u_best) >= 0.0
 
+    check = _verification(inst, u_best)
     u_best = inst.extend(u_best)
-    check = verify(inst, u_best)
     return SolveReport(
         minimizer=u_best,
         level=check.level,
@@ -748,7 +727,13 @@ def verify(
     With a companion ground level the report also carries the margin of
     the nodal level over twice the ground level.
     """
-    u = inst.free_values(u)
+    return _verification(inst, inst.free_values(u), companion_ground)
+
+
+def _verification(
+    inst: ProblemInstance, u: np.ndarray, companion_ground: float | None = None
+) -> VerificationReport:
+    """``verify`` on the free values ``u`` of a field, trusted as given."""
     mu = inst.mu
     r = _residual(inst, u)
     up, um = positive_part(u), negative_part(u)

@@ -138,11 +138,11 @@ class TestKernelsMatchReference:
         stack[1] = np.abs(stack[1])
         norms, up, um = nehari._split_stats(inst, stack)
         residuals = solver._residual(inst, stack)
-        jacobians = solver._residual_jacobian(inst)(stack)
+        jacobians = solver._residual_jacobian(inst, stack)
         energies = _energies(inst, stack)
         for i, row in enumerate(stack):
             np.testing.assert_array_equal(residuals[i], solver._residual(inst, row))
-            np.testing.assert_array_equal(jacobians[i], solver._residual_jacobian(inst)(row))
+            np.testing.assert_array_equal(jacobians[i], solver._residual_jacobian(inst, row))
             # The solver's polish judges energies as rows; each is the
             # energy of that field evaluated alone.
             assert energies[i] == 0.5 * float(nehari._norm_h_sq(inst, row)) - 0.5 * float(
@@ -157,7 +157,7 @@ class TestKernelsMatchReference:
     def test_polish_jacobian_matches_differences(self, inst):
         u, _ = _fields(inst, 0)
         uf = u[inst.free]
-        jac = solver._residual_jacobian(inst)(uf)
+        jac = solver._residual_jacobian(inst, uf)
         h = 1e-6
         for j in range(len(uf)):
             e = np.zeros(len(uf))
@@ -172,9 +172,37 @@ def test_polish_jacobian_finite_beyond_square_range(p6):
     uf = np.full(p6.n, 1e200)
     uf[1] = -1e-200
     with np.errstate(all="raise"):
-        jac = solver._residual_jacobian(inst)(uf)
+        jac = solver._residual_jacobian(inst, uf)
     want = inst.lam_a - 2.0 * np.log(np.array([1e200, 1e-150] + [1e200] * (p6.n - 2))) - 2.0
     assert np.allclose(np.diag(jac) - np.diag(inst.stiffness) / inst.mu, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["full", "dirichlet", "ball"])
+@pytest.mark.parametrize("seed", range(5))
+def test_jacobian_base_is_read_only_field_free_diagonal(kind, seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng)
+    lam = float(rng.uniform(0.1, 50.0))
+    # The closed neighbourhood of a vertex is connected.
+    x = int(rng.integers(g.n))
+    ball = [g.vertex_ids[x]] + [g.vertex_ids[y] for y in np.nonzero(g.weights[x])[0]]
+    inst = {
+        "full": ProblemInstance.full(g, lam),
+        "dirichlet": ProblemInstance.dirichlet(g, g.boundary(ball)),
+        "ball": ProblemInstance(g, lam, ball),
+    }[kind]
+    f = inst.free_index
+    lam_a = 0.0 if inst.lam is None else inst.lam * g.potential_a[f]
+    np.testing.assert_array_equal(inst.jac_base, np.diag(g.stiffness)[f] / g.mu[f] + lam_a)
+    with pytest.raises(ValueError):
+        inst.jac_base[0] = 0.0
+    stack = np.array([random_field(rng, len(f)) for _ in range(3)])
+    stack[0, 0] = 0.0
+    for u in (stack, stack[1]):
+        jac = solver._residual_jacobian(inst, u)
+        np.testing.assert_array_equal(
+            np.diagonal(jac, axis1=-2, axis2=-1), solver._jacobian_diagonal(inst, u)
+        )
 
 
 def test_stiffness_is_read_only(k2):

@@ -868,6 +868,27 @@ class TestVerify:
         rep = verify(k2_inst, np.array([E, -E]))
         assert rep.m_margin is None and rep.m_gt_2c is None
 
+    @pytest.mark.parametrize("solve", [solve_ground, solve_nodal])
+    def test_solve_checks_no_field_of_its_own(self, p6, p6_dirichlet, monkeypatch, solve):
+        # A solve verifies its minimizer on free values; only the public
+        # boundary sends a field through check_field.
+        calls = []
+        check_field = WeightedGraph.check_field
+
+        def counted(graph, u):
+            calls.append(len(u))
+            return check_field(graph, u)
+
+        monkeypatch.setattr(WeightedGraph, "check_field", counted)
+        for inst in (ProblemInstance.full(p6, 10.0), p6_dirichlet):
+            rep = solve(inst, SolveOptions(starts=4, seed=0))
+            assert calls == []
+            assert verify(inst, rep.minimizer) == solver._verification(
+                inst, rep.minimizer[inst.free_index]
+            )
+            assert calls == [p6.n]
+            calls.clear()
+
 
 class TestLevelOrdering:
     @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
