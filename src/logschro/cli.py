@@ -8,7 +8,6 @@ converge, 3 on validation failures (bad graph/field files or hypotheses).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -48,9 +47,7 @@ def _load_instance(args) -> tuple[WeightedGraph, ProblemInstance]:
     return graph, ProblemInstance.full(graph, args.lam)
 
 
-@functools.cache
 def build_parser() -> _Parser:
-    """The parser of every subcommand, built once per process."""
     parser = _Parser(prog="logschro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -84,10 +84,8 @@ class ProblemInstance:
     :meth:`dirichlet` build the paper's two problems.
 
     ``free`` is then the full-length mask of ``F``.  The read-only arrays
-    ``free_index``, ``stiffness`` (``S[F, F]``), ``mu``, ``lam_a``,
-    ``mass`` (``mu * (lam_a + 1)``) and ``jac_base`` (``diag(S[F, F]) / mu
-    + lam_a``, the field-independent part of the residual Jacobian's
-    diagonal) live on ``F``.
+    ``free_index``, ``stiffness`` (``S[F, F]``), ``mu``, ``lam_a`` and
+    ``mass`` (``mu * (lam_a + 1)``) live on ``F``.
     """
 
     def __init__(self, graph: WeightedGraph, lam: float | None, free: Iterable[str] | None = None):
@@ -112,8 +110,7 @@ class ProblemInstance:
             self.stiffness, self.mu = graph.stiffness[np.ix_(f, f)], graph.mu[f]
         self.lam_a = (0.0 if lam is None else lam) * graph.potential_a[f]
         self.mass = self.mu * (self.lam_a + 1.0)
-        self.jac_base = np.diag(self.stiffness) / self.mu + self.lam_a
-        for arr in (self.free, f, self.stiffness, self.mu, self.lam_a, self.mass, self.jac_base):
+        for arr in (self.free, f, self.stiffness, self.mu, self.lam_a, self.mass):
             arr.setflags(write=False)
 
     @classmethod
@@ -349,4 +346,5 @@ def load_field(graph: WeightedGraph, data: Mapping | str) -> np.ndarray:
 
 
 def field_to_dict(graph: WeightedGraph, u: np.ndarray) -> dict:
-    return {"values": dict(zip(graph.vertex_ids, graph.check_field(u).tolist()))}
+    u = graph.check_field(u)
+    return {"values": {vid: float(u[graph.index(vid)]) for vid in graph.vertex_ids}}

@@ -205,10 +205,11 @@ class VerificationReport:
 def _jacobian_diagonal(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     """The diagonal ``S_ii / mu_i + lam a_i - log u_i^2 - 2`` of the
     Jacobian of ``_residual`` at the free values ``u``, or at each row of a
-    stack of them; its field-independent part is ``inst.jac_base``."""
+    stack of them."""
     # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so it
     # stays finite for |u| beyond 1e154; tiny |u| keep the floor log 1e-300.
-    return inst.jac_base - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
+    base = np.diag(inst.stiffness) / inst.mu + inst.lam_a
+    return base - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
 
 
 def _residual_jacobian(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -570,11 +571,12 @@ def _spike_order(inst: ProblemInstance) -> np.ndarray:
     """Free vertices sorted by the level of their ray-projected indicator.
 
     The scaled indicator at x lands on the Nehari manifold at level
-    (mu/2) exp(S_xx/mu + lam a), which is (mu/2) exp(``jac_base``); low
-    scores mark vertices where a localized state is cheap, which
-    delocalized seeds tend to miss.
+    (mu/2) exp((deg + lam a mu)/mu); low scores mark vertices where a
+    localized state is cheap, which delocalized seeds tend to miss.
+    The diagonal of the free block of S is ``deg``.
     """
-    score = inst.jac_base + np.log(inst.mu)
+    mu = inst.mu
+    score = (np.diag(inst.stiffness) + inst.lam_a * mu) / mu + np.log(mu)
     # Spikes at heavily penalized vertices are never competitive and their
     # ray projection overflows; drop them.
     keep = np.flatnonzero(score <= 100.0)

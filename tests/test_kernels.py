@@ -179,7 +179,7 @@ def test_polish_jacobian_finite_beyond_square_range(p6):
 
 @pytest.mark.parametrize("kind", ["full", "dirichlet", "ball"])
 @pytest.mark.parametrize("seed", range(5))
-def test_jacobian_base_is_read_only_field_free_diagonal(kind, seed):
+def test_jacobian_diagonal_matches_formula(kind, seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng)
     lam = float(rng.uniform(0.1, 50.0))
@@ -193,16 +193,15 @@ def test_jacobian_base_is_read_only_field_free_diagonal(kind, seed):
     }[kind]
     f = inst.free_index
     lam_a = 0.0 if inst.lam is None else inst.lam * g.potential_a[f]
-    np.testing.assert_array_equal(inst.jac_base, np.diag(g.stiffness)[f] / g.mu[f] + lam_a)
-    with pytest.raises(ValueError):
-        inst.jac_base[0] = 0.0
     stack = np.array([random_field(rng, len(f)) for _ in range(3)])
     stack[0, 0] = 0.0
     for u in (stack, stack[1]):
+        diagonal = solver._jacobian_diagonal(inst, u)
+        # D = S_ii/mu_i + lam a_i - log u_i^2 - 2, with |u| floored at 1e-150.
+        want = np.diag(g.stiffness)[f] / g.mu[f] + lam_a - np.log(np.maximum(u * u, 1e-300)) - 2.0
+        np.testing.assert_allclose(diagonal, want, rtol=1e-13, atol=1e-12)
         jac = solver._residual_jacobian(inst, u)
-        np.testing.assert_array_equal(
-            np.diagonal(jac, axis1=-2, axis2=-1), solver._jacobian_diagonal(inst, u)
-        )
+        np.testing.assert_array_equal(np.diagonal(jac, axis1=-2, axis2=-1), diagonal)
 
 
 def test_stiffness_is_read_only(k2):
