@@ -29,25 +29,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _dump(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(report: dict | str, out: str | None) -> None:
+    """Write the sweep CSV, or a JSON report, to ``out`` or stdout."""
+    if not isinstance(report, str):
+        report = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
 
 
-def _load_instance(args) -> tuple[WeightedGraph, ProblemInstance]:
+def _load_instance(args) -> ProblemInstance:
     graph = WeightedGraph.load(args.graph)
     if args.mode == "dirichlet":
-        return graph, ProblemInstance.dirichlet(graph)
+        return ProblemInstance.dirichlet(graph)
     if args.lam is None:
         raise GraphValidationError("--lambda is required in full mode")
-    return graph, ProblemInstance.full(graph, args.lam)
+    return ProblemInstance.full(graph, args.lam)
+
+
+def _load_state(graph: WeightedGraph, path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_field(graph, fh.read())
 
 
 def build_parser() -> _Parser:
+    defaults = SolveOptions()
     parser = _Parser(prog="logschro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -67,15 +75,16 @@ def build_parser() -> _Parser:
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--nodal", action="store_true")
     kind.add_argument("--ground", action="store_true")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--starts", type=int, default=defaults.starts)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--tol", type=float, default=defaults.tol_residual)
     p.add_argument("--out")
 
     p = sub.add_parser("project", help="pair-project a field onto the nodal Nehari set")
     p.add_argument("--graph", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.set_defaults(mode="full")
 
     p = sub.add_parser("check", help="verify a field as a pointwise solution")
     p.add_argument("--graph", required=True)
@@ -87,8 +96,8 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--lambdas", required=True, help="comma separated increasing list")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=64)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--starts", type=int, default=defaults.starts)
     return parser
 
 
@@ -104,33 +113,28 @@ def main(argv=None) -> int:
             data = generate_graph(
                 args.topology, args.n, args.well, mu=args.mu, omega_w=args.w, a_out=args.a_out
             )
-            _dump(data, args.out)
+            _write(data, args.out)
             return 0
 
         if args.command == "solve":
-            graph, inst = _load_instance(args)
+            inst = _load_instance(args)
             opts = SolveOptions(starts=args.starts, seed=args.seed, tol_residual=args.tol)
             report = (solve_nodal if args.nodal else solve_ground)(inst, opts)
-            _dump(report.to_dict(inst), args.out)
+            _write(report.to_dict(inst), args.out)
             return 0
 
         if args.command == "project":
-            graph = WeightedGraph.load(args.graph)
-            with open(args.state, "r", encoding="utf-8") as fh:
-                u = load_field(graph, fh.read())
-            inst = ProblemInstance.full(graph, args.lam)
+            inst = _load_instance(args)
             try:
-                proj = project_pair(inst, u)
+                proj = project_pair(inst, _load_state(inst.graph, args.state))
             except NoBracket as exc:
                 raise NonConvergence(f"pair projection failed: {exc}") from None
-            _dump(proj.to_dict(), None)
+            _write(proj.to_dict(), None)
             return 0
 
         if args.command == "check":
-            graph, inst = _load_instance(args)
-            with open(args.state, "r", encoding="utf-8") as fh:
-                u = load_field(graph, fh.read())
-            _dump(verify(inst, u).to_dict(), None)
+            inst = _load_instance(args)
+            _write(verify(inst, _load_state(inst.graph, args.state)).to_dict(), None)
             return 0
 
         if args.command == "sweep":
@@ -141,12 +145,7 @@ def main(argv=None) -> int:
                 raise GraphValidationError(f"bad --lambdas list {args.lambdas!r}") from None
             opts = SolveOptions(starts=args.starts, seed=args.seed)
             rows, summary = sweep(graph, lambdas, opts)
-            text = sweep_csv(rows)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(sweep_csv(rows), args.out)
             print(json.dumps(summary.to_dict(), sort_keys=True), file=sys.stderr)
             if any(r.failed for r in rows):
                 return EXIT_NONCONVERGENCE

@@ -168,24 +168,22 @@ class WeightedGraph:
 
         index = {v: i for i, v in enumerate(ids)}
         weights = np.zeros((n, n))
-        seen: set[frozenset] = set()
         for x, y, w in edges:
             x, y = str(x), str(y)
             if x not in index or y not in index:
                 raise GraphValidationError(f"edge references unknown vertex: {x!r}-{y!r}")
             if x == y:
                 raise GraphValidationError(f"self loop at {x!r}")
-            key = frozenset((x, y))
-            if key in seen:
+            i, j = index[x], index[y]
+            # Every edge already stored has a positive weight.
+            if weights[i, j]:
                 raise GraphValidationError(f"duplicate edge {x!r}-{y!r}")
-            seen.add(key)
             try:
                 w = float(w)
             except (TypeError, ValueError):
                 raise GraphValidationError(f"edge weight is not a number: {x!r}-{y!r}") from None
             if not np.isfinite(w) or w <= 0:
                 raise GraphValidationError(f"edge weight must be positive: {x!r}-{y!r}")
-            i, j = index[x], index[y]
             weights[i, j] = w
             weights[j, i] = w
 

@@ -22,6 +22,7 @@ __all__ = [
     "SweepRow",
     "SweepSummary",
     "generate_graph",
+    "parse_well",
     "sweep",
     "sweep_csv",
 ]
@@ -152,8 +153,8 @@ def generate_graph(
     if a_out <= 0:
         raise ValueError("a_out must be positive")
     ids, edge_pairs = _topology(topology, n)
-    well_ids = parse_well(well, ids)
-    a = [0.0 if v in set(well_ids) else float(a_out) for v in ids]
+    well_ids = set(parse_well(well, ids))
+    a = [0.0 if v in well_ids else float(a_out) for v in ids]
     graph = WeightedGraph(ids, [mu] * len(ids), a, [(x, y, omega_w) for x, y in edge_pairs])
     report = graph.validate_potential()
     if not report.passes:

@@ -647,34 +647,31 @@ def _sign_pattern(inst: ProblemInstance, u: np.ndarray) -> dict:
 def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
     """Projected seeds of all starts: (fields, levels, ok).
 
-    Start ``i`` takes deterministic seed ``i`` while there is one and
-    otherwise a random field from its own stream ``default_rng([seed,
-    i])``, read from the memo ``_random_field`` and scaled by the taper.
-    A seed whose projection fails is replaced by the stream's next random
-    field, for at most 4 tries; ``ok`` marks the starts that got a
-    projected seed.
+    Each start has at most 4 attempts.  Start ``i`` first takes
+    deterministic seed ``i`` while there is one, and after that the next
+    random field of its own stream ``default_rng([seed, i])``, read from
+    the memo ``_random_field`` and scaled by the taper.  A start tries
+    again only when its projection fails; ``ok`` marks the starts that
+    got a projected seed.
     """
     taper = _seed_taper(inst)
     seeds = _deterministic_seeds(inst, taper, nodal)
-    # The random fields each start has drawn so far.
-    drawn = [0] * opts.starts
 
-    def draw(i):
-        drawn[i] += 1
-        return _random_field(opts.seed, i, len(taper), nodal, drawn[i] - 1) * taper
+    def attempt_seed(i, attempt):
+        # Start i's k-th random field, or its deterministic seed at k = -1.
+        k = attempt - (i < len(seeds))
+        return seeds[i] if k < 0 else _random_field(opts.seed, i, len(taper), nodal, k) * taper
 
-    u0 = np.array([seeds[i] if i < len(seeds) else draw(i) for i in range(opts.starts)])
-    u, level = np.zeros_like(u0), np.zeros(opts.starts)
+    u, level = np.zeros((opts.starts, len(taper))), np.zeros(opts.starts)
     ok = np.zeros(opts.starts, dtype=bool)
     todo = np.arange(opts.starts)
-    for _attempt in range(4):
+    for attempt in range(4):
         if not todo.size:
             break
-        w, w_level, got = nehari._project(inst, u0[todo], nodal)
+        w0 = np.array([attempt_seed(i, attempt) for i in todo.tolist()])
+        w, w_level, got = nehari._project(inst, w0, nodal)
         u[todo[got]], level[todo[got]], ok[todo[got]] = w[got], w_level[got], True
         todo = todo[~got]
-        for i in todo.tolist():
-            u0[i] = draw(i)
     return u, level, ok
 
 

@@ -1,4 +1,5 @@
-"""``tools/dump_outputs.py`` gives the same digests on two runs of one tree."""
+"""``tools/dump_outputs.py`` gives the same digests on two runs of one tree,
+and compares two trees."""
 
 import importlib.util
 import sys
@@ -34,3 +35,18 @@ def test_main_prints_one_line_per_group(monkeypatch, capsys):
     assert dump.main([str(ROOT / "src")]) == 0
     name, sha, records, _ = capsys.readouterr().out.split()
     assert (name, len(sha), records) == ("projections", 64, "records=5")
+
+
+def test_two_trees_run_in_subprocesses(capsys):
+    src = str(ROOT / "src")
+    assert dump.main([src, src, "--groups", "projections"]) == 0
+    verdict, first, second = capsys.readouterr().out.splitlines()
+    assert verdict == "projections equal"
+    assert first == second and first.split()[1:3] == ["records=1000", "errors=723"]
+
+
+def test_differing_trees_exit_1(monkeypatch, capsys):
+    digests = iter([{"cli": "a records=1 errors=0"}, {"cli": "b records=1 errors=0"}])
+    monkeypatch.setattr(dump, "_tree_digests", lambda src_dir, groups: next(digests))
+    assert dump.main(["x", "y", "--groups", "cli"]) == 1
+    assert capsys.readouterr().out.startswith("cli DIFFERS\n")

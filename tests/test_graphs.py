@@ -242,10 +242,11 @@ class TestConstructionAndIO:
             WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", 1.0), ("a", "a", 1.0)])
 
     def test_rejects_duplicate_edges_either_orientation(self):
-        with pytest.raises(GraphValidationError):
-            WeightedGraph(
-                ["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", 1.0), ("b", "a", 2.0)]
-            )
+        for x, y in (("a", "b"), ("b", "a")):
+            with pytest.raises(GraphValidationError, match=f"duplicate edge '{x}'-'{y}'"):
+                WeightedGraph(
+                    ["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", 1.0), (x, y, 2.0)]
+                )
 
     def test_rejects_disconnected(self):
         with pytest.raises(GraphValidationError):

@@ -381,6 +381,31 @@ class TestCli:
         assert cli_main(["solve", "--graph", "x.json"]) == 1
         assert cli_main(["generate", "--topology", "hexagon", "--n", "4", "--well", "1..2"]) == 1
 
+    def test_project_without_lambda_exits_1(self, tmp_path, p3, capsys):
+        gpath, spath = tmp_path / "g.json", tmp_path / "s.json"
+        p3.save(gpath)
+        spath.write_text(json.dumps({"values": {"v1": 1.0}}))
+        assert cli_main(["project", "--graph", str(gpath), "--state", str(spath)]) == 1
+        assert "--lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "project"])
+    def test_bad_lambda_is_reported_before_the_state(self, tmp_path, p3, capsys, command):
+        # Both subcommands build the instance before they read the state.
+        gpath = tmp_path / "g.json"
+        p3.save(gpath)
+        assert cli_main([command, "--graph", str(gpath), "--state", str(tmp_path / "none.json"),
+                         "--lambda", "nan"]) == 3
+        assert "lambda must be positive and finite" in capsys.readouterr().err
+
+    def test_solve_defaults_are_solve_options(self):
+        defaults = SolveOptions()
+        parser = build_parser()
+        solve_args = parser.parse_args(["solve", "--graph", "g.json", "--nodal"])
+        sweep_args = parser.parse_args(["sweep", "--graph", "g.json", "--lambdas", "1"])
+        for args in (solve_args, sweep_args):
+            assert (args.starts, args.seed) == (defaults.starts, defaults.seed)
+        assert solve_args.tol == defaults.tol_residual
+
     def test_validation_errors_exit_3(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert cli_main(["solve", "--graph", str(missing), "--mode", "full",

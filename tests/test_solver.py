@@ -255,6 +255,22 @@ class TestSeedMemo:
                 np.testing.assert_array_equal(got, want)
                 assert not got.flags.writeable
 
+    def test_failed_start_draws_one_field_per_attempt(self, p6, monkeypatch):
+        # Nodal start 4 at lambda = 1e3 fails all 4 attempts: each random
+        # field leaves one sign part wholly outside the well (NoBracket).
+        # It used to draw a fifth field that no attempt projected.
+        drawn = []
+        random_field = solver._random_field
+
+        def recorded(seed, i, n, nodal, k):
+            drawn.append((i, k))
+            return random_field(seed, i, n, nodal, k)
+
+        monkeypatch.setattr(solver, "_random_field", recorded)
+        _, _, ok = solver._seed_stack(ProblemInstance.full(p6, 1e3), OPTS, nodal=True)
+        assert not ok[4] and ok.sum() == 15
+        assert [k for i, k in drawn if i == 4] == [0, 1, 2, 3]
+
 
 class TestStepStarts:
     """Each row starts its line search at its own clipped Barzilai-Borwein

@@ -1,10 +1,11 @@
 """Print one SHA-256 per output group of the ``logschro`` package in SRC_DIR.
 
-Run it on two source trees and compare the lines; equal lines mean
-byte-identical outputs:
+Equal digests mean byte-identical outputs.  Given a second tree, it runs
+each tree in its own subprocess, prints both digests of each group with
+``equal`` or ``DIFFERS``, and exits 1 on any difference:
 
     python tools/dump_outputs.py src
-    python tools/dump_outputs.py ../other-checkout/src
+    python tools/dump_outputs.py src ../other-checkout/src --groups fixtures cli
 
 Groups, each hashed over its records in order:
 
@@ -41,6 +42,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -209,14 +211,29 @@ def digest(records) -> str:
     return f"{h.hexdigest()} records={n} errors={errors}"
 
 
+def _tree_digests(src_dir: str, groups: list[str]) -> dict[str, str]:
+    """Each group's digest line for the tree ``src_dir``, from a subprocess."""
+    argv = [sys.executable, os.path.abspath(__file__), src_dir, "--groups", *groups]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    return dict(line.split(" ", 1) for line in out.splitlines())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_dir", help="directory holding the logschro package")
+    parser.add_argument("other_src_dir", nargs="?", help="a second tree to compare against")
+    parser.add_argument("--groups", nargs="+", choices=list(GROUPS), default=list(GROUPS))
     args = parser.parse_args(argv)
-    sys.path[:0] = [os.path.abspath(args.src_dir), TESTS_DIR]
-    for name, group in GROUPS.items():
-        print(f"{name} {digest(group())}", flush=True)
-    return 0
+    if args.other_src_dir is None:
+        sys.path[:0] = [os.path.abspath(args.src_dir), TESTS_DIR]
+        for name in args.groups:
+            print(f"{name} {digest(GROUPS[name]())}", flush=True)
+        return 0
+    first, second = (_tree_digests(src, args.groups) for src in (args.src_dir, args.other_src_dir))
+    for name in args.groups:
+        print(name, "equal" if first[name] == second[name] else "DIFFERS")
+        print(f"  {first[name]}  {args.src_dir}\n  {second[name]}  {args.other_src_dir}")
+    return 0 if first == second else 1
 
 
 if __name__ == "__main__":
