@@ -396,10 +396,8 @@ def _step_starts(
     return alpha
 
 
-def _descend(
-    inst: ProblemInstance, u: np.ndarray, level: np.ndarray, opts: SolveOptions, nodal: bool
-):
-    """Projected descent from a stack of projected fields and their levels.
+def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bool):
+    """Projected descent from a stack of projected fields.
 
     Each row counts its own iterations and follows the same steps as it
     would alone, whatever else is in the stack.  A row carries the level
@@ -451,11 +449,11 @@ def _descend(
     fields = u.copy()
     converged = np.zeros(n, dtype=bool)
     # The live rows: their index in ``fields``, iteration count, field,
-    # level, sup residual at their last failed polish, whether the line
-    # search could not move them, last levels, and field, residual and
-    # accepted step one iteration back (for the step).
+    # sup residual at their last failed polish, whether the line search
+    # could not move them, last levels, and field, residual and accepted
+    # step one iteration back (for the step).
     live = (
-        np.arange(n), np.zeros(n, dtype=int), u.copy(), level.copy(), np.full(n, math.inf),
+        np.arange(n), np.zeros(n, dtype=int), u.copy(), np.full(n, math.inf),
         np.zeros(n, dtype=bool), np.full((n, _HISTORY), -math.inf), u.copy(), np.zeros_like(u),
         np.full(n, _STEP_INIT),
     )
@@ -463,7 +461,7 @@ def _descend(
     # residual.
     parked = []
     while True:
-        idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev = live
+        idx, its, u, failed_at, stalled, history, u_prev, r_prev, a_prev = live
         if idx.size:
             r = _residual(inst, u)
             rinf = np.abs(r).max(axis=1)
@@ -481,17 +479,16 @@ def _descend(
                 if due.any():
                     parked.append([a[due] for a in (*live, r, rinf)])
                 fields[idx[out]], converged[idx[out]] = u[out], done[out]
-                idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev, r = (
+                idx, its, u, failed_at, stalled, history, u_prev, r_prev, a_prev, r = (
                     a[keep] for a in (*live, r)
                 )
         if not idx.size:
             if not parked:
                 break
             # The stack has drained: polish every parked row as one stack.
-            (
-                idx, its, u, level, failed_at, stalled, history, u_prev, r_prev, a_prev,
-                r, rinf,
-            ) = (np.concatenate(chunk) for chunk in zip(*parked))
+            idx, its, u, failed_at, stalled, history, u_prev, r_prev, a_prev, r, rinf = (
+                np.concatenate(chunk) for chunk in zip(*parked)
+            )
             parked = []
             cand, ok = _newton_roots(inst, u, 0.1 * tol)
             ok &= _sign_ok(cand, nodal)
@@ -504,9 +501,8 @@ def _descend(
             # a row parks at the cap only when it stalled.
             out = ok | stalled
             fields[idx[out]], converged[idx[out]] = u[out], ok[out]
-            idx, its, u, level, failed_at, history, u_prev, r_prev, a_prev, r = (
-                a[~out]
-                for a in (idx, its, u, level, failed_at, history, u_prev, r_prev, a_prev, r)
+            idx, its, u, failed_at, history, u_prev, r_prev, a_prev, r = (
+                a[~out] for a in (idx, its, u, failed_at, history, u_prev, r_prev, a_prev, r)
             )
             if not idx.size:
                 break
@@ -520,7 +516,8 @@ def _descend(
         d = -r * (1.0 / metric)
         slope = _dot(mu, r * d)
         alpha = _step_starts(inst, u - u_prev, r - r_prev, metric, a_prev, nodal)
-        history[np.arange(len(idx)), its % _HISTORY] = level
+        # u is a projection's output, so this is its level.
+        history[np.arange(len(idx)), its % _HISTORY] = 0.5 * _dot(mu, u * u)
         ref = history.max(axis=1)
         u_prev, r_prev = u.copy(), r
         # The first line-search round takes every live row, each later
@@ -529,9 +526,9 @@ def _descend(
         ok &= w_level <= ref + _ARMIJO * alpha * slope
         stalled = ~ok
         if ok.all():
-            u, level = w, w_level
+            u = w
         else:
-            u[ok], level[ok] = w[ok], w_level[ok]
+            u[ok] = w[ok]
         search = np.flatnonzero(stalled)
         while search.size:
             alpha[search] *= _SHRINK
@@ -542,10 +539,10 @@ def _descend(
                 inst, u[search] + alpha[search, None] * d[search], nodal
             )
             ok &= w_level <= ref[search] + _ARMIJO * alpha[search] * slope[search]
-            u[search[ok]], level[search[ok]] = w[ok], w_level[ok]
+            u[search[ok]] = w[ok]
             stalled[search[ok]] = False
             search = search[~ok]
-        live = (idx, its + 1, u, level, failed_at, stalled, history, u_prev, r_prev, alpha)
+        live = (idx, its + 1, u, failed_at, stalled, history, u_prev, r_prev, alpha)
     return fields, converged
 
 
@@ -645,7 +642,7 @@ def _sign_pattern(inst: ProblemInstance, u: np.ndarray) -> dict:
 
 
 def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
-    """Projected seeds of all starts: (fields, levels, ok).
+    """Projected seeds of all starts: (fields, ok).
 
     Each start has at most 4 attempts.  Start ``i`` first takes
     deterministic seed ``i`` while there is one, and after that the next
@@ -662,22 +659,21 @@ def _seed_stack(inst: ProblemInstance, opts: SolveOptions, nodal: bool):
         k = attempt - (i < len(seeds))
         return seeds[i] if k < 0 else _random_field(opts.seed, i, len(taper), nodal, k) * taper
 
-    u, level = np.zeros((opts.starts, len(taper))), np.zeros(opts.starts)
-    ok = np.zeros(opts.starts, dtype=bool)
+    u, ok = np.zeros((opts.starts, len(taper))), np.zeros(opts.starts, dtype=bool)
     todo = np.arange(opts.starts)
     for attempt in range(4):
         if not todo.size:
             break
         w0 = np.array([attempt_seed(i, attempt) for i in todo.tolist()])
-        w, w_level, got = nehari._project(inst, w0, nodal)
-        u[todo[got]], level[todo[got]], ok[todo[got]] = w[got], w_level[got], True
+        w, _, got = nehari._project(inst, w0, nodal)
+        u[todo[got]], ok[todo[got]] = w[got], True
         todo = todo[~got]
-    return u, level, ok
+    return u, ok
 
 
 def _solve(inst: ProblemInstance, opts: SolveOptions, nodal: bool) -> SolveReport:
-    u, level, seeded = _seed_stack(inst, opts, nodal)
-    fields, converged = _descend(inst, u[seeded], level[seeded], opts, nodal)
+    u, seeded = _seed_stack(inst, opts, nodal)
+    fields, converged = _descend(inst, u[seeded], opts, nodal)
     # In start order, so that ties and the histogram do not depend on the stacking.
     fields = fields[converged]
     results = list(zip(_energies(inst, fields).tolist(), map(_normalize_sign, fields)))

@@ -183,12 +183,12 @@ class TestStackedDescent:
         graph = WeightedGraph.from_dict(generate_graph(topology, n, well))
         inst = ProblemInstance.dirichlet(graph) if lam is None else ProblemInstance.full(graph, lam)
         opts = SolveOptions(starts=16 if lam is None else 8, seed=0)
-        u, level, seeded = solver._seed_stack(inst, opts, nodal)
+        u, seeded = solver._seed_stack(inst, opts, nodal)
         assert seeded.all()
-        fields, converged = solver._descend(inst, u, level, opts, nodal)
+        fields, converged = solver._descend(inst, u, opts, nodal)
         assert converged.any()
         for i in range(len(u)):
-            alone, ok = solver._descend(inst, u[i : i + 1], level[i : i + 1], opts, nodal)
+            alone, ok = solver._descend(inst, u[i : i + 1], opts, nodal)
             assert ok[0] == converged[i]
             # Each row takes the very steps it takes alone, so not only the
             # level (to 1e-13) but the field agrees to the last bit.
@@ -267,7 +267,7 @@ class TestSeedMemo:
             return random_field(seed, i, n, nodal, k)
 
         monkeypatch.setattr(solver, "_random_field", recorded)
-        _, _, ok = solver._seed_stack(ProblemInstance.full(p6, 1e3), OPTS, nodal=True)
+        _, ok = solver._seed_stack(ProblemInstance.full(p6, 1e3), OPTS, nodal=True)
         assert not ok[4] and ok.sum() == 15
         assert [k for i, k in drawn if i == 4] == [0, 1, 2, 3]
 
@@ -335,7 +335,7 @@ class TestStepStarts:
     def test_first_iteration_starts_at_init(self, p6, monkeypatch):
         inst = ProblemInstance.full(p6, 10.0)
         opts = SolveOptions(starts=8, seed=0)
-        u, level, _ = solver._seed_stack(inst, opts, nodal=True)
+        u, _ = solver._seed_stack(inst, opts, nodal=True)
         trials = []
         project = nehari._project
 
@@ -344,7 +344,7 @@ class TestStepStarts:
             return project(inst, w, nodal)
 
         monkeypatch.setattr(nehari, "_project", recorded)
-        solver._descend(inst, u, level, opts, nodal=True)
+        solver._descend(inst, u, opts, nodal=True)
         # P = 1 / max(D(u), lam a + 1), D the residual Jacobian's diagonal.
         floor = inst.lam_a + 1.0
         diag = np.diag(inst.stiffness) / inst.mu + inst.lam_a
@@ -799,9 +799,9 @@ class TestIterationCap:
     def test_capped_descent_matches_record(self, monkeypatch, case, cap):
         monkeypatch.setattr(solver, "_MAX_OUTER_ITERS", cap)
         inst, nodal, opts = self._case(case)
-        u, level, seeded = solver._seed_stack(inst, opts, nodal)
+        u, seeded = solver._seed_stack(inst, opts, nodal)
         assert seeded.all()
-        fields, converged = solver._descend(inst, u, level, opts, nodal)
+        fields, converged = solver._descend(inst, u, opts, nodal)
         flags = "".join("1" if c else "0" for c in converged)
         assert (flags, hashlib.sha256(fields.tobytes()).hexdigest()[:16]) == self.RECORDED[case, cap]
         rinf = np.abs(solver._residual(inst, fields)).max(axis=1)
