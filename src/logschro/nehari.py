@@ -8,9 +8,9 @@ ratio p = t / s, so the pair system is one scalar root in p.  That root's
 equation is increasing and concave, so a plain Newton iteration reaches
 it monotonically.  The intermediate-value bracketing box is in closed
 form too, and it bounds the root.  Both projections fail typed beyond
-float range: a scaling whose square is not a normal double raises
-``NoBracket``, and a field without the sign parts a projection scales
-raises ``ValueError``.
+float range: a scaling whose square is not a normal double, or a
+nonzero field or sign part whose square underflows, raises ``NoBracket``;
+a field without the sign parts a projection scales raises ``ValueError``.
 
 Each public function validates its field argument once and gathers its
 values on the instance's free vertex set.  ``_project`` is the one
@@ -136,16 +136,16 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray):
 
 
 def _field_norms(inst: ProblemInstance, uf: np.ndarray) -> list[float]:
-    """The ``_split_stats`` row of one field's free values, as floats;
-    ``ValueError`` when a sign part is zero."""
-    return _both_parts(_split_stats(inst, uf[None, :])[0][0].tolist())
-
-
-def _both_parts(norms: list[float]) -> list[float]:
-    """One row's norms; ``ValueError`` when a sign part is zero."""
-    if norms[2] == 0.0 or norms[5] == 0.0:
+    """The ``_split_stats`` row of one field's free values as floats,
+    taken without warnings; ``ValueError`` when a sign part is zero,
+    ``NoBracket`` when a nonzero part's square underflows."""
+    if not ((uf > 0.0).any() and (uf < 0.0).any()):
         raise ValueError("pair projection needs both sign parts nontrivial")
-    return norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _split_stats(inst, uf[None, :])[0][0].tolist()
+    if row[2] == 0.0 or row[5] == 0.0:
+        raise NoBracket("the square of a sign part underflows: its scaling is beyond float range")
+    return row
 
 
 def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
@@ -153,9 +153,14 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
 
     Closed form: log s^2 = (|w|_H^2 - |w|_2^2 - int w^2 log w^2) / |w|_2^2.
     Raises ``NoBracket`` when s lies beyond 2^(+-510), where s^2 is not a
-    normal double, and ``ValueError`` for the zero field.
+    normal double, or when the square of a nonzero ``w`` underflows, and
+    ``ValueError`` for the zero field.
     """
-    return _ray_scaling(*_ray_norms(inst, inst.free_values(w)[None, :])[0].tolist())
+    w = inst.free_values(w)[None, :]
+    if not w.any():
+        raise ValueError("cannot ray-project the zero field")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ray_scaling(*_ray_norms(inst, w)[0].tolist())
 
 
 def _ray_norms(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
@@ -171,7 +176,7 @@ def _ray_norms(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
 def _ray_scaling(b: float, h: float, lg: float) -> float:
     """The ray's closed form from one row's norms (see ``project_ray``)."""
     if b == 0.0:
-        raise ValueError("cannot ray-project the zero field")
+        raise NoBracket("the square of the field underflows: its scaling is beyond float range")
     half_log = 0.5 * (h - b - lg) / b
     # The pair box's bound: s^2 must be a normal double.  Written so that a
     # NaN fails it too.
@@ -283,13 +288,13 @@ def project_pair(
     """
     if initial is not None and not all(0.0 < x < math.inf for x in initial):
         raise ValueError(f"initial scalings must be positive and finite, got {initial!r}")
-    norms, up, um = _split_stats(inst, inst.free_values(u)[None, :])
-    row = norms[0].tolist()
+    uf = inst.free_values(u)
+    row = _field_norms(inst, uf)
     s, t, g1, g2, iterations, bracket = _pair_row(row, initial)
     return PairProjection(
         s=s,
         t=t,
-        projected=inst.extend(s * up[0] + t * um[0]),
+        projected=inst.extend(s * np.maximum(uf, 0.0) + t * np.minimum(uf, 0.0)),
         g1_residual=g1,
         g2_residual=g2,
         iterations=iterations,
@@ -347,7 +352,9 @@ def _pair_row(norms: list[float], initial: tuple[float, float] | None = None):
     Returns (s, t, g1, g2, iterations, bracket).  Raises ``ValueError``
     when a sign part is zero.
     """
-    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = _both_parts(norms)
+    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
+    if b_pos == 0.0 or b_neg == 0.0:
+        raise ValueError("pair projection needs both sign parts nontrivial")
     bracket = lo, hi = _bracket_from_stats(norms)
 
     # g1 / (s^2 b+) = 0 and g2 / (t^2 b-) = 0 in the ratio p = t / s:
@@ -399,10 +406,9 @@ def _pair_row(norms: list[float], initial: tuple[float, float] | None = None):
     # g1, g2 and the scaled residuals e1 = g1 / s^2, e2 = g2 / t^2, whose
     # forms drop the factors s^2 and t^2 whose products with a+- overflow
     # near the top of the box.
+    g1, g2 = _g_pair(norms, s, t)
     ss, tt = s * s, t * t
     ls2, lt2 = math.log(ss), math.log(tt)
-    g1 = ss * h_pos - ss * ls2 * b_pos - 0.5 * s * t * k
-    g2 = tt * h_neg - tt * lt2 * b_neg - 0.5 * s * t * k
     r, q = t / s, s / t
     e1 = h_pos - ls2 * b_pos - 0.5 * r * k
     e2 = h_neg - lt2 * b_neg - 0.5 * q * k

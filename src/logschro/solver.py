@@ -19,14 +19,16 @@ Barzilai-Borwein step in the metric of ``P`` (Barzilai & Borwein, IMA
 J. Numer. Anal. 8, 1988; Molina & Raydan, Numer. Algorithms 13, 1996),
 clipped to ``[_STEP_MIN, _STEP_MAX_NODAL]`` on nodal rows and to the far
 wider ``[_STEP_MIN, _STEP_MAX_GROUND]`` on ground rows; a ground row
-that met negative curvature doubles its last accepted step instead.  It
+that met negative curvature takes the size of its BB quotient instead,
+clipped the same way, and a nodal row restarts at ``_STEP_INIT``.  It
 halves its own step on each rejected trial.  A line-search trial costs one
 projection and nothing else: the projection returns the level of its
 field in closed form (``J(w) = |w|_2^2 / 2`` on both Nehari sets), and
 the nonmonotone Armijo test of Grippo, Lampariello & Lucidi (SIAM J.
 Numer. Anal. 23, 1986) compares that level with the largest of the
-row's last ``_HISTORY`` levels.  Energies are evaluated on their own
-only to judge a polish and to report a level.
+row's last ``_HISTORY`` levels, each ``|u|_2^2 / 2`` of a projected
+field the row carried.  Energies are evaluated on their own only to
+judge a polish and to report a level.
 
 A row at tolerance retires at once.  A damped Newton polish on the
 pointwise residual system ends a start early once it succeeds; descent
@@ -116,11 +118,12 @@ _POLISH_HALVINGS = 5
 # Descent budget per start and nonmonotone Armijo line search: a row's
 # first trial step is its Barzilai-Borwein step clipped to [_STEP_MIN,
 # _STEP_MAX_GROUND] or [_STEP_MIN, _STEP_MAX_NODAL] (on a ground row
-# past negative curvature, twice its last step, clipped), or _STEP_INIT
-# where there is none, and a trial is judged against the largest of the
-# row's last _HISTORY levels.  Long nodal steps fail the pair projection; the
-# ray projection has a closed form, and a ground row near a degenerate
-# minimizer needs steps of order 1/eig to cross its flat directions.
+# past negative curvature, the BB quotient's size, clipped), or
+# _STEP_INIT where there is none, and a trial is judged against the
+# largest of the row's last _HISTORY levels.  Long nodal steps fail the
+# pair projection; the ray projection has a closed form, and a ground row
+# near a degenerate minimizer needs steps of order 1/eig to cross its
+# flat directions.
 _MAX_OUTER_ITERS = 5000
 _STEP_INIT = 0.5
 _STEP_MIN = 1e-3
@@ -366,12 +369,7 @@ def _sign_ok(u: np.ndarray, nodal: bool) -> np.ndarray:
 
 
 def _step_starts(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    y: np.ndarray,
-    metric: np.ndarray,
-    alpha_prev: np.ndarray,
-    nodal: bool,
+    inst: ProblemInstance, s: np.ndarray, y: np.ndarray, metric: np.ndarray, nodal: bool
 ) -> np.ndarray:
     """Each row's first trial step from the change ``s`` of its field and
     ``y`` of its residual over its last iteration.
@@ -380,32 +378,31 @@ def _step_starts(
     ``-P r``, where ``metric`` holds each row's ``1/P``, clipped to
     ``[_STEP_MIN, _STEP_MAX_NODAL]`` for nodal rows and to ``[_STEP_MIN,
     _STEP_MAX_GROUND]`` for ground rows.  Where ``<s, y>_mu < 0`` a ground
-    row takes twice the step ``alpha_prev`` it accepted in its last
-    iteration, clipped the same way, so that it leaves a saddle at a
-    growing step; a nodal row, whose long steps fail the pair projection,
-    takes ``_STEP_INIT``.  ``_STEP_INIT`` also where ``<s, y>_mu = 0`` (a
-    row's first iteration) or the step is not finite.
+    row takes the quotient's size ``|<s, s/P>_mu / <s, y>_mu|``, clipped
+    the same way, so that it leaves a saddle at a step of the scale its
+    own curvature sets; a nodal row, whose long steps fail the pair
+    projection, takes ``_STEP_INIT``.  ``_STEP_INIT`` also where ``<s,
+    y>_mu = 0`` (a row's first iteration) or the quotient is not finite.
     """
     hi = _STEP_MAX_NODAL if nodal else _STEP_MAX_GROUND
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sy = _dot(inst.mu, s * y)
         bb = _dot(inst.mu, metric * s * s) / sy
-        alpha = np.where((sy > 0.0) & np.isfinite(bb), np.clip(bb, _STEP_MIN, hi), _STEP_INIT)
-    if not nodal:
-        alpha = np.where(sy < 0.0, np.clip(2.0 * alpha_prev, _STEP_MIN, hi), alpha)
-    return alpha
+        taken = ((sy > 0.0) if nodal else (sy != 0.0)) & np.isfinite(bb)
+        return np.where(taken, np.clip(np.abs(bb), _STEP_MIN, hi), _STEP_INIT)
 
 
 def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bool):
     """Projected descent from a stack of projected fields.
 
     Each row counts its own iterations and follows the same steps as it
-    would alone, whatever else is in the stack.  A row carries the level
-    of its current field, which the projection returns in closed form; a
-    line-search trial is accepted when its level is at most the largest
-    of the row's last ``_HISTORY`` levels plus ``_ARMIJO * alpha *
-    slope``, so it costs one projection and no energy evaluation.
-    Energies are evaluated only to judge a polish.
+    would alone, whatever else is in the stack.  A row's field is always
+    a projection's output, so its level is ``|u|_2^2 / 2``, and each
+    iteration records that level; a line-search trial is accepted when
+    the level the projection returns for it in closed form is at most
+    the largest of the row's last ``_HISTORY`` levels plus ``_ARMIJO *
+    alpha * slope``, so it costs one projection and no energy
+    evaluation.  Energies are evaluated only to judge a polish.
 
     A row's direction is ``-P r`` with ``P = 1/max(D(u), lam a + 1)``
     and ``D`` the residual Jacobian's diagonal (``_jacobian_diagonal``),
@@ -414,7 +411,7 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
     Barzilai-Borwein step in the metric of ``P`` (see ``_step_starts``),
     which is ``_STEP_INIT`` on the row's first iteration, where its field
     has not changed yet; a ground row whose last iteration met negative
-    curvature doubles the step it accepted there.  The first
+    curvature takes the size of its BB quotient.  The first
     line-search round projects every live row and each later round the
     rows still searching; a rejected row halves its own step, and a row
     whose step falls to 1e-16 stops searching.
@@ -450,18 +447,17 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
     converged = np.zeros(n, dtype=bool)
     # The live rows: their index in ``fields``, iteration count, field,
     # sup residual at their last failed polish, whether the line search
-    # could not move them, last levels, and field, residual and accepted
-    # step one iteration back (for the step).
+    # could not move them, last levels, and field and residual one
+    # iteration back (for the step).
     live = (
         np.arange(n), np.zeros(n, dtype=int), u.copy(), np.full(n, math.inf),
         np.zeros(n, dtype=bool), np.full((n, _HISTORY), -math.inf), u.copy(), np.zeros_like(u),
-        np.full(n, _STEP_INIT),
     )
     # The parked rows, in chunks: their live state plus residual and sup
     # residual.
     parked = []
     while True:
-        idx, its, u, failed_at, stalled, history, u_prev, r_prev, a_prev = live
+        idx, its, u, failed_at, stalled, history, u_prev, r_prev = live
         if idx.size:
             r = _residual(inst, u)
             rinf = np.abs(r).max(axis=1)
@@ -479,14 +475,14 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
                 if due.any():
                     parked.append([a[due] for a in (*live, r, rinf)])
                 fields[idx[out]], converged[idx[out]] = u[out], done[out]
-                idx, its, u, failed_at, stalled, history, u_prev, r_prev, a_prev, r = (
+                idx, its, u, failed_at, stalled, history, u_prev, r_prev, r = (
                     a[keep] for a in (*live, r)
                 )
         if not idx.size:
             if not parked:
                 break
             # The stack has drained: polish every parked row as one stack.
-            idx, its, u, failed_at, stalled, history, u_prev, r_prev, a_prev, r, rinf = (
+            idx, its, u, failed_at, stalled, history, u_prev, r_prev, r, rinf = (
                 np.concatenate(chunk) for chunk in zip(*parked)
             )
             parked = []
@@ -501,8 +497,8 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
             # a row parks at the cap only when it stalled.
             out = ok | stalled
             fields[idx[out]], converged[idx[out]] = u[out], ok[out]
-            idx, its, u, failed_at, history, u_prev, r_prev, a_prev, r = (
-                a[~out] for a in (idx, its, u, failed_at, history, u_prev, r_prev, a_prev, r)
+            idx, its, u, failed_at, history, u_prev, r_prev, r = (
+                a[~out] for a in (idx, its, u, failed_at, history, u_prev, r_prev, r)
             )
             if not idx.size:
                 break
@@ -515,7 +511,7 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
         metric = np.maximum(_jacobian_diagonal(inst, u), floor)
         d = -r * (1.0 / metric)
         slope = _dot(mu, r * d)
-        alpha = _step_starts(inst, u - u_prev, r - r_prev, metric, a_prev, nodal)
+        alpha = _step_starts(inst, u - u_prev, r - r_prev, metric, nodal)
         # u is a projection's output, so this is its level.
         history[np.arange(len(idx)), its % _HISTORY] = 0.5 * _dot(mu, u * u)
         ref = history.max(axis=1)
@@ -542,7 +538,7 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
             u[search[ok]] = w[ok]
             stalled[search[ok]] = False
             search = search[~ok]
-        live = (idx, its + 1, u, failed_at, stalled, history, u_prev, r_prev, alpha)
+        live = (idx, its + 1, u, failed_at, stalled, history, u_prev, r_prev)
     return fields, converged
 
 

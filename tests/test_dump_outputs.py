@@ -46,7 +46,40 @@ def test_two_trees_run_in_subprocesses(capsys):
 
 
 def test_differing_trees_exit_1(monkeypatch, capsys):
-    digests = iter([{"cli": "a records=1 errors=0"}, {"cli": "b records=1 errors=0"}])
-    monkeypatch.setattr(dump, "_tree_digests", lambda src_dir, groups: next(digests))
+    records = iter([{"cli": ["exit 0\n1.0"]}, {"cli": ["exit 0\n1.5"]}])
+    monkeypatch.setattr(dump, "_tree_records", lambda src_dir, groups: next(records))
     assert dump.main(["x", "y", "--groups", "cli"]) == 1
-    assert capsys.readouterr().out.startswith("cli DIFFERS\n")
+    out = capsys.readouterr().out
+    assert out.startswith("cli DIFFERS\n")
+    assert "  1 records differ, 1 only in numbers\n" in out
+
+
+def test_compare_says_how_far_records_moved():
+    hexed = "00" * 15 + "01"
+    first = [
+        "r000 ground 1.0",
+        f'r001 ground {{"level": 2.0, "residual": 1e-15}} {hexed}',
+        "r002 ground 4.0 [1]",
+        "r003 nodal error NoBracket: beyond float range",
+        "r004 ground 3.0",
+    ]
+    second = [
+        "r000 ground 1.0",
+        f'r001 ground {{"level": 2.000000002, "residual": 3e-15}} {"00" * 16}',
+        "r002 ground 4.0 [1, 2]",
+        "r003 nodal 5.0",
+        "r004 ground 3.0",
+        "r005 nodal 1.0",
+    ]
+    # Only r001 differs in numbers alone; its residual is below 1e-12 of its
+    # level, and its bytes in hex are not compared.
+    assert dump.compare(first, second) == [
+        "4 records differ, 1 only in numbers",
+        f"largest relative change 1e-09 in {first[1][:60]!r}",
+        f"largest absolute change below 1e-12 of the largest 2e-15 in {first[1][:60]!r}",
+        "3 other records differ:",
+        "  'r002 ground 4.0 [1]'",
+        "  'r003 nodal error NoBracket: beyond float range'",
+        "  'r005 nodal 1.0'",
+    ]
+    assert dump.compare(first, first) == ["0 records differ, 0 only in numbers"]

@@ -507,6 +507,23 @@ class TestCli:
         assert captured.err.startswith("error: pair projection failed")
         assert "float range" in captured.err
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_state_beyond_float_range_exits_2(self, tmp_path, p6, capsys, scale):
+        # Both sign parts are nonzero.  At 1e-170 their squares underflow,
+        # which exited 3 as if a part were zero; at 1e160 they overflow,
+        # which printed raw RuntimeWarnings first.
+        gpath = tmp_path / "p6.json"
+        p6.save(gpath)
+        fpath = tmp_path / "u.json"
+        fpath.write_text(json.dumps({"values": {"v2": scale, "v3": -2.0 * scale, "v5": scale}}))
+        code = cli_main(["project", "--graph", str(gpath), "--state", str(fpath),
+                         "--lambda", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pair projection failed")
+        assert "Warning" not in captured.err
+
     def test_scaling_overflow_exits_2(self, tmp_path, p3_no_well, capsys):
         gpath = tmp_path / "p3.json"
         p3_no_well.save(gpath)

@@ -124,6 +124,11 @@ class TestPairResiduals:
         with pytest.raises(ValueError):
             pair_residuals(k2_inst, np.array([1.0, 2.0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("s, t", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    def test_nonpositive_scalings_rejected(self, k2_inst, s, t):
+        with pytest.raises(ValueError, match="must be positive"):
+            pair_residuals(k2_inst, np.array([2.0, -1.0]), s, t)
+
 
 class TestMirandaBracket:
     def test_corner_signs(self, k2_inst):
@@ -563,6 +568,26 @@ class TestFailuresAreTyped:
         else:
             assert _normal_square(proj.s) and _normal_square(proj.t)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-320, 1e160, 1e300])
+    @pytest.mark.parametrize("project", [project_ray, project_pair, miranda_bracket])
+    def test_fields_beyond_float_range_raise_no_bracket(self, p6, project, scale):
+        # Both sign parts are nonzero.  At 1e-170 and below their squares
+        # underflow, and this used to raise ValueError as for a zero part;
+        # at 1e160 and above they overflow, which used to warn first.  The
+        # suite turns a RuntimeWarning into an error.
+        u = p6.field({"v2": 1.0, "v3": -2.0, "v5": 0.5}) * scale
+        with pytest.raises(NoBracket):
+            project(ProblemInstance.full(p6, 10.0), u)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-170, 1.0, 1e160])
+    def test_missing_parts_stay_value_errors(self, p6, scale):
+        inst = ProblemInstance.full(p6, 10.0)
+        with pytest.raises(ValueError, match="zero field"):
+            project_ray(inst, p6.field({}) * scale)
+        for project in (project_pair, miranda_bracket):
+            with pytest.raises(ValueError, match="both sign parts"):
+                project(inst, p6.field({"v2": 1.0, "v5": 0.5}) * scale)
+
     @pytest.mark.parametrize(
         "values, project, raised_in",
         [
@@ -659,6 +684,11 @@ class TestFiberEnergy:
     def test_rejects_nonmembers(self, k2_inst):
         with pytest.raises(ValueError):
             fiber_energy(k2_inst, np.array([1.0, -3.0]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("s, t", [(-1.0, 1.0), (1.0, -0.5)])
+    def test_negative_scalings_rejected(self, k2_inst, s, t):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            fiber_energy(k2_inst, np.array([E, -E]), s, t)
 
     def test_strict_maximum_at_unit_pair(self, k2_inst):
         u = np.array([E, -E])

@@ -278,28 +278,26 @@ class TestStepStarts:
 
     def test_safeguards(self, p6):
         inst = ProblemInstance.full(p6, 10.0)  # mass = mu (lam a + 1) differs from mu
-        s = np.array([[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0] * 6,
-                      [1e-3, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0.0, 0, 1.0, 0, 0, 0],
-                      [1e200, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]])
-        y = np.array([[-1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [1.0] * 6,
-                      [1e4, 0, 0, 0, 0, 0], [1e-9, 0, 0, 0, 0, 0], [0.0, 0, 4.0, 0, 0, 0],
-                      [1e-200, 0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0, 0]])
-        # Each row's 1/P: lam a + 1, except 3 in the well on row 5.
+        e0, e2 = np.eye(6)[0], np.eye(6)[2]
+        s = np.array([e0, e0, 0 * e0, 1e-3 * e0, e0, e2, 1e200 * e0, e0, 1e-3 * e0, 1e200 * e0])
+        y = np.array([-e0, np.eye(6)[1], np.ones(6), 1e4 * e0, 1e-9 * e0, 4.0 * e2,
+                      1e-200 * e0, -1e-9 * e0, -1e4 * e0, -1e-200 * e0])
+        # Each row's 1/P: lam a + 1 = 11 off the well, except 3 in the well
+        # on row 5.
         metric = np.tile(inst.lam_a + 1.0, (len(s), 1))
         metric[5, 2] = 3.0
-        alpha_prev = np.array([0.3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e5, 1e-4])
-        # <s, y> < 0, = 0, = 0; clipped below and above (the step is about
-        # 1e9); the step itself, <s, s/P> / <s, y> = (0 + 3) / 4 in the
-        # well; not finite; < 0 after steps whose double is above and below
-        # the bounds.
+        assert metric[0, 0] == 11.0
+        # <s, y> < 0 with |<s, s/P> / <s, y>| = 11; <s, y> = 0 twice;
+        # clipped below and above (the step is about 1e9); the step itself,
+        # (0 + 3) / 4 in the well; not finite; < 0 with |BB| above and
+        # below the bounds; < 0 and not finite.
         # Each kind of row has its own upper bound, and where <s, y> < 0 a
-        # ground row doubles its last step, clipped, and a nodal row
-        # restarts.
+        # ground row takes its |BB| step, clipped, and a nodal row restarts.
         init, lo = solver._STEP_INIT, solver._STEP_MIN
         for nodal, hi in ((False, solver._STEP_MAX_GROUND), (True, solver._STEP_MAX_NODAL)):
-            alpha = solver._step_starts(inst, s, y, metric, alpha_prev, nodal)
-            negative = [init] * 3 if nodal else [0.6, hi, lo]
-            expected = [negative[0], init, init, lo, hi, 0.75, init, negative[1], negative[2]]
+            alpha = solver._step_starts(inst, s, y, metric, nodal)
+            negative = [init] * 3 if nodal else [11.0, hi, lo]
+            expected = [negative[0], init, init, lo, hi, 0.75, init, negative[1], negative[2], init]
             np.testing.assert_array_equal(alpha, expected)
 
     @pytest.mark.parametrize("lam, nodal", [(10.0, False), (100.0, True)])
@@ -308,14 +306,16 @@ class TestStepStarts:
         seen = []
         step_starts = solver._step_starts
 
-        def recorded(inst, s, y, metric, alpha_prev, nodal):
-            alpha = step_starts(inst, s, y, metric, alpha_prev, nodal)
-            seen.append((solver._dot(inst.mu, s * y), alpha_prev.copy(), alpha.copy()))
+        def recorded(inst, s, y, metric, nodal):
+            alpha = step_starts(inst, s, y, metric, nodal)
+            sy = solver._dot(inst.mu, s * y)
+            seen.append((sy, solver._dot(inst.mu, metric * s * s) / sy, alpha.copy()))
             return alpha
 
         monkeypatch.setattr(solver, "_step_starts", recorded)
-        (solver.solve_nodal if nodal else solver.solve_ground)(inst, OPTS)
-        sy, alpha_prev, alpha = (np.concatenate(c) for c in zip(*seen))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            (solver.solve_nodal if nodal else solver.solve_ground)(inst, OPTS)
+        sy, bb, alpha = (np.concatenate(c) for c in zip(*seen))
         lo = solver._STEP_MIN
         hi = solver._STEP_MAX_NODAL if nodal else solver._STEP_MAX_GROUND
         assert np.all((lo <= alpha) & (alpha <= hi))
@@ -324,9 +324,7 @@ class TestStepStarts:
         if nodal:
             assert np.all(alpha[negative] == solver._STEP_INIT)
         else:
-            np.testing.assert_array_equal(
-                alpha[negative], np.clip(2.0 * alpha_prev[negative], lo, hi)
-            )
+            np.testing.assert_array_equal(alpha[negative], np.clip(-bb[negative], lo, hi))
         # Not vacuous: every kind of row occurs, and BB moves the step.
         assert (sy == 0.0).any() and negative.any() and (alpha != solver._STEP_INIT).any()
         # Ground rows do take steps beyond the nodal bound.
@@ -353,9 +351,10 @@ class TestStepStarts:
         d = -solver._residual(inst, u) * (1.0 / np.maximum(diag, floor))
         np.testing.assert_array_equal(trials[0], u + solver._STEP_INIT * d)
 
-    def test_ground_row_leaves_a_saddle_at_a_growing_step(self, p6, monkeypatch):
+    def test_ground_row_leaves_a_saddle_at_its_bb_size(self, p6, monkeypatch):
         # Restarted at 0.5 wherever <s, y> < 0, the last rows of this solve
-        # crept away from a saddle: 70 stacked iterations.
+        # crept away from a saddle: 70 stacked iterations.  At |BB| they
+        # take 41, and at twice their last accepted step they took 40.
         calls = collections.Counter()
         monkeypatch.setattr(solver, "_step_starts", _counted(calls, "its", solver._step_starts))
         rep = solve_ground(ProblemInstance.full(p6, 1.0), OPTS)

@@ -2,7 +2,11 @@
 
 Equal digests mean byte-identical outputs.  Given a second tree, it runs
 each tree in its own subprocess, prints both digests of each group with
-``equal`` or ``DIFFERS``, and exits 1 on any difference:
+``equal`` or ``DIFFERS``, and exits 1 on any difference.  Under a group
+that differs it says by how much (see ``compare``): the number of
+differing records, the largest change of the records whose text differs
+only in numbers, and the first 60 characters of each other differing
+record:
 
     python tools/dump_outputs.py src
     python tools/dump_outputs.py src ../other-checkout/src --groups fixtures cli
@@ -40,8 +44,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -59,6 +65,9 @@ FIXTURE_FAMILIES = (
 )
 SWEEP_GRAPHS = (("path", 6, "3..4"), ("grid", 5, "v2-2,v2-3,v3-2,v3-3"))
 SWEEP_LAMBDAS = "1,10,100,1000,10000"
+# A decimal number, and a whitespace-delimited run of float64 bytes in hex.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+HEX_BYTES = re.compile(r"(?<!\S)(?:[0-9a-f]{16})+(?!\S)")
 
 
 def _error(exc: Exception) -> str:
@@ -211,11 +220,49 @@ def digest(records) -> str:
     return f"{h.hexdigest()} records={n} errors={errors}"
 
 
-def _tree_digests(src_dir: str, groups: list[str]) -> dict[str, str]:
-    """Each group's digest line for the tree ``src_dir``, from a subprocess."""
-    argv = [sys.executable, os.path.abspath(__file__), src_dir, "--groups", *groups]
+def _numbers(record: str) -> tuple[str, list[float]]:
+    """A record's text with its numbers cut out, and the numbers; the
+    minimizer's bytes in hex are dropped, as its JSON values repeat them."""
+    text = HEX_BYTES.sub("", record)
+    return NUMBER.sub("#", text), [float(x) for x in NUMBER.findall(text)]
+
+
+def compare(first: list[str], second: list[str]) -> list[str]:
+    """Lines saying by how much two trees' records of one group differ.
+
+    Records are paired in order.  A pair whose texts are equal once their
+    numbers are cut out differs only in numbers: each number is compared
+    by its relative change, except one below 1e-12 of the largest number
+    of its pair, which is compared by its absolute change.  Every other
+    differing pair is listed by its first 60 characters.
+    """
+    pairs = [(a, b) for a, b in itertools.zip_longest(first, second, fillvalue="") if a != b]
+    rel, small, other = (0.0, ""), (0.0, ""), []
+    for a, b in pairs:
+        (text_a, xs), (text_b, ys) = _numbers(a), _numbers(b)
+        if text_a != text_b:
+            other.append(f"  {(a or b)[:60]!r}")
+            continue
+        top = max(map(abs, xs + ys), default=0.0)
+        for x, y in zip(xs, ys):
+            if max(abs(x), abs(y)) < 1e-12 * top:
+                small = max(small, (abs(x - y), a[:60]))
+            elif x != y:
+                rel = max(rel, (abs(x - y) / max(abs(x), abs(y)), a[:60]))
+    lines = [f"{len(pairs)} records differ, {len(pairs) - len(other)} only in numbers"]
+    if len(other) < len(pairs):
+        lines.append(f"largest relative change {rel[0]:.2g} in {rel[1]!r}")
+        lines.append(f"largest absolute change below 1e-12 of the largest {small[0]:.2g} in {small[1]!r}")
+    if other:
+        lines.append(f"{len(other)} other records differ:")
+    return lines + other
+
+
+def _tree_records(src_dir: str, groups: list[str]) -> dict[str, list[str]]:
+    """Each group's records for the tree ``src_dir``, from a subprocess."""
+    argv = [sys.executable, os.path.abspath(__file__), src_dir, "--groups", *groups, "--records"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
-    return dict(line.split(" ", 1) for line in out.splitlines())
+    return json.loads(out)
 
 
 def main(argv=None) -> int:
@@ -223,16 +270,23 @@ def main(argv=None) -> int:
     parser.add_argument("src_dir", help="directory holding the logschro package")
     parser.add_argument("other_src_dir", nargs="?", help="a second tree to compare against")
     parser.add_argument("--groups", nargs="+", choices=list(GROUPS), default=list(GROUPS))
+    parser.add_argument("--records", action="store_true", help="print the records as JSON instead")
     args = parser.parse_args(argv)
     if args.other_src_dir is None:
         sys.path[:0] = [os.path.abspath(args.src_dir), TESTS_DIR]
+        if args.records:
+            print(json.dumps({name: list(GROUPS[name]()) for name in args.groups}))
+            return 0
         for name in args.groups:
             print(f"{name} {digest(GROUPS[name]())}", flush=True)
         return 0
-    first, second = (_tree_digests(src, args.groups) for src in (args.src_dir, args.other_src_dir))
+    first, second = (_tree_records(src, args.groups) for src in (args.src_dir, args.other_src_dir))
     for name in args.groups:
-        print(name, "equal" if first[name] == second[name] else "DIFFERS")
-        print(f"  {first[name]}  {args.src_dir}\n  {second[name]}  {args.other_src_dir}")
+        a, b = digest(first[name]), digest(second[name])
+        print(name, "equal" if a == b else "DIFFERS")
+        print(f"  {a}  {args.src_dir}\n  {b}  {args.other_src_dir}")
+        if a != b:
+            print("\n".join("  " + line for line in compare(first[name], second[name])))
     return 0 if first == second else 1
 
 
