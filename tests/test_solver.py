@@ -309,12 +309,13 @@ class TestStepStarts:
         def recorded(inst, s, y, metric, nodal):
             alpha = step_starts(inst, s, y, metric, nodal)
             sy = solver._dot(inst.mu, s * y)
-            seen.append((sy, solver._dot(inst.mu, metric * s * s) / sy, alpha.copy()))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bb = solver._dot(inst.mu, metric * s * s) / sy
+            seen.append((sy, bb, alpha.copy()))
             return alpha
 
         monkeypatch.setattr(solver, "_step_starts", recorded)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            (solver.solve_nodal if nodal else solver.solve_ground)(inst, OPTS)
+        (solver.solve_nodal if nodal else solver.solve_ground)(inst, OPTS)
         sy, bb, alpha = (np.concatenate(c) for c in zip(*seen))
         lo = solver._STEP_MIN
         hi = solver._STEP_MAX_NODAL if nodal else solver._STEP_MAX_GROUND
