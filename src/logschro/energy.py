@@ -14,11 +14,13 @@ a`` and the stiffness block ``S[F, F]``), and the private kernels
 ``_coupling_k``) run on the free values of a field alone;
 ``_norm_h_sq``, ``_residual`` and ``_energies`` (``_energy`` of each row)
 also take a stack of fields as rows and give each row the floats of that
-field alone.  ``S[F, F]`` is the Dirichlet operator: its diagonal still
-counts every edge to the boundary, so ``u_F^T S[F, F] u_F`` is the
-gradient energy of the zero extension and ``(S[F, F] u_F) / mu_F`` its
-``-Laplacian`` on ``F``.  The kernels use ``integral of Gamma(u, v) dmu =
-v^T S u`` and trust their arrays.
+field alone: their products are the gufuncs ``_matvec = np.matvec`` and
+``_dot = np.vecdot``, one BLAS call per row (a product over the whole
+stack rounds differently).  ``S[F, F]`` is the Dirichlet operator: its
+diagonal still counts every edge to the boundary, so ``u_F^T S[F, F]
+u_F`` is the gradient energy of the zero extension and ``(S[F, F] u_F) /
+mu_F`` its ``-Laplacian`` on ``F``.  The kernels use ``integral of
+Gamma(u, v) dmu = v^T S u`` and trust their arrays.
 
 Full-length fields appear only at the public API: a public function
 validates and gathers its field arguments once (``free_values``) and
@@ -60,6 +62,11 @@ class NotAdmissible(ValueError):
 _TINY = 5e-324
 
 
+def _floored_log(au: np.ndarray) -> np.ndarray:
+    """``log max(au, 5e-324)`` of magnitudes ``au = |u|``, finite at 0."""
+    return np.log(np.maximum(au, _TINY))
+
+
 def sq_log_sq(u: np.ndarray) -> np.ndarray:
     """u^2 log u^2 with the value 0 at u = 0.
 
@@ -67,12 +74,12 @@ def sq_log_sq(u: np.ndarray) -> np.ndarray:
     which avoids underflow of u*u for tiny entries and is finite at u = 0.
     The value at u = 0 is a signed zero.
     """
-    return u * u * (2.0 * np.log(np.maximum(np.abs(u), _TINY)))
+    return u * u * (2.0 * _floored_log(np.abs(u)))
 
 
 def u_log_sq(u: np.ndarray) -> np.ndarray:
     """u log u^2 with the value 0 at u = 0, floored like :func:`sq_log_sq`."""
-    return u * (2.0 * np.log(np.maximum(np.abs(u), _TINY)))
+    return u * (2.0 * _floored_log(np.abs(u)))
 
 
 class ProblemInstance:
@@ -87,6 +94,8 @@ class ProblemInstance:
     ``free_index``, ``stiffness`` (``S[F, F]``), ``mu``, ``lam_a`` and
     ``mass`` (``mu * (lam_a + 1)``) live on ``F``.
     """
+
+    __slots__ = ("graph", "lam", "free", "free_index", "stiffness", "mu", "lam_a", "mass")
 
     def __init__(self, graph: WeightedGraph, lam: float | None, free: Iterable[str] | None = None):
         # Written so that NaN fails it too; inf * 0 would be NaN in lam_a.
@@ -151,21 +160,9 @@ class ProblemInstance:
 
 
 # -- trusted kernels: finite free values of an admissible field -------------
-#
-# A kernel that takes a stack of fields as rows gives each row the same
-# floats as the 1-d field alone: ``_matvec`` and ``_dot`` run one BLAS
-# matrix-vector product or dot per row (a matrix product over the whole
-# stack rounds differently).
 
-
-def _matvec(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``a @ u`` for one field, or for each row of a stack of fields."""
-    return np.matmul(a, u[..., None])[..., 0]
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` along the last axis, row by row; a scalar for two 1-d arrays."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+_matvec = np.matvec
+_dot = np.vecdot
 
 
 def _norm_h_sq(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -180,8 +177,11 @@ def _energy(inst: ProblemInstance, u: np.ndarray) -> float:
     return float(_energies(inst, u))
 
 
-def _residual(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
-    return _matvec(inst.stiffness, u) / inst.mu + inst.lam_a * u - u_log_sq(u)
+def _residual(inst: ProblemInstance, u: np.ndarray, log_abs: np.ndarray | None = None) -> np.ndarray:
+    # A caller that needs ``log_abs = _floored_log(|u|)`` too passes it.
+    if log_abs is None:
+        log_abs = _floored_log(np.abs(u))
+    return _matvec(inst.stiffness, u) / inst.mu + inst.lam_a * u - u * (2.0 * log_abs)
 
 
 def _dir_deriv(inst: ProblemInstance, u: np.ndarray, v: np.ndarray) -> float:

@@ -8,8 +8,9 @@ ratio p = t / s, so the pair system is one scalar root in p.  That root's
 equation is increasing and concave, so a plain Newton iteration reaches
 it monotonically.  The intermediate-value bracketing box is in closed
 form too, and it bounds the root.  Both projections fail typed beyond
-float range: a scaling whose square is not a normal double, or a
-nonzero field or sign part whose square underflows, raises ``NoBracket``;
+float range: a scaling whose square is not a normal double, a nonzero
+field or sign part whose square underflows, or a field whose norms
+overflow raises ``NoBracket``;
 a field without the sign parts a projection scales raises ``ValueError``.
 
 Each public function validates its field argument once and gathers its
@@ -17,16 +18,16 @@ values on the instance's free vertex set.  ``_project`` is the one
 stacked projection: the solver hands it rows of any values and gets
 arrays back, the projected rows, their levels and an ``ok`` mask.  The
 O(n) work is one array pass over the stack that gives each row its norms,
-the ray's (``_ray_norms``) or the sign parts' (``_split_stats``: one
-``sq_log_sq`` pass and the two matvecs ``S u+`` and ``S u-``), through
-the trusted kernels of :mod:`logschro.energy`, which give each row the
-floats of that field alone.  The O(1) rest runs once per row on that
-row's floats, read with ``.tolist()``: the ray's closed form in
-``_ray_scaling`` and the pair's box, ratio root and acceptance test in
-``_pair_row``, each raising its own typed error.  A row fails, with
-``ok`` false, when it is not finite, when its row function raises, or
-when its projected field exceeds 1e150, past which its square, energy
-and residual would overflow.  The public ``project_ray`` and
+the ray's (``_ray_norms``) or the sign parts' (``_split_stats``), one
+square and one log per row or part, through the kernels of
+:mod:`logschro.energy`, which give each row the floats of that field
+alone.  The O(1) rest runs once per row on that row's floats, read with
+``.tolist()``: the ray's closed form in ``_ray_scaling`` and the pair's
+box, ratio root and acceptance test in ``_pair_row``, each raising its
+own typed error; ``(g1, g2)`` are evaluated only to be reported.  A row
+fails, with ``ok`` false, when it is not finite, when its row function
+raises, or when its projected field exceeds 1e150, past which its
+square, energy and residual would overflow.  The public ``project_ray`` and
 ``project_pair`` call the row functions directly, so their errors keep
 the frame that raised them.
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemInstance, _dot, _energy, _matvec, _norm_h_sq, sq_log_sq
+from .energy import ProblemInstance, _dot, _energy, _floored_log, _matvec
 from .graphs import _json_fields
 
 __all__ = [
@@ -111,12 +112,11 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray):
 
     Returns (norms, u+, u-): row i of the (rows, 7) array ``norms`` holds
     (|u+|_H^2, int u+^2 log u+^2, |u+|_2^2, the same three for u-, k) of
-    row i, where k <= 0 is the edge coupling.  One fused pass: a single
-    ``sq_log_sq(u)`` split by sign and the two matvecs ``S u+`` and
-    ``S u-`` give every entry.  ``k = -2 u+ . (S u-)`` because the supports
-    are disjoint.  Each entry is the same float, from the same operations
-    in the same order, as evaluating the kernels on ``u+`` and ``u-`` of
-    that row alone.
+    row i, where k <= 0 is the edge coupling.  One fused pass over the two
+    parts as one stack (a zero entry adds ``-0.0`` to a log sum) and the
+    matvecs ``S u+`` and ``S u-`` give every entry.  ``k = -2 u+ . (S u-)``
+    because the supports are disjoint.  Each entry is the same float as
+    evaluating the kernels on ``u+`` and ``u-`` of that row alone.
     """
     mu, mass, stiff = inst.mu, inst.mass, inst.stiffness
     # The two parts as one stack, so that each kernel below is one call.
@@ -128,8 +128,7 @@ def _split_stats(inst: ProblemInstance, u: np.ndarray):
     norms = np.empty((len(u), 7))
     # Columns 0, 3: |u+-|_H^2; 1, 4: int u+-^2 log u+-^2; 2, 5: |u+-|_2^2.
     norms[:, 0:6:3] = (_dot(parts, s_parts) + _dot(mass, sq)).T
-    # A part is nonzero exactly where u has its sign.
-    norms[:, 1:6:3] = _dot(mu, np.where(parts != 0.0, sq_log_sq(u), 0.0)).T
+    norms[:, 1:6:3] = _dot(mu, sq * (2.0 * _floored_log(np.abs(parts)))).T
     norms[:, 2:6:3] = _dot(mu, sq).T
     norms[:, 6] = -2.0 * _dot(parts[0], s_parts[1])
     return norms, parts[0], parts[1]
@@ -166,10 +165,11 @@ def project_ray(inst: ProblemInstance, w: np.ndarray) -> float:
 def _ray_norms(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
     """(|w|_2^2, |w|_H^2, int w^2 log w^2) of each row of a stack, as rows."""
     mu = inst.mu
+    sq = w * w
     norms = np.empty((len(w), 3))
-    norms[:, 0] = _dot(mu, w * w)
-    norms[:, 1] = _norm_h_sq(inst, w)
-    norms[:, 2] = _dot(mu, sq_log_sq(w))
+    norms[:, 0] = _dot(mu, sq)
+    norms[:, 1] = _dot(w, _matvec(inst.stiffness, w)) + _dot(inst.mass, sq)
+    norms[:, 2] = _dot(mu, sq * (2.0 * _floored_log(np.abs(w))))
     return norms
 
 
@@ -181,8 +181,14 @@ def _ray_scaling(b: float, h: float, lg: float) -> float:
     # The pair box's bound: s^2 must be a normal double.  Written so that a
     # NaN fails it too.
     if not abs(half_log) <= _MAX_BOX_EXP * math.log(2.0):
+        _check_norms_finite((b, h, lg))
         raise NoBracket(f"Nehari scaling e^{half_log:.6g} is beyond float range")
     return math.exp(half_log)
+
+
+def _check_norms_finite(norms) -> None:
+    if not all(map(math.isfinite, norms)):
+        raise NoBracket("the field's norms overflow: its scaling is beyond float range")
 
 
 def _g_pair(norms: list[float], s: float, t: float) -> tuple[float, float]:
@@ -227,6 +233,7 @@ def _bracket_from_stats(norms: list[float]) -> tuple[float, float]:
     lv_pos = (a_pos - l_pos - b_pos - 0.5 * k) / b_pos
     lv_neg = (a_neg - l_neg - b_neg - 0.5 * k) / b_neg
     if not (math.isfinite(lv_pos) and math.isfinite(lv_neg)):
+        _check_norms_finite(norms)
         raise NoBracket("sign-change level of a pair residual is not finite")
     i = max(0, math.floor(-min(lv_pos, lv_neg) / _LN4) + 1)
     j = max(0, math.floor(max(lv_pos, lv_neg) / _LN4) + 1)
@@ -290,7 +297,8 @@ def project_pair(
         raise ValueError(f"initial scalings must be positive and finite, got {initial!r}")
     uf = inst.free_values(u)
     row = _field_norms(inst, uf)
-    s, t, g1, g2, iterations, bracket = _pair_row(row, initial)
+    s, t, e1, e2, iterations, bracket = _pair_row(row, initial)
+    g1, g2 = _reported_g(row, s, t, e1, e2)
     return PairProjection(
         s=s,
         t=t,
@@ -349,8 +357,8 @@ def _project(inst: ProblemInstance, u: np.ndarray, nodal: bool):
 def _pair_row(norms: list[float], initial: tuple[float, float] | None = None):
     """The pair projection of one row's norms (see ``project_pair``).
 
-    Returns (s, t, g1, g2, iterations, bracket).  Raises ``ValueError``
-    when a sign part is zero.
+    Returns (s, t, e1, e2, iterations, bracket), e1 = g1 / s^2 and e2 =
+    g2 / t^2.  Raises ``ValueError`` when a sign part is zero.
     """
     a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
     if b_pos == 0.0 or b_neg == 0.0:
@@ -403,15 +411,13 @@ def _pair_row(norms: list[float], initial: tuple[float, float] | None = None):
     s = math.exp(0.5 * (c_pos + k_pos * p))
     t = math.exp(0.5 * (c_neg + k_neg / p))
 
-    # g1, g2 and the scaled residuals e1 = g1 / s^2, e2 = g2 / t^2, whose
-    # forms drop the factors s^2 and t^2 whose products with a+- overflow
-    # near the top of the box.
-    g1, g2 = _g_pair(norms, s, t)
+    # The scaled residuals e1 = g1 / s^2, e2 = g2 / t^2, whose forms drop
+    # the factors s^2 and t^2 whose products with a+- overflow near the top
+    # of the box.
     ss, tt = s * s, t * t
-    ls2, lt2 = math.log(ss), math.log(tt)
     r, q = t / s, s / t
-    e1 = h_pos - ls2 * b_pos - 0.5 * r * k
-    e2 = h_neg - lt2 * b_neg - 0.5 * q * k
+    e1 = h_pos - math.log(ss) * b_pos - 0.5 * r * k
+    e2 = h_neg - math.log(tt) * b_neg - 0.5 * q * k
     # The test |g| <= 1e-10 max(s^2 a+, t^2 a-, 1), divided through by
     # s^2 for g1 and by t^2 for g2, so that it holds at roots where
     # s^2 a+ or t^2 a- overflows.  The box bounds the root, so s^2 and t^2
@@ -421,11 +427,16 @@ def _pair_row(norms: list[float], initial: tuple[float, float] | None = None):
         abs(e1) <= _PAIR_TOL * max(a_pos, r * r * a_neg, 1.0 / ss)
         and abs(e2) <= _PAIR_TOL * max(q * q * a_pos, a_neg, 1.0 / tt)
     )
-    g1 = g1 if math.isfinite(g1) else ss * e1
-    g2 = g2 if math.isfinite(g2) else tt * e2
     if not ok:
+        g1, g2 = _reported_g(norms, s, t, e1, e2)
         raise NonConvergence(
             f"pair projection stalled at (g1, g2) = ({g1:.3e}, {g2:.3e}) "
             f"after {iterations} steps"
         )
-    return s, t, g1, g2, iterations, bracket
+    return s, t, e1, e2, iterations, bracket
+
+
+def _reported_g(norms: list[float], s: float, t: float, e1: float, e2: float):
+    """(g1, g2) at (s, t); one that overflows is given as s^2 e1 or t^2 e2."""
+    g1, g2 = _g_pair(norms, s, t)
+    return (g1 if math.isfinite(g1) else s * s * e1, g2 if math.isfinite(g2) else t * t * e2)

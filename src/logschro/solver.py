@@ -59,7 +59,9 @@ residual comparison.
 
 Seeds, descent, projections, polish and oracle all work on the free
 values of a field (see :class:`~logschro.energy.ProblemInstance`) and
-share one residual kernel and its Jacobian (``_residual_jacobian``);
+share one residual kernel and its Jacobian, whose field-free parts
+(``_jacobian_base``) each descent or polish call forms once; a descent
+iteration takes the residual and ``P`` from one log (``_descent_terms``);
 ``solve_*`` and ``oracle_enumerate`` extend the fields they return to
 full length.  ``verify`` checks a full-length field once, gathers its
 free values and hands them to ``_verification``, which a solve calls on
@@ -89,6 +91,7 @@ from .energy import (
     _dot,
     _energies,
     _energy,
+    _floored_log,
     _residual,
     field_to_dict,
 )
@@ -134,6 +137,7 @@ _ARMIJO = 1e-4
 _SHRINK = 0.5
 # Full Newton steps on the reported minimizer.
 _FINAL_NEWTON_STEPS = 8
+_LOG_FLOOR = math.log(1e-150)
 # Oracle budget: free vertices, and lattice cells per axis.
 _ORACLE_DOF_LIMIT = 3
 _ORACLE_GRID = 32
@@ -205,25 +209,33 @@ class VerificationReport:
 # -- residual Newton polish ----------------------------------------------
 
 
-def _jacobian_diagonal(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
+def _jacobian_base(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The field-free parts of the Jacobian of ``_residual``: the block
+    ``S/mu`` and the diagonal ``S_ii / mu_i + lam a_i``."""
+    block = inst.stiffness / inst.mu[:, None]
+    return block, np.diagonal(block) + inst.lam_a
+
+
+def _jacobian_diagonal(base: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
     """The diagonal ``S_ii / mu_i + lam a_i - log u_i^2 - 2`` of the
-    Jacobian of ``_residual`` at the free values ``u``, or at each row of a
-    stack of them."""
+    Jacobian of ``_residual`` from the ``_jacobian_base`` diagonal and
+    ``log_abs = _floored_log(|u|)`` of free values or a stack of them."""
     # d/du (u log u^2) = log u^2 + 2, with log u^2 taken as 2 log|u| so it
-    # stays finite for |u| beyond 1e154; tiny |u| keep the floor log 1e-300.
-    base = np.diag(inst.stiffness) / inst.mu + inst.lam_a
-    return base - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
+    # stays finite for |u| beyond 1e154; |u| is floored at 1e-150.
+    return base - 2.0 * np.maximum(log_abs, _LOG_FLOOR) - 2.0
 
 
-def _residual_jacobian(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
+def _residual_jacobian(jac_base, u: np.ndarray) -> np.ndarray:
     """The Jacobian of ``_residual`` at the free values ``u``, or at each
-    row of a stack of them: shape ``u.shape[:-1] + (n, n)``, the block
-    ``S/mu`` with ``_jacobian_diagonal``'s diagonal."""
-    n = len(inst.mu)
-    jac = np.empty(u.shape[:-1] + (n, n))
-    np.divide(inst.stiffness, inst.mu[:, None], out=jac)
+    row of a stack of them, from the ``_jacobian_base`` pair: shape
+    ``u.shape[:-1] + (n, n)``, the block with ``_jacobian_diagonal``'s
+    diagonal."""
+    block, base = jac_base
+    jac = np.empty(u.shape + block.shape[-1:])
+    jac[...] = block
     # The diagonals are written through a strided view.
-    jac.reshape(u.shape[:-1] + (n * n,))[..., :: n + 1] = _jacobian_diagonal(inst, u)
+    diagonal = _jacobian_diagonal(base, _floored_log(np.abs(u)))
+    jac.reshape(u.shape[:-1] + (-1,))[..., :: len(base) + 1] = diagonal
     return jac
 
 
@@ -279,6 +291,7 @@ def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
     get alone, so a row's result does not depend on the rest of the
     stack.
     """
+    jac_base = _jacobian_base(inst)
     roots, ok = u.copy(), np.zeros(len(u), dtype=bool)
     # The live rows: their index in ``roots``, iterate, residual and sup
     # residual; ``search`` holds those that gave up in the last step.
@@ -302,7 +315,7 @@ def _newton_roots(inst: ProblemInstance, u: np.ndarray, rtol: float):
                 live, u, r, rnorm = live[keep], u[keep], r[keep], rnorm[keep]
             if not live.size or it == _POLISH_MAX_ITER:
                 break
-            jac = _residual_jacobian(inst, u)
+            jac = _residual_jacobian(jac_base, u)
             step = _newton_steps(jac, r)
             cand, cr, cnorm = trial(u, step, 1.0)
             better = cnorm < rnorm
@@ -343,12 +356,13 @@ def _final_newton(inst: ProblemInstance, uf: np.ndarray) -> np.ndarray:
     field independent of where descent stopped; the sup residual of the
     field returned is never above that of ``uf``.
     """
+    jac_base = _jacobian_base(inst)
     r = _residual(inst, uf)
     rnorm = float(np.abs(r).max())
     signs = np.sign(uf)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_FINAL_NEWTON_STEPS):
-            cand = uf + _newton_steps(_residual_jacobian(inst, uf[None]), r[None])[0]
+            cand = uf + _newton_steps(_residual_jacobian(jac_base, uf[None]), r[None])[0]
             cr = _residual(inst, cand)
             cnorm = float(np.abs(cr).max())
             if not (cnorm < rnorm and np.array_equal(np.sign(cand), signs)):
@@ -366,6 +380,16 @@ def _sign_ok(u: np.ndarray, nodal: bool) -> np.ndarray:
     if nodal:
         return (u.max(axis=-1) > _SIGN_EPS) & (u.min(axis=-1) < -_SIGN_EPS)
     return np.abs(u).max(axis=-1) > _SIGN_EPS
+
+
+def _descent_terms(inst: ProblemInstance, base: np.ndarray, floor: np.ndarray, u: np.ndarray):
+    """The residual, ``max|u|`` and metric ``1/P = max(D(u), floor)`` of
+    each row of ``u`` from one ``|u|`` and one log of it, with ``base``
+    the ``_jacobian_base`` diagonal."""
+    au = np.abs(u)
+    log_abs = _floored_log(au)
+    metric = np.maximum(_jacobian_diagonal(base, log_abs), floor)
+    return _residual(inst, u, log_abs), au.max(axis=1), metric
 
 
 def _step_starts(
@@ -389,7 +413,7 @@ def _step_starts(
         sy = _dot(inst.mu, s * y)
         bb = _dot(inst.mu, metric * s * s) / sy
         taken = ((sy > 0.0) if nodal else (sy != 0.0)) & np.isfinite(bb)
-        return np.where(taken, np.clip(np.abs(bb), _STEP_MIN, hi), _STEP_INIT)
+        return np.where(taken, np.minimum(np.maximum(np.abs(bb), _STEP_MIN), hi), _STEP_INIT)
 
 
 def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bool):
@@ -441,6 +465,7 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
     """
     mu = inst.mu
     tol = opts.tol_residual
+    _, base = _jacobian_base(inst)
     floor = inst.lam_a + 1.0
     n = len(u)
     fields = u.copy()
@@ -453,15 +478,17 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
         np.arange(n), np.zeros(n, dtype=int), u.copy(), np.full(n, math.inf),
         np.zeros(n, dtype=bool), np.full((n, _HISTORY), -math.inf), u.copy(), np.zeros_like(u),
     )
-    # The parked rows, in chunks: their live state plus residual and sup
-    # residual.
+    # The parked rows, in chunks: their live state plus residual, metric
+    # and sup residual.
     parked = []
     while True:
         idx, its, u, failed_at, stalled, history, u_prev, r_prev = live
         if idx.size:
-            r = _residual(inst, u)
+            # 1/P: where |u| is small the log term makes D large, and P
+            # shortens the step there.
+            r, umax, metric = _descent_terms(inst, base, floor, u)
             rinf = np.abs(r).max(axis=1)
-            scale = np.maximum(1.0, np.abs(u).max(axis=1))
+            scale = np.maximum(1.0, umax)
             done = rinf <= tol * scale
             # A row at tolerance retires at once; at the iteration cap each
             # row is judged as it stands, once a row that stalled has had
@@ -473,16 +500,16 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
             keep = ~(due | out)
             if not keep.all():
                 if due.any():
-                    parked.append([a[due] for a in (*live, r, rinf)])
+                    parked.append([a[due] for a in (*live, r, metric, rinf)])
                 fields[idx[out]], converged[idx[out]] = u[out], done[out]
-                idx, its, u, failed_at, stalled, history, u_prev, r_prev, r = (
-                    a[keep] for a in (*live, r)
+                idx, its, u, failed_at, stalled, history, u_prev, r_prev, r, metric = (
+                    a[keep] for a in (*live, r, metric)
                 )
         if not idx.size:
             if not parked:
                 break
             # The stack has drained: polish every parked row as one stack.
-            idx, its, u, failed_at, stalled, history, u_prev, r_prev, r, rinf = (
+            idx, its, u, failed_at, stalled, history, u_prev, r_prev, r, metric, rinf = (
                 np.concatenate(chunk) for chunk in zip(*parked)
             )
             parked = []
@@ -497,8 +524,8 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
             # a row parks at the cap only when it stalled.
             out = ok | stalled
             fields[idx[out]], converged[idx[out]] = u[out], ok[out]
-            idx, its, u, failed_at, history, u_prev, r_prev, r = (
-                a[~out] for a in (idx, its, u, failed_at, history, u_prev, r_prev, r)
+            idx, its, u, failed_at, history, u_prev, r_prev, r, metric = (
+                a[~out] for a in (idx, its, u, failed_at, history, u_prev, r_prev, r, metric)
             )
             if not idx.size:
                 break
@@ -506,9 +533,6 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
         # The rest of each live row's iteration: every live row moved in
         # its last iteration, since the rows that did not were stalled and
         # have retired.
-        # 1/P: where |u| is small the log term makes D large, and P
-        # shortens the step there.
-        metric = np.maximum(_jacobian_diagonal(inst, u), floor)
         d = -r * (1.0 / metric)
         slope = _dot(mu, r * d)
         alpha = _step_starts(inst, u - u_prev, r - r_prev, metric, nodal)

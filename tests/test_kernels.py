@@ -6,10 +6,13 @@ on the stiffness matrix ``S = D - W``.  The reference forms below are the
 pointwise definitions of the Laplacian and the gradient form.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from logschro import (
+    NoBracket,
     NotAdmissible,
     ProblemInstance,
     coupling_k,
@@ -23,7 +26,15 @@ from logschro import (
     verify,
 )
 from logschro import nehari, solver
-from logschro.energy import _energies, sq_log_sq, u_log_sq
+from logschro.energy import (
+    _dot,
+    _energies,
+    _floored_log,
+    _matvec,
+    _norm_h_sq,
+    sq_log_sq,
+    u_log_sq,
+)
 
 from conftest import random_field, random_graph
 
@@ -138,17 +149,18 @@ class TestKernelsMatchReference:
         stack[1] = np.abs(stack[1])
         norms, up, um = nehari._split_stats(inst, stack)
         residuals = solver._residual(inst, stack)
-        jacobians = solver._residual_jacobian(inst, stack)
+        jac_base = solver._jacobian_base(inst)
+        jacobians = solver._residual_jacobian(jac_base, stack)
         energies = _energies(inst, stack)
         for i, row in enumerate(stack):
             np.testing.assert_array_equal(residuals[i], solver._residual(inst, row))
-            np.testing.assert_array_equal(jacobians[i], solver._residual_jacobian(inst, row))
+            np.testing.assert_array_equal(jacobians[i], solver._residual_jacobian(jac_base, row))
             # The solver's polish judges energies as rows; each is the
             # energy of that field evaluated alone.
-            assert energies[i] == 0.5 * float(nehari._norm_h_sq(inst, row)) - 0.5 * float(
+            assert energies[i] == 0.5 * float(_norm_h_sq(inst, row)) - 0.5 * float(
                 inst.mu @ sq_log_sq(row)
             )
-            assert nehari._norm_h_sq(inst, stack)[i] == nehari._norm_h_sq(inst, row)
+            assert _norm_h_sq(inst, stack)[i] == _norm_h_sq(inst, row)
             norms_alone, up_alone, um_alone = nehari._split_stats(inst, row[None, :])
             assert norms[i].tolist() == norms_alone[0].tolist()
             np.testing.assert_array_equal(up[i], up_alone[0])
@@ -157,7 +169,7 @@ class TestKernelsMatchReference:
     def test_polish_jacobian_matches_differences(self, inst):
         u, _ = _fields(inst, 0)
         uf = u[inst.free]
-        jac = solver._residual_jacobian(inst, uf)
+        jac = solver._residual_jacobian(solver._jacobian_base(inst), uf)
         h = 1e-6
         for j in range(len(uf)):
             e = np.zeros(len(uf))
@@ -172,7 +184,7 @@ def test_polish_jacobian_finite_beyond_square_range(p6):
     uf = np.full(p6.n, 1e200)
     uf[1] = -1e-200
     with np.errstate(all="raise"):
-        jac = solver._residual_jacobian(inst, uf)
+        jac = solver._residual_jacobian(solver._jacobian_base(inst), uf)
     want = inst.lam_a - 2.0 * np.log(np.array([1e200, 1e-150] + [1e200] * (p6.n - 2))) - 2.0
     assert np.allclose(np.diag(jac) - np.diag(inst.stiffness) / inst.mu, want, rtol=1e-14)
 
@@ -195,12 +207,13 @@ def test_jacobian_diagonal_matches_formula(kind, seed):
     lam_a = 0.0 if inst.lam is None else inst.lam * g.potential_a[f]
     stack = np.array([random_field(rng, len(f)) for _ in range(3)])
     stack[0, 0] = 0.0
+    _, base = solver._jacobian_base(inst)
     for u in (stack, stack[1]):
-        diagonal = solver._jacobian_diagonal(inst, u)
+        diagonal = solver._jacobian_diagonal(base, _floored_log(np.abs(u)))
         # D = S_ii/mu_i + lam a_i - log u_i^2 - 2, with |u| floored at 1e-150.
         want = np.diag(g.stiffness)[f] / g.mu[f] + lam_a - np.log(np.maximum(u * u, 1e-300)) - 2.0
         np.testing.assert_allclose(diagonal, want, rtol=1e-13, atol=1e-12)
-        jac = solver._residual_jacobian(inst, u)
+        jac = solver._residual_jacobian(solver._jacobian_base(inst), u)
         np.testing.assert_array_equal(np.diagonal(jac, axis1=-2, axis2=-1), diagonal)
 
 
@@ -208,6 +221,154 @@ def test_stiffness_is_read_only(k2):
     assert np.array_equal(k2.stiffness, [[1.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(ValueError):
         k2.stiffness[0, 0] = 0.0
+
+
+# -- lean kernels against the forms they replaced ---------------------------
+
+
+def _old_matvec(a, u):
+    return np.matmul(a, u[..., None])[..., 0]
+
+
+def _old_dot(x, y):
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _old_jacobian_diagonal(inst, u):
+    base = np.diag(inst.stiffness) / inst.mu + inst.lam_a
+    return base - 2.0 * np.log(np.maximum(np.abs(u), 1e-150)) - 2.0
+
+
+# Magnitudes at the floors of the two logs and beyond the square range.
+EDGE_VALUES = [
+    0.0, 5e-324, -5e-324, 1e-151, -1e-150, 1e-150,
+    np.nextafter(1e-150, 0.0), np.nextafter(1e-150, 1.0), 1e154, -1e200, 1e200, -0.7, 2.5,
+]
+
+
+class TestLeanKernelsMatchOldForms:
+    """The kernels give the very floats of the forms they replaced."""
+
+    def test_gufunc_dot_and_matvec_match_matmul(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n, rows = int(rng.integers(2, 60)), int(rng.integers(1, 17))
+            a = rng.standard_normal((n, n))
+            mu = rng.uniform(0.5, 2.0, n)
+            stack = rng.standard_normal((rows, 2 * n))[:, ::2]  # strided rows
+            parts = np.empty((2, rows, n))
+            np.maximum(stack, 0.0, out=parts[0])
+            np.minimum(stack, 0.0, out=parts[1])
+            for u in (stack[0], np.ascontiguousarray(stack), stack, parts):
+                np.testing.assert_array_equal(_matvec(a, u), _old_matvec(a, u))
+                np.testing.assert_array_equal(_dot(mu, u), _old_dot(mu, u))
+                np.testing.assert_array_equal(_dot(u, u[..., ::-1]), _old_dot(u, u[..., ::-1]))
+            assert _dot(mu, stack[0]) == _old_dot(mu, stack[0])
+
+    def test_log_floors_agree(self):
+        # max(log max(|u|, 5e-324), log 1e-150) is log max(|u|, 1e-150).
+        rng = np.random.default_rng(0)
+        au = np.abs(rng.integers(0, 2**63, 1_000_000, dtype=np.int64).view(np.float64))
+        au = np.concatenate([au[np.isfinite(au)], np.abs(EDGE_VALUES)])
+        np.testing.assert_array_equal(
+            np.maximum(_floored_log(au), solver._LOG_FLOOR), np.log(np.maximum(au, 1e-150))
+        )
+
+    def test_descent_terms_from_one_log(self, p6, p6_dirichlet):
+        for inst in (ProblemInstance.full(p6, 10.0), p6_dirichlet):
+            m = len(inst.mu)
+            stack = np.array([np.roll(EDGE_VALUES, i)[:m] for i in range(len(EDGE_VALUES))])
+            _, base = solver._jacobian_base(inst)
+            for u in (stack, stack[3:4]):
+                r, umax, metric = solver._descent_terms(inst, base, inst.lam_a + 1.0, u)
+                np.testing.assert_array_equal(r, solver._residual(inst, u))
+                np.testing.assert_array_equal(
+                    r,
+                    _old_matvec(inst.stiffness, u) / inst.mu + inst.lam_a * u - u_log_sq(u),
+                )
+                np.testing.assert_array_equal(umax, np.abs(u).max(axis=-1))
+                np.testing.assert_array_equal(
+                    metric, np.maximum(_old_jacobian_diagonal(inst, u), inst.lam_a + 1.0)
+                )
+                jac = solver._residual_jacobian(solver._jacobian_base(inst), u)
+                np.testing.assert_array_equal(
+                    np.diagonal(jac, axis1=-2, axis2=-1), _old_jacobian_diagonal(inst, u)
+                )
+
+    def test_projection_norms_match_old_forms(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            g = random_graph(rng)
+            inst = ProblemInstance.full(g, float(rng.uniform(0.1, 100.0)))
+            stack = np.array([random_field(rng, g.n) for _ in range(4)])
+            stack[0, 0] = 0.0
+            stack[1] = np.abs(stack[1])
+            stack[2, :2] = (1e-200, -5e-324)
+            mu = inst.mu
+            ray = nehari._ray_norms(inst, stack)
+            np.testing.assert_array_equal(ray[:, 0], _old_dot(mu, stack * stack))
+            np.testing.assert_array_equal(ray[:, 1], _norm_h_sq(inst, stack))
+            np.testing.assert_array_equal(ray[:, 2], _old_dot(mu, sq_log_sq(stack)))
+            norms, up, um = nehari._split_stats(inst, stack)
+            parts = np.stack([up, um])
+            logs = _old_dot(mu, np.where(parts != 0.0, sq_log_sq(stack), 0.0)).T
+            # Equal up to the sign of a zero.
+            np.testing.assert_array_equal(norms[:, 1:6:3], logs)
+
+
+def _old_pair_tail(norms, s, t):
+    """The acceptance test and the (g1, g2) of the pair projection at its
+    root (s, t), as ``_pair_row`` evaluated them on every row."""
+    a_pos, l_pos, b_pos, a_neg, l_neg, b_neg, k = norms
+    g1, g2 = nehari._g_pair(norms, s, t)
+    ss, tt = s * s, t * t
+    ls2, lt2 = math.log(ss), math.log(tt)
+    r, q = t / s, s / t
+    e1 = (a_pos - l_pos - b_pos) - ls2 * b_pos - 0.5 * r * k
+    e2 = (a_neg - l_neg - b_neg) - lt2 * b_neg - 0.5 * q * k
+    ok = (
+        abs(e1) <= 1e-10 * max(a_pos, r * r * a_neg, 1.0 / ss)
+        and abs(e2) <= 1e-10 * max(q * q * a_pos, a_neg, 1.0 / tt)
+    )
+    g1 = g1 if math.isfinite(g1) else ss * e1
+    g2 = g2 if math.isfinite(g2) else tt * e2
+    return ok, g1, g2
+
+
+def test_pair_row_matches_full_path(monkeypatch):
+    # The test_matches_scan recipe at seed 5, whose draws 1372, 2082 and
+    # 2877 have roots where g1 = s^2 (...) overflows.
+    rng = np.random.default_rng(5)
+    rows = overflowing = 0
+    for _ in range(2878):
+        g = random_graph(rng)
+        inst = ProblemInstance.full(g, 10.0 ** rng.uniform(-1.0, 4.0))
+        u = random_field(rng, g.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if not u.max() > 0.0 > u.min():
+            continue
+        norms = nehari._field_norms(inst, u)
+        try:
+            s, t, _, _, iterations, _ = nehari._pair_row(norms)
+        except (NoBracket, nehari.NonConvergence):
+            continue
+        ok, g1, g2 = _old_pair_tail(norms, s, t)
+        assert ok
+        proj = project_pair(inst, u)
+        assert (proj.s, proj.t, proj.g1_residual, proj.g2_residual) == (s, t, g1, g2)
+        _, _, stacked_ok = nehari._project(inst, u[None, :], True)
+        assert stacked_ok[0] == (np.abs(proj.projected).max() <= 1e150)
+        # A row that fails its acceptance test names the same (g1, g2).
+        with monkeypatch.context() as mp:
+            mp.setattr(nehari, "_PAIR_TOL", -1.0)
+            with pytest.raises(nehari.NonConvergence) as err:
+                nehari._pair_row(norms)
+        assert str(err.value) == (
+            f"pair projection stalled at (g1, g2) = ({g1:.3e}, {g2:.3e}) "
+            f"after {iterations} steps"
+        )
+        rows += 1
+        overflowing += not math.isfinite(nehari._g_pair(norms, s, t)[0])
+    assert rows >= 2000 and overflowing >= 3
 
 
 # -- validation at the boundary ---------------------------------------------

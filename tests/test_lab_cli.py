@@ -522,6 +522,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: pair projection failed")
+        assert ("underflows" if scale < 1.0 else "the field's norms overflow") in captured.err
         assert "Warning" not in captured.err
 
     def test_scaling_overflow_exits_2(self, tmp_path, p3_no_well, capsys):

@@ -21,7 +21,7 @@ from logschro import (
     project_ray,
 )
 from logschro import WeightedGraph, nehari, solver
-from logschro.energy import _energy
+from logschro.energy import _energy, _norm_h_sq
 
 from conftest import random_field, random_graph
 
@@ -528,7 +528,7 @@ class TestClosedFormLevel:
             if not ok[0]:
                 continue
             w, level = w[0], level[0]
-            scale = 0.5 * nehari._norm_h_sq(inst, w)
+            scale = 0.5 * _norm_h_sq(inst, w)
             assert abs(level - _energy(inst, w)) <= 1e-13 * scale
             checked += 1
         assert checked >= 1000
@@ -573,10 +573,12 @@ class TestFailuresAreTyped:
     def test_fields_beyond_float_range_raise_no_bracket(self, p6, project, scale):
         # Both sign parts are nonzero.  At 1e-170 and below their squares
         # underflow, and this used to raise ValueError as for a zero part;
-        # at 1e160 and above they overflow, which used to warn first.  The
-        # suite turns a RuntimeWarning into an error.
+        # at 1e160 and above they overflow, which used to warn first and
+        # then name a NaN scaling or a non-finite level.  The suite turns a
+        # RuntimeWarning into an error.
         u = p6.field({"v2": 1.0, "v3": -2.0, "v5": 0.5}) * scale
-        with pytest.raises(NoBracket):
+        cause = "underflows" if scale < 1.0 else "the field's norms overflow"
+        with pytest.raises(NoBracket, match=cause):
             project(ProblemInstance.full(p6, 10.0), u)
 
     @pytest.mark.parametrize("scale", [1e-320, 1e-170, 1.0, 1e160])

@@ -453,10 +453,10 @@ def _count_residuals(mp):
     inside = [False]
     residual, newton_roots = solver._residual, solver._newton_roots
 
-    def counted(inst, u):
+    def counted(inst, u, *log_abs):
         if inside[0]:
             evals[0] += len(u) if u.ndim == 2 else 1
-        return residual(inst, u)
+        return residual(inst, u, *log_abs)
 
     def polish(*args, **kwargs):
         inside[0] = True
