@@ -60,8 +60,7 @@ residual comparison.
 Seeds, descent, projections, polish and oracle all work on the free
 values of a field (see :class:`~logschro.energy.ProblemInstance`) and
 share one residual kernel and its Jacobian, whose field-free parts
-(``_jacobian_base``) each descent or polish call forms once; a descent
-iteration takes the residual and ``P`` from one log (``_descent_terms``);
+(``_jacobian_base``) each descent or polish call forms once;
 ``solve_*`` and ``oracle_enumerate`` extend the fields they return to
 full length.  ``verify`` checks a full-length field once, gathers its
 free values and hands them to ``_verification``, which a solve calls on
@@ -137,6 +136,7 @@ _ARMIJO = 1e-4
 _SHRINK = 0.5
 # Full Newton steps on the reported minimizer.
 _FINAL_NEWTON_STEPS = 8
+# The Jacobian diagonal floors |u| at 1e-150.
 _LOG_FLOOR = math.log(1e-150)
 # Oracle budget: free vertices, and lattice cells per axis.
 _ORACLE_DOF_LIMIT = 3
@@ -225,14 +225,13 @@ def _jacobian_diagonal(base: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
     return base - 2.0 * np.maximum(log_abs, _LOG_FLOOR) - 2.0
 
 
-def _residual_jacobian(jac_base, u: np.ndarray) -> np.ndarray:
+def _residual_jacobian(jac_base: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
     """The Jacobian of ``_residual`` at the free values ``u``, or at each
     row of a stack of them, from the ``_jacobian_base`` pair: shape
     ``u.shape[:-1] + (n, n)``, the block with ``_jacobian_diagonal``'s
     diagonal."""
     block, base = jac_base
-    jac = np.empty(u.shape + block.shape[-1:])
-    jac[...] = block
+    jac = np.broadcast_to(block, u.shape + block.shape[-1:]).copy()
     # The diagonals are written through a strided view.
     diagonal = _jacobian_diagonal(base, _floored_log(np.abs(u)))
     jac.reshape(u.shape[:-1] + (-1,))[..., :: len(base) + 1] = diagonal
@@ -382,16 +381,6 @@ def _sign_ok(u: np.ndarray, nodal: bool) -> np.ndarray:
     return np.abs(u).max(axis=-1) > _SIGN_EPS
 
 
-def _descent_terms(inst: ProblemInstance, base: np.ndarray, floor: np.ndarray, u: np.ndarray):
-    """The residual, ``max|u|`` and metric ``1/P = max(D(u), floor)`` of
-    each row of ``u`` from one ``|u|`` and one log of it, with ``base``
-    the ``_jacobian_base`` diagonal."""
-    au = np.abs(u)
-    log_abs = _floored_log(au)
-    metric = np.maximum(_jacobian_diagonal(base, log_abs), floor)
-    return _residual(inst, u, log_abs), au.max(axis=1), metric
-
-
 def _step_starts(
     inst: ProblemInstance, s: np.ndarray, y: np.ndarray, metric: np.ndarray, nodal: bool
 ) -> np.ndarray:
@@ -484,11 +473,14 @@ def _descend(inst: ProblemInstance, u: np.ndarray, opts: SolveOptions, nodal: bo
     while True:
         idx, its, u, failed_at, stalled, history, u_prev, r_prev = live
         if idx.size:
-            # 1/P: where |u| is small the log term makes D large, and P
-            # shortens the step there.
-            r, umax, metric = _descent_terms(inst, base, floor, u)
+            # One log of |u| gives both the residual and 1/P: where |u| is
+            # small the log term makes D large, and P shortens the step there.
+            au = np.abs(u)
+            log_abs = _floored_log(au)
+            r = _residual(inst, u, log_abs)
+            metric = np.maximum(_jacobian_diagonal(base, log_abs), floor)
             rinf = np.abs(r).max(axis=1)
-            scale = np.maximum(1.0, umax)
+            scale = np.maximum(1.0, au.max(axis=1))
             done = rinf <= tol * scale
             # A row at tolerance retires at once; at the iteration cap each
             # row is judged as it stands, once a row that stalled has had
